@@ -105,7 +105,8 @@ streaming::SessionConfig capacity_config(std::size_t g, double seconds) {
 /// a few seconds — the topology API's stress shape (peak concurrency == N
 /// by construction, since every video outlives the arrival window). Prints
 /// the measured concurrency, the windowed R(t) against the closed forms on
-/// measured inputs, and the peak RSS the O(arrivals) world actually used.
+/// measured inputs, and the peak RSS the world actually used (memory follows
+/// peak concurrency, which here is every arrival).
 int run_flash_crowd(std::size_t viewers, double bottleneck_gbps) {
   video::VideoMeta meta;
   meta.id = "crowd";

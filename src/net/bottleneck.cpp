@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "check/contracts.hpp"
+
 namespace vstream::net {
 
 void SharedBottleneck::Config::validate() const {
@@ -31,14 +33,40 @@ SharedBottleneck::SharedBottleneck(sim::Simulator& sim, const Config& config, si
     const std::uint32_t client = client_of(segment.connection_id);
     // Foreign ids (cross-traffic) contended for the queue; their journey
     // ends here.
-    if (client < legs_.size()) legs_[client]->down().send(segment);
+    if (client >= legs_.size()) return;
+    Path* leg = legs_[client];
+    VSTREAM_INVARIANT(leg != nullptr, "bottleneck delivery routed to a detached client");
+    if (leg != nullptr) leg->down().send(segment);
   });
+  link_->set_tap([this](sim::SimTime at, const TcpSegment& segment, LinkEvent event) {
+    on_link_event(at, segment, event);
+  });
+}
+
+void SharedBottleneck::on_link_event(sim::SimTime at, const TcpSegment& segment,
+                                     LinkEvent event) {
+  const std::uint32_t client = client_of(segment.connection_id);
+  if (client < in_flight_.size()) {
+    if (event == LinkEvent::kEnqueue) {
+      ++in_flight_[client];
+    } else if (event == LinkEvent::kDeliver || event == LinkEvent::kDropLoss) {
+      --in_flight_[client];
+    }
+  }
+  if (tap_) tap_(at, segment, event);
 }
 
 std::uint32_t SharedBottleneck::attach(Path& leg) {
   leg.set_down_ingress(&link());
   legs_.push_back(&leg);
+  in_flight_.push_back(0);
   return static_cast<std::uint32_t>(legs_.size() - 1);
+}
+
+void SharedBottleneck::detach(std::uint32_t index) {
+  VSTREAM_PRECONDITION(index < legs_.size() && legs_[index] != nullptr,
+                       "detach of a client that is not attached");
+  legs_[index] = nullptr;
 }
 
 }  // namespace vstream::net

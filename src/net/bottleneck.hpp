@@ -14,9 +14,16 @@
 // Cross-traffic joins the contention by injecting segments whose connection
 // id (`kForeignId`) names no client: they occupy queue and wire like any
 // other traffic and are dropped at the router, never reaching a viewer.
+//
+// A world that frees a finished viewer's leg detaches it first. The
+// bottleneck counts each client's segments on the shared link, so the
+// owner can tell when none is left that would be routed to the leg; a
+// delivery to a detached client is a contract failure, not a dangling
+// dereference.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -58,8 +65,26 @@ class SharedBottleneck {
   /// shared link. Returns the client index; open the leg's connections
   /// with ids starting at `first_connection_id(index)` (tcp::Fabric's
   /// `first_id`) so the router can find the way back. The leg must outlive
-  /// the bottleneck's last delivery.
+  /// the bottleneck's last delivery to it, or be detached first.
   std::uint32_t attach(Path& leg);
+
+  /// Forget client `index`'s leg (it is about to be destroyed). Its index
+  /// stays taken. Call only once `in_flight(index)` is zero: a later
+  /// delivery to the client fails a VSTREAM_INVARIANT.
+  void detach(std::uint32_t index);
+
+  /// Client `index`'s segments accepted into the shared link's queue and
+  /// not yet delivered to its leg or lost on the wire.
+  [[nodiscard]] std::uint32_t in_flight(std::uint32_t index) const {
+    return in_flight_[index];
+  }
+
+  /// Observe every event on the shared link. The bottleneck keeps the
+  /// link's own tap for its per-client accounting, so observers go here,
+  /// not on `link().set_tap`.
+  void set_tap(std::function<void(sim::SimTime, const TcpSegment&, LinkEvent)> tap) {
+    tap_ = std::move(tap);
+  }
 
   /// First connection id of client `index`: index in the high 32 bits,
   /// counter in the low 32.
@@ -73,11 +98,16 @@ class SharedBottleneck {
 
   [[nodiscard]] Link& link() { return *link_; }
   [[nodiscard]] const Link& link() const { return *link_; }
+  /// Clients ever attached, detached ones included.
   [[nodiscard]] std::size_t legs() const { return legs_.size(); }
 
  private:
+  void on_link_event(sim::SimTime at, const TcpSegment& segment, LinkEvent event);
+
   std::unique_ptr<Link> link_;
-  std::vector<Path*> legs_;
+  std::vector<Path*> legs_;             ///< null once detached
+  std::vector<std::uint32_t> in_flight_;  ///< per client, see in_flight()
+  std::function<void(sim::SimTime, const TcpSegment&, LinkEvent)> tap_;
 };
 
 }  // namespace vstream::net

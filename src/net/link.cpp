@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "check/contracts.hpp"
 #include "obs/context.hpp"
 
 namespace vstream::net {
@@ -93,6 +94,12 @@ sim::Duration Link::unloaded_latency(std::uint32_t payload_bytes) const {
   return sim::transmission_time(probe.wire_bytes(), config_.rate_bps) + config_.prop_delay;
 }
 
+void Link::audit_conservation() const {
+  VSTREAM_INVARIANT(
+      counters_.enqueued == counters_.delivered + counters_.dropped_loss + in_flight_,
+      "link conservation broken: enqueued != delivered + dropped_loss + in_flight");
+}
+
 bool Link::send(const TcpSegment& segment) {
   if (!receiver_) throw std::logic_error{"Link::send: receiver not set"};
 
@@ -114,6 +121,7 @@ bool Link::send(const TcpSegment& segment) {
   }
 
   ++counters_.enqueued;
+  ++in_flight_;
   queued_bytes_ += wire;
   if (gauge_queue_high_water_ != nullptr) {
     gauge_queue_high_water_->set_max(static_cast<double>(queued_bytes_));
@@ -141,12 +149,14 @@ bool Link::send(const TcpSegment& segment) {
     queued_bytes_ -= segment.wire_bytes();
     notify(segment, LinkEvent::kTransmit);
     if (lost) {
+      --in_flight_;
       ++counters_.dropped_loss;
       if (ctr_drops_loss_ != nullptr) ctr_drops_loss_->inc();
       notify(segment, LinkEvent::kDropLoss);
       return;
     }
     auto deliver = [this, segment] {
+      --in_flight_;
       ++counters_.delivered;
       if (ctr_delivered_ != nullptr) ctr_delivered_->inc();
       counters_.bytes_delivered += segment.wire_bytes();

@@ -73,6 +73,18 @@ class Link {
   [[nodiscard]] const Config& config() const { return config_; }
   [[nodiscard]] std::size_t queued_bytes() const { return queued_bytes_; }
 
+  /// Segments accepted into the queue and not yet delivered or lost on the
+  /// wire: queued, serialising or propagating. While this is non-zero the
+  /// simulator holds an event that will call back into the link (and then
+  /// its receiver). Queue and fault drops never enter the queue, so they
+  /// never count.
+  [[nodiscard]] std::uint64_t in_flight() const { return in_flight_; }
+
+  /// Conservation law `enqueued == delivered + dropped_loss + in_flight()`
+  /// between the counters and the independently kept in-flight tally
+  /// (a VSTREAM_INVARIANT; inert at VSTREAM_CHECK_LEVEL 0).
+  void audit_conservation() const;
+
   /// One-way latency of an empty link for a segment of `bytes` payload.
   [[nodiscard]] sim::Duration unloaded_latency(std::uint32_t payload_bytes) const;
 
@@ -104,6 +116,7 @@ class Link {
   std::function<void(sim::SimTime, const TcpSegment&, LinkEvent)> tap_;
   sim::SimTime busy_until_{sim::SimTime::zero()};
   std::size_t queued_bytes_{0};
+  std::uint64_t in_flight_{0};
   Counters counters_;
 
   // Fault-injection state, driven by the attached ImpairmentSchedule.

@@ -9,7 +9,7 @@
 namespace vstream::runner {
 
 void TopologyAccumulator::add(std::size_t index, const streaming::TopologyResult& result,
-                              double horizon_s, std::uint64_t digest_value,
+                              double arrival_window_s, std::uint64_t digest_value,
                               std::uint64_t words_mixed) {
   ++worlds;
   sessions_started += result.sessions_started;
@@ -31,7 +31,7 @@ void TopologyAccumulator::add(std::size_t index, const streaming::TopologyResult
   sum_duration_s += result.sum_duration_s;
   sum_goodput_bps += result.sum_goodput_bps;
   goodput_samples += result.goodput_samples;
-  horizon_s_sum += horizon_s;
+  arrival_window_s_sum += arrival_window_s;
   digest.add(index, digest_value, words_mixed);
 }
 
@@ -56,7 +56,7 @@ void TopologyAccumulator::merge(const TopologyAccumulator& other) {
   sum_duration_s += other.sum_duration_s;
   sum_goodput_bps += other.sum_goodput_bps;
   goodput_samples += other.goodput_samples;
-  horizon_s_sum += other.horizon_s_sum;
+  arrival_window_s_sum += other.arrival_window_s_sum;
   digest.merge(other.digest);
 }
 
@@ -86,7 +86,7 @@ TopologyAccumulator run_topologies_streamed(
           if (cfg.arena == nullptr) cfg.arena = &lane.arena;
           const streaming::TopologyResult result = streaming::run_topology(cfg);
           streaming::fold_topology_outcome(world_digest, result);
-          lane.partial.add(global, result, cfg.horizon_s, world_digest.value(),
+          lane.partial.add(global, result, cfg.arrival_window_s(), world_digest.value(),
                            world_digest.words_mixed());
         }
       });

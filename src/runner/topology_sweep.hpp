@@ -2,13 +2,14 @@
 // across the ParallelSweep pool, each folding into a per-worker partial the
 // moment it finishes — the topology counterpart of run_sessions_streamed.
 //
-// A single `run_topology` world is O(arrivals) in memory, so the way to a
-// million sessions is sharding: K independent worlds of N sessions each,
-// identical in distribution (same template, same arrival law, seeds forked
-// per shard). Window statistics pool exactly across shards — WindowStats
-// carries count/sum/sum_sq, so the pooled mean and variance of R(t) are
-// the same numbers a single giant world's window series would produce, up
-// to FP associativity of the final merge.
+// A single `run_topology` world is O(peak concurrency) in memory, so one
+// long world can carry any number of arrivals; sharding buys cores instead:
+// K independent worlds of N sessions each, identical in distribution (same
+// template, same arrival law, seeds forked per shard). Window statistics
+// pool exactly across shards — WindowStats carries count/sum/sum_sq, so the
+// pooled mean and variance of R(t) are the same numbers a single giant
+// world's window series would produce, up to FP associativity of the final
+// merge.
 //
 // Determinism matches DESIGN.md §13: every world runs with a sweep-owned
 // StateDigest; (index, digest, outcome) words XOR into a SweepDigest that
@@ -49,13 +50,13 @@ struct TopologyAccumulator {
   double sum_duration_s{0.0};
   double sum_goodput_bps{0.0};
   std::uint64_t goodput_samples{0};
-  double horizon_s_sum{0.0};  ///< Σ per-world horizons (lambda-hat basis)
+  double arrival_window_s_sum{0.0};  ///< Σ per-world arrival windows (lambda-hat basis)
   SweepDigest digest;
 
   /// Fold one finished world. `index` is the world's global submission
-  /// index; `horizon_s` its configured horizon (the realized arrival rate
-  /// pools as Σstarted / Σhorizon).
-  void add(std::size_t index, const streaming::TopologyResult& result, double horizon_s,
+  /// index; `arrival_window_s` its TopologyConfig::arrival_window_s() (the
+  /// realized arrival rate pools as Σstarted / Σwindow).
+  void add(std::size_t index, const streaming::TopologyResult& result, double arrival_window_s,
            std::uint64_t digest_value, std::uint64_t words_mixed);
 
   /// Combine another partial (worker lane) into this one.
@@ -73,7 +74,9 @@ struct TopologyAccumulator {
     return goodput_samples > 0 ? sum_goodput_bps / static_cast<double>(goodput_samples) : 0.0;
   }
   [[nodiscard]] double realized_arrival_rate_per_s() const {
-    return horizon_s_sum > 0.0 ? static_cast<double>(sessions_started) / horizon_s_sum : 0.0;
+    return arrival_window_s_sum > 0.0
+               ? static_cast<double>(sessions_started) / arrival_window_s_sum
+               : 0.0;
   }
 
   /// Pooled measured inputs of Eq. 3/4 — identical in meaning to

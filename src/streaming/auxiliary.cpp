@@ -24,7 +24,9 @@ void AuxiliaryTraffic::stop() {
 }
 
 void AuxiliaryTraffic::open_asset(std::uint64_t bytes, double delay_s) {
+  ++pending_opens_;
   sim_.schedule_after(sim::Duration::seconds(delay_s), [this, bytes] {
+    --pending_opens_;
     if (stopped_) return;
     auto& conn = fabric_.create_connection({}, {}, config_.host);
     ++connections_;

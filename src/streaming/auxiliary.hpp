@@ -43,6 +43,12 @@ class AuxiliaryTraffic {
 
   [[nodiscard]] std::uint64_t bytes_fetched() const { return bytes_; }
   [[nodiscard]] std::size_t connections_opened() const { return connections_; }
+  /// No asset opening waiting on the sim clock and the beacon timer not
+  /// armed. Stopping disarms the beacon, but a pending asset opening still
+  /// fires (as a no-op).
+  [[nodiscard]] bool idle() const {
+    return pending_opens_ == 0 && (!beacon_timer_ || !beacon_timer_->running());
+  }
 
  private:
   void open_asset(std::uint64_t bytes, double delay_s);
@@ -57,6 +63,7 @@ class AuxiliaryTraffic {
   tcp::Connection* beacon_conn_{nullptr};
   std::uint64_t bytes_{0};
   std::size_t connections_{0};
+  std::uint32_t pending_opens_{0};  ///< asset openings scheduled, not yet fired
   bool stopped_{false};
 };
 

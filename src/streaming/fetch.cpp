@@ -28,6 +28,14 @@ void FetchManager::stop() {
   for (auto& fetch : fetches_) fetch->watchdog.cancel();
 }
 
+bool FetchManager::idle() const {
+  if (pending_retries_ > 0) return false;
+  for (const auto& fetch : fetches_) {
+    if (fetch->watchdog.pending()) return false;
+  }
+  return true;
+}
+
 void FetchManager::fetch_range(http::ByteRange range, ByteSink sink,
                                std::function<void()> on_done) {
   if (stopped_) return;
@@ -184,7 +192,9 @@ void FetchManager::schedule_retry(Fetch& fetch) {
   emit_retry_event(fetch, backoff.to_seconds(), false);
   if (on_retry_) on_retry_(fetch.attempts);
   Fetch* raw = &fetch;
+  ++pending_retries_;
   sim_.schedule_after(backoff, [this, raw] {
+    --pending_retries_;
     if (stopped_ || raw->done) return;
     if (raw->persistent) {
       reopen_persistent();

@@ -64,6 +64,10 @@ class FetchManager {
   [[nodiscard]] std::uint32_t timeouts() const { return timeouts_; }
   [[nodiscard]] std::uint32_t abandoned() const { return abandoned_; }
   [[nodiscard]] const RetryPolicy& retry_policy() const { return retry_; }
+  /// No watchdog armed and no retry backoff waiting to fire: nothing on
+  /// the sim clock will call back into this manager. A stopped manager's
+  /// backoffs still fire (as no-ops), so this can lag stop().
+  [[nodiscard]] bool idle() const;
 
  private:
   struct Fetch {
@@ -120,6 +124,7 @@ class FetchManager {
   std::uint32_t retries_{0};
   std::uint32_t timeouts_{0};
   std::uint32_t abandoned_{0};
+  std::uint32_t pending_retries_{0};  ///< backoff events scheduled, not yet fired
   bool stopped_{false};
   std::function<void(std::uint32_t)> on_retry_;
   obs::Counter* ctr_retries_{nullptr};

@@ -181,6 +181,8 @@ SessionResult run_session(const SessionConfig& cfg) {
 
   loop_monitor.stop();
   instance.stop_auxiliary();
+  w.path->down().audit_conservation();
+  w.path->up().audit_conservation();
 
   // Flush episode spans truncated by the capture cutoff while their owners
   // are still alive; outstanding RAII handles become inert, so component

@@ -27,9 +27,9 @@ tcp::TcpOptions client_options_with_buffer(std::uint64_t recv_bytes) {
 
 }  // namespace
 
-SessionInstance::SessionInstance(sim::Simulator& sim, tcp::Fabric& fabric,
-                                 const SessionConfig& config, sim::Rng rng)
-    : sim_{sim}, fabric_{fabric}, cfg_{config}, rng_{std::move(rng)} {
+SessionInstance::SessionInstance(sim::Simulator& sim, tcp::Fabric& fabric, SessionConfig config,
+                                 sim::Rng rng)
+    : sim_{sim}, fabric_{fabric}, cfg_{std::move(config)}, rng_{std::move(rng)} {
   started_at_s_ = sim_.now().to_seconds();
   wire_combination();
 }
@@ -199,6 +199,10 @@ void SessionInstance::set_on_quiesce(std::function<void()> fn) {
       on_quiesce_();
     }
   });
+}
+
+bool SessionInstance::drained() const {
+  return fabric_.idle() && (!fetches_ || fetches_->idle()) && (!auxiliary_ || auxiliary_->idle());
 }
 
 std::uint64_t SessionInstance::bytes_downloaded() const {

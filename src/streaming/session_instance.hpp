@@ -74,8 +74,7 @@ class SessionInstance {
   /// Wire the session into `fabric`'s path. `rng` is the session's root
   /// stream, taken by value after any world-level draws (the bandwidth
   /// jitter fork); nothing else may draw from the original afterwards.
-  SessionInstance(sim::Simulator& sim, tcp::Fabric& fabric, const SessionConfig& config,
-                  sim::Rng rng);
+  SessionInstance(sim::Simulator& sim, tcp::Fabric& fabric, SessionConfig config, sim::Rng rng);
   ~SessionInstance();
 
   SessionInstance(const SessionInstance&) = delete;
@@ -102,6 +101,14 @@ class SessionInstance {
   /// aggregate R(t) sampler wants. Set right after construction, before
   /// the world runs. `run_session` leaves this unset.
   void set_byte_tap(std::function<void(std::uint64_t)> tap) { byte_tap_ = std::move(tap); }
+
+  /// Nothing on the sim clock will call back into the session's
+  /// application or transport machinery: every endpoint of its fabric is
+  /// idle, its fetch manager has no watchdog or retry backoff pending, and
+  /// its auxiliary traffic has nothing scheduled. Segments still on the
+  /// links are the owner's to check. Meaningful once the session has
+  /// quiesced; a live session is never drained for long.
+  [[nodiscard]] bool drained() const;
 
   [[nodiscard]] Player& player() { return *player_; }
   [[nodiscard]] const Player& player() const { return *player_; }

@@ -6,6 +6,7 @@
 #include <numbers>
 #include <stdexcept>
 
+#include "check/contracts.hpp"
 #include "check/digest.hpp"
 #include "net/path.hpp"
 #include "net/path_builder.hpp"
@@ -116,61 +117,145 @@ void TopologyConfig::validate() const {
 
 namespace {
 
-/// One admitted session: its access leg, connection fabric, application
-/// machinery, and the pre-drawn config/rng it started from.
-struct Slot {
-  SessionConfig cfg;
-  sim::Rng rng;
-  double at_s{0.0};
+/// What one session contributes to TopologyResult. Folded when the session
+/// is reclaimed (or at the horizon, if it is still held then) and summed in
+/// slot order at the end, so the floating-point totals are the same
+/// whenever each session happened to drain.
+struct SessionRecord {
+  std::uint64_t bytes_downloaded{0};
+  std::uint64_t wasted_bytes{0};  ///< §6.2 unused bytes; 0 unless interrupted
+  double encoding_bps{0.0};
+  double duration_s{0.0};
+  double goodput_bps{0.0};
+  std::uint32_t connections{0};
+};
+static_assert(sizeof(SessionRecord) <= 64, "a reclaimed session must stay a small record");
+
+/// An admitted session's machinery: its access leg, connection fabric and
+/// application objects. Held from arrival until the session has quiesced
+/// and drained. Declaration order fixes destruction order: instance,
+/// fabric, leg.
+struct LiveSession {
   std::unique_ptr<net::Path> leg;
   std::unique_ptr<tcp::Fabric> fabric;
   std::unique_ptr<SessionInstance> instance;
+  std::uint32_t client{0};
+  double duration_s{0.0};
+};
 
-  Slot(SessionConfig config, sim::Rng session_rng, double arrival_s)
-      : cfg{std::move(config)}, rng{std::move(session_rng)}, at_s{arrival_s} {}
+struct Slot {
+  SessionRecord record;
+  std::unique_ptr<LiveSession> live;  ///< null before arrival and once reclaimed
 };
 
 /// World-lifetime state shared by the scheduled arrival callbacks. Events
 /// capture {Runner*, index} — comfortably inside the simulator's SBO
 /// callback budget.
 struct Runner {
+  const TopologyConfig& config;
   sim::Simulator& sim;
   net::SharedBottleneck& bottleneck;
+  sim::Rng& session_parent;
   std::vector<Slot>& slots;
   stats::WindowedRate& sampler;
+  std::vector<std::size_t> draining{};  ///< quiesced slots, still held
   std::size_t started{0};
   std::size_t finished{0};
   std::size_t interrupted{0};
   std::size_t active{0};
+  std::size_t live{0};  ///< admitted, not yet reclaimed
+  std::size_t peak_live{0};
 
   void start_session(std::size_t k) {
-    Slot& slot = slots[k];
-    slot.leg = net::PathBuilder{sim, slot.cfg.network, slot.rng}.build();
-    const std::uint32_t client = bottleneck.attach(*slot.leg);
-    slot.fabric = std::make_unique<tcp::Fabric>(
-        sim, *slot.leg, net::SharedBottleneck::first_connection_id(client));
-    slot.instance = std::make_unique<SessionInstance>(sim, *slot.fabric, slot.cfg, slot.rng);
-    slot.instance->set_on_quiesce([this, k] { retire_session(k); });
+    // Start events fire in slot order (arrivals are sorted, ties run FIFO),
+    // so drawing here gives slot k the k-th fork of the parent: the same
+    // stream it would get if every session were drawn up front. Its
+    // workload draws (customize) come from its own stream, so adding a
+    // session never perturbs another's draws.
+    VSTREAM_INVARIANT(k == started, "session start events fired out of slot order");
+    sim::Rng rng = session_parent.fork("session");
+    SessionConfig cfg = config.session;
+    cfg.topology_attached = true;
+    cfg.seed = rng.seed();
+    if (config.customize) config.customize(k, rng, cfg);
+    cfg.validate();
+
+    auto session = std::make_unique<LiveSession>();
+    session->duration_s = cfg.video.duration_s;
+    session->leg = net::PathBuilder{sim, cfg.network, rng}.build();
+    session->client = bottleneck.attach(*session->leg);
+    session->fabric = std::make_unique<tcp::Fabric>(
+        sim, *session->leg, net::SharedBottleneck::first_connection_id(session->client));
+    session->instance =
+        std::make_unique<SessionInstance>(sim, *session->fabric, std::move(cfg), std::move(rng));
+    session->instance->set_on_quiesce([this, k] { retire_session(k); });
     // R(t) samples the TCP-deduped application delivery stream: the paper's
     // aggregate is useful bits, and counting at the bottleneck would tally
     // retransmitted bytes twice whenever an access leg sheds a slow-start
     // overshoot.
-    slot.instance->set_byte_tap([this](std::uint64_t n) {
+    session->instance->set_byte_tap([this](std::uint64_t n) {
       sampler.on_bytes(sim.now().to_seconds(), n);
     });
+    slots[k].live = std::move(session);
     ++started;
     ++active;
+    peak_live = std::max(peak_live, ++live);
   }
 
   void retire_session(std::size_t k) {
-    Slot& slot = slots[k];
-    slot.instance->stop_auxiliary();
-    if (slot.instance->player().stats().interrupted) {
+    SessionInstance& instance = *slots[k].live->instance;
+    instance.stop_auxiliary();
+    if (instance.player().stats().interrupted) {
       ++interrupted;
     } else {
       ++finished;
     }
     --active;
+    draining.push_back(k);
+  }
+
+  /// True once no pending event can reach the session: its application
+  /// and transport timers are disarmed and no segment of it is left on
+  /// its leg or on the shared link.
+  [[nodiscard]] bool drained(const LiveSession& session) const {
+    return session.leg->down().in_flight() == 0 && session.leg->up().in_flight() == 0 &&
+           bottleneck.in_flight(session.client) == 0 && session.instance->drained();
+  }
+
+  /// Free every quiesced session that has drained. Runs on the window
+  /// clock, so it adds no event; it schedules and cancels none either.
+  void reclaim_drained() {
+    std::size_t kept = 0;
+    for (const std::size_t k : draining) {
+      Slot& slot = slots[k];
+      if (!drained(*slot.live)) {
+        draining[kept++] = k;
+        continue;
+      }
+      finalize(slot);
+      bottleneck.detach(slot.live->client);
+      const std::size_t pending = sim.events_pending();
+      slot.live.reset();
+      VSTREAM_INVARIANT(sim.events_pending() == pending,
+                        "reclaiming a drained session cancelled a pending event");
+      --live;
+    }
+    draining.resize(kept);
+  }
+
+  /// Fold a held session's outcome into its slot's record.
+  static void finalize(Slot& slot) {
+    LiveSession& session = *slot.live;
+    session.leg->down().audit_conservation();
+    session.leg->up().audit_conservation();
+    const SessionOutcome outcome = session.instance->finalize();
+    slot.record = SessionRecord{
+        .bytes_downloaded = outcome.bytes_downloaded,
+        .wasted_bytes = outcome.player.interrupted ? outcome.player.unused_bytes() : 0,
+        .encoding_bps = outcome.encoding_bps_true,
+        .duration_s = session.duration_s,
+        .goodput_bps = outcome.goodput_bps(),
+        .connections = static_cast<std::uint32_t>(outcome.connections)};
   }
 };
 
@@ -203,24 +288,12 @@ TopologyResult run_topology(const TopologyConfig& config) {
   loop_monitor.start();
 
   // Arrival process, then per-session streams: every session forks off one
-  // parent in arrival order, and its workload draws (customize) come from
-  // its own stream — so adding a session never perturbs another's draws.
+  // parent in arrival order, when it arrives (Runner::start_session).
   sim::Rng arrival_rng = root.fork("arrivals");
   const std::vector<double> arrivals =
       generate_arrivals(config.arrivals, config.sessions, config.horizon_s, arrival_rng);
-
   sim::Rng session_parent = root.fork("sessions");
-  std::vector<Slot> slots;
-  slots.reserve(arrivals.size());
-  for (std::size_t k = 0; k < arrivals.size(); ++k) {
-    sim::Rng session_rng = session_parent.fork("session");
-    SessionConfig cfg = config.session;
-    cfg.topology_attached = true;
-    cfg.seed = session_rng.seed();
-    if (config.customize) config.customize(k, session_rng, cfg);
-    cfg.validate();
-    slots.emplace_back(std::move(cfg), std::move(session_rng), arrivals[k]);
-  }
+  std::vector<Slot> slots(arrivals.size());
 
   // R(t): video bytes credited to fixed windows as the client applications
   // read them. Headers stay out (Eq. 3's E[e]E[L] is application bytes) and
@@ -228,10 +301,15 @@ TopologyResult run_topology(const TopologyConfig& config) {
   // to its captures.
   stats::WindowedRate sampler{config.sample_window_s, config.warmup_s};
 
-  Runner runner{.sim = sim, .bottleneck = bottleneck, .slots = slots, .sampler = sampler};
-  for (std::size_t k = 0; k < slots.size(); ++k) {
+  Runner runner{.config = config,
+                .sim = sim,
+                .bottleneck = bottleneck,
+                .session_parent = session_parent,
+                .slots = slots,
+                .sampler = sampler};
+  for (std::size_t k = 0; k < arrivals.size(); ++k) {
     Runner* r = &runner;
-    sim.schedule_at(sim::SimTime::from_seconds(slots[k].at_s), [r, k] { r->start_session(k); });
+    sim.schedule_at(sim::SimTime::from_seconds(arrivals[k]), [r, k] { r->start_session(k); });
   }
 
   // Bottleneck accounting: payload that crossed the shared link, split into
@@ -239,7 +317,7 @@ TopologyResult run_topology(const TopologyConfig& config) {
   // view, not the R(t) basis) and foreign cross traffic.
   std::uint64_t video_payload_bytes = 0;
   std::uint64_t cross_payload_bytes = 0;
-  bottleneck.link().set_tap(
+  bottleneck.set_tap(
       [&video_payload_bytes, &cross_payload_bytes, &bottleneck](
           sim::SimTime, const net::TcpSegment& seg, net::LinkEvent event) {
         if (event != net::LinkEvent::kDeliver) return;
@@ -251,14 +329,15 @@ TopologyResult run_topology(const TopologyConfig& config) {
         video_payload_bytes += seg.payload_bytes;
       });
 
-  // Window clock: closes silent R(t) windows and samples the concurrency
-  // series on the same grid.
+  // Window clock: closes silent R(t) windows, samples the concurrency
+  // series on the same grid and reclaims the sessions that have drained.
   stats::WindowStats concurrency;
   sim::PeriodicTimer window_clock{
       sim, sim::Duration::seconds(config.sample_window_s), [&] {
         const double now_s = sim.now().to_seconds();
         sampler.advance_to(now_s);
         if (now_s > config.warmup_s) concurrency.add(static_cast<double>(runner.active));
+        runner.reclaim_drained();
       }};
   window_clock.start();
 
@@ -274,18 +353,23 @@ TopologyResult run_topology(const TopologyConfig& config) {
   result.sessions_finished = runner.finished;
   result.sessions_interrupted = runner.interrupted;
   result.sessions_active_at_end = runner.active;
+  result.peak_live_sessions = runner.peak_live;
+  result.live_sessions_at_end = runner.live;
   for (Slot& slot : slots) {
-    if (!slot.instance) continue;
-    slot.instance->stop_auxiliary();
-    const SessionOutcome outcome = slot.instance->finalize();
-    result.connections += outcome.connections;
-    result.bytes_downloaded += outcome.bytes_downloaded;
-    if (outcome.player.interrupted) result.wasted_bytes += outcome.player.unused_bytes();
-    result.sum_encoding_bps += outcome.encoding_bps_true;
-    result.sum_duration_s += slot.cfg.video.duration_s;
-    const double goodput = outcome.goodput_bps();
-    if (goodput > 0.0) {
-      result.sum_goodput_bps += goodput;
+    if (!slot.live) continue;
+    slot.live->instance->stop_auxiliary();
+    Runner::finalize(slot);
+  }
+  bottleneck.link().audit_conservation();
+  for (const Slot& slot : slots) {
+    const SessionRecord& record = slot.record;
+    result.connections += record.connections;
+    result.bytes_downloaded += record.bytes_downloaded;
+    result.wasted_bytes += record.wasted_bytes;
+    result.sum_encoding_bps += record.encoding_bps;
+    result.sum_duration_s += record.duration_s;
+    if (record.goodput_bps > 0.0) {
+      result.sum_goodput_bps += record.goodput_bps;
       ++result.goodput_samples;
     }
   }
@@ -298,8 +382,9 @@ TopologyResult run_topology(const TopologyConfig& config) {
   result.bottleneck_dropped_loss = bn.dropped_loss;
   result.aggregate = sampler.windows();
   result.concurrency = concurrency;
+  const double window_s = config.arrival_window_s();
   result.realized_arrival_rate_per_s =
-      static_cast<double>(runner.started) / config.horizon_s;
+      window_s > 0.0 ? static_cast<double>(runner.started) / window_s : 0.0;
   result.sim_events = sim.events_processed();
   result.sim_max_events_pending = sim.max_events_pending();
   return result;

@@ -31,6 +31,13 @@ Fabric::Fabric(sim::Simulator& sim, net::Path& path, std::uint64_t first_id)
   });
 }
 
+bool Fabric::idle() const {
+  for (const auto& [id, conn] : connections_) {
+    if (!conn->client().idle() || !conn->server().idle()) return false;
+  }
+  return true;
+}
+
 Connection& Fabric::create_connection(TcpOptions client_options, TcpOptions server_options,
                                       std::uint8_t host) {
   const std::uint64_t id = next_id_++;

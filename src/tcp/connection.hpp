@@ -56,6 +56,9 @@ class Fabric {
                                 std::uint8_t host = 0);
 
   [[nodiscard]] std::size_t connection_count() const { return connections_.size(); }
+  /// Every endpoint of every connection is idle (Endpoint::idle). With the
+  /// path's links empty too, no pending event can reach this fabric.
+  [[nodiscard]] bool idle() const;
   [[nodiscard]] Connection& connection(std::uint64_t id) { return *connections_.at(id); }
   [[nodiscard]] net::Path& path() { return path_; }
   [[nodiscard]] sim::Simulator& simulator() { return sim_; }

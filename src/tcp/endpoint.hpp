@@ -115,6 +115,11 @@ class Endpoint {
   [[nodiscard]] sim::Duration current_rto() const { return rto_; }
   [[nodiscard]] const std::string& label() const { return label_; }
   [[nodiscard]] std::uint64_t connection_id() const { return connection_id_; }
+  /// No retransmission, persist or delayed-ACK timer armed: nothing on
+  /// the sim clock will call back into this endpoint.
+  [[nodiscard]] bool idle() const {
+    return !rto_timer_.pending() && !persist_timer_.pending() && !delack_timer_.pending();
+  }
 
  private:
   // -- sending machinery --

@@ -86,11 +86,25 @@ TEST(AuxiliaryTest, GeneratorProducesBoundedTraffic) {
   streaming::AuxiliaryTraffic::Config cfg;
   streaming::AuxiliaryTraffic aux{sim, fabric, cfg, rng.fork("a")};
   aux.start();
+  EXPECT_FALSE(aux.idle());  // asset openings scheduled
   sim.run_until(sim::SimTime::from_seconds(120.0));
+  EXPECT_FALSE(aux.idle());  // beacon timer armed
   aux.stop();
+  EXPECT_TRUE(aux.idle());
   EXPECT_GE(aux.connections_opened(), 3U);  // assets + beacon channel
   EXPECT_GT(aux.bytes_fetched(), 40U * 1024);
   EXPECT_LT(aux.bytes_fetched(), 3U * 1024 * 1024);  // small vs video traffic
+
+  // Stopped before its assets open: the openings still fire (as no-ops),
+  // so the generator is not idle until they have.
+  cfg.beacon_period_s = 0.0;
+  streaming::AuxiliaryTraffic early{sim, fabric, cfg, rng.fork("c")};
+  early.start();
+  early.stop();
+  EXPECT_FALSE(early.idle());
+  sim.run_until(sim.now() + sim::Duration::seconds(cfg.start_spread_s));
+  EXPECT_TRUE(early.idle());
+  EXPECT_EQ(early.connections_opened(), 0U);
 }
 
 TEST(AuxiliaryTest, BeaconsRecurPeriodically) {

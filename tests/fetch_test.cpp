@@ -109,6 +109,31 @@ TEST(FetchTest, StopMidTransferHaltsProgress) {
   EXPECT_EQ(fm.body_bytes_fetched(), bytes_at_stop);
 }
 
+TEST(FetchTest, IdleOnlyOnceNoWatchdogOrRetryBackoffIsPending) {
+  // A blackout silences the fetch; the watchdog times it out and schedules
+  // a retry backoff. A stopped manager's backoff still fires (as a no-op),
+  // so the manager is not idle until it has.
+  Wire w;
+  w.path.set_impairments(net::ImpairmentSchedule{}.blackout(SimTime::from_seconds(0.2),
+                                                            sim::Duration::seconds(30.0)));
+  RetryPolicy retry;
+  retry.request_timeout = sim::Duration::seconds(1.0);
+  retry.backoff_initial = sim::Duration::seconds(2.0);
+  retry.backoff_max = sim::Duration::seconds(2.0);
+  FetchManager fm{w.sim, w.fabric, big_video(), {}, {}, retry};
+  EXPECT_TRUE(fm.idle());
+  fm.fetch_range(http::ByteRange{0, 9'999'999}, {}, {});
+  EXPECT_FALSE(fm.idle());  // watchdog armed
+  while (fm.retries() == 0 && w.sim.step()) {
+  }
+  ASSERT_EQ(fm.retries(), 1U);
+  fm.stop();  // cancels watchdogs, not the backoff
+  EXPECT_FALSE(fm.idle());
+  w.sim.run_until(w.sim.now() + sim::Duration::seconds(2.5));
+  EXPECT_TRUE(fm.idle());
+  EXPECT_EQ(fm.connections_opened(), 1U);  // the stopped backoff reissued nothing
+}
+
 TEST(FetchTest, ConcurrentFreshFetchesShareTheBottleneck) {
   auto profile = Wire::profile();
   profile.down_bps = 10e6;

@@ -191,6 +191,34 @@ TEST(LinkTest, TapSeesLifecycle) {
   EXPECT_EQ(events[2], LinkEvent::kDeliver);
 }
 
+TEST(LinkTest, InFlightCountsQueuedAndPropagatingSegments) {
+  // Conservation: enqueued == delivered + dropped_loss + in_flight at every
+  // instant. Queue drops never enter, so they never count as in flight.
+  Simulator sim;
+  Rng rng{3};
+  Link::Config cfg{.rate_bps = 8e6, .prop_delay = Duration::millis(5), .queue_limit_bytes = 2100};
+  Link link{sim, cfg, std::make_unique<BernoulliLoss>(0.5), rng};
+  link.set_receiver([](const TcpSegment&) {});
+  EXPECT_EQ(link.in_flight(), 0U);
+  EXPECT_TRUE(link.send(make_data_segment(1000)));
+  EXPECT_TRUE(link.send(make_data_segment(1000)));
+  EXPECT_FALSE(link.send(make_data_segment(1000)));  // queue full
+  EXPECT_EQ(link.in_flight(), 2U);
+  link.audit_conservation();
+  // First segment serialised (1.04 ms) and propagating; second still queued.
+  sim.run_until(SimTime::from_seconds(0.0015));
+  EXPECT_EQ(link.queued_bytes(), 1040U);
+  const auto& c = link.counters();
+  EXPECT_EQ(c.enqueued, c.delivered + c.dropped_loss + link.in_flight());
+  link.audit_conservation();
+  sim.run();
+  EXPECT_EQ(link.in_flight(), 0U);
+  EXPECT_EQ(c.enqueued, 2U);
+  EXPECT_EQ(c.delivered + c.dropped_loss, 2U);
+  EXPECT_EQ(c.dropped_queue, 1U);
+  link.audit_conservation();
+}
+
 TEST(LinkTest, SendWithoutReceiverThrows) {
   Simulator sim;
   Rng rng{1};

@@ -104,6 +104,33 @@ TEST(TcpTransferTest, BulkTransferDeliversAllBytes) {
   EXPECT_EQ(conn.server().unacked_bytes(), 0U);
 }
 
+TEST(TcpFabricTest, IdleOnceTransferDrainsButNotWhileWindowIsShut) {
+  Harness h{lossless_profile()};
+  auto& conn = h.fabric.create_connection({}, {});
+  EXPECT_TRUE(h.fabric.idle());
+  conn.client().set_on_established([&] { conn.server().send(200'000); });
+  conn.client().set_on_readable([&] { (void)conn.client().read(UINT64_MAX); });
+  conn.open();
+  EXPECT_FALSE(h.fabric.idle());  // SYN retransmission timer armed
+  h.sim.run_until(SimTime::from_seconds(30.0));
+  ASSERT_EQ(conn.client().total_read(), 200'000U);
+  // Everything acked, delayed ACKs flushed: no timer left on the clock.
+  EXPECT_TRUE(h.fabric.idle());
+  EXPECT_EQ(h.path.down().in_flight() + h.path.up().in_flight(), 0U);
+
+  // A receiver that stops reading shuts its window; the sender then probes
+  // it forever, so the fabric never goes idle.
+  TcpOptions small_buffer;
+  small_buffer.recv_buffer_bytes = 64 * 1024;
+  auto& stalled = h.fabric.create_connection(small_buffer, {});
+  stalled.client().set_on_established([&] { stalled.server().send(1'000'000); });
+  stalled.open();
+  h.sim.run_until(SimTime::from_seconds(120.0));
+  EXPECT_GT(stalled.server().untransmitted_bytes(), 0U);
+  EXPECT_EQ(stalled.server().peer_window(), 0U);
+  EXPECT_FALSE(h.fabric.idle());
+}
+
 TEST(TcpTransferTest, ThroughputApproachesBottleneck) {
   auto p = lossless_profile();
   p.down_bps = 10e6;

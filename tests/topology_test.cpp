@@ -1,14 +1,17 @@
 // Tests for the multi-session topology subsystem: builder validation
 // diagnostics, deterministic arrival processes, shared-bottleneck
-// contention, twin-run fingerprints (serial and sharded across workers),
-// and the §6.1 empirical-vs-analytical agreement that the aggregate model
-// rests on.
+// contention and routing, twin-run fingerprints (serial and sharded across
+// workers), bounded-memory worlds that reclaim drained viewers, and the
+// §6.1 empirical-vs-analytical agreement that the aggregate model rests on.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <stdexcept>
 #include <string>
 
+#include "check/contracts.hpp"
+#include "net/bottleneck.hpp"
+#include "net/path.hpp"
 #include "runner/parallel_sweep.hpp"
 #include "runner/topology_sweep.hpp"
 #include "streaming/session_builder.hpp"
@@ -99,6 +102,24 @@ TEST(TopologyValidationTest, SessionBuilderStillValidatesTheOldWay) {
                    .build(),
                std::invalid_argument);
   EXPECT_THROW((void)small_world().watch_fraction(1.5).build(), std::invalid_argument);
+}
+
+TEST(TopologyValidationTest, InvalidCustomizedSessionStillThrows) {
+  // Sessions are drawn lazily, at arrival; a customize hook that breaks one
+  // session's config must still fail the whole run, not skip the session.
+  const auto broken = [](std::size_t k, sim::Rng&, SessionConfig& cfg) {
+    if (k == 3) cfg.video.encoding_bps = -1.0;
+  };
+  EXPECT_THROW((void)small_world()
+                   .sessions(6)
+                   .workload(WorkloadBuilder{}.poisson(2.0).customize(broken).build())
+                   .run(),
+               std::invalid_argument);
+  // So must one that switches on a private-path-only knob.
+  const auto jittered = [](std::size_t, sim::Rng&, SessionConfig& cfg) {
+    cfg.bandwidth_jitter = 0.3;
+  };
+  EXPECT_THROW((void)small_world().customize(jittered).run(), std::invalid_argument);
 }
 
 TEST(TopologyValidationTest, ArrivalScheduleRejectsBadParameters) {
@@ -227,6 +248,225 @@ TEST(TopologyRunTest, InterruptionWasteIsCounted) {
   EXPECT_EQ(r.sessions_interrupted, 4u);
   EXPECT_GT(r.wasted_bytes, 0u);
   EXPECT_LE(r.wasted_bytes, r.bytes_downloaded);
+}
+
+TEST(TopologyRunTest, ArrivalRateIsMeasuredOverTheArrivalWindow) {
+  // Arrivals that start halfway through the world: lambda-hat must divide
+  // by the window they arrive in, not by the whole horizon.
+  constexpr double kRate = 8.0;
+  constexpr double kHorizon = 60.0;
+  const auto make = [](std::size_t g) {
+    return small_world()
+        .sessions(10'000)
+        .video(test_video(2.0, 100e3))
+        .horizon_s(kHorizon)
+        .workload(WorkloadBuilder{}.poisson(kRate, kHorizon / 2.0).build())
+        .bottleneck_rate_bps(400e6)
+        .seed(700 + g)
+        .build();
+  };
+  const TopologyConfig config = make(0);
+  EXPECT_DOUBLE_EQ(config.arrival_window_s(), kHorizon / 2.0);
+  const TopologyResult r = run_topology(config);
+  EXPECT_GT(r.sessions_started, 150u);  // ~240 expected
+  EXPECT_NEAR(r.realized_arrival_rate_per_s, kRate, 0.1 * kRate);
+
+  // The sweep accumulator pools the same basis across worlds.
+  const auto sweep = runner::run_topologies_streamed(runner::ParallelSweep{2}, 0, 4, make);
+  EXPECT_DOUBLE_EQ(sweep.arrival_window_s_sum, 4 * kHorizon / 2.0);
+  EXPECT_NEAR(sweep.realized_arrival_rate_per_s(), kRate, 0.1 * kRate);
+}
+
+// ------------------------------------------------------- bottleneck routing
+
+net::TcpSegment segment_for(std::uint32_t client) {
+  net::TcpSegment s;
+  s.connection_id = net::SharedBottleneck::first_connection_id(client);
+  s.payload_bytes = 1000;
+  s.flags = net::TcpFlag::kAck;
+  return s;
+}
+
+net::NetworkProfile lossless_leg() {
+  net::NetworkProfile p = net::profile_for(net::Vantage::kResearch);
+  p.loss_rate = 0.0;
+  return p;
+}
+
+TEST(SharedBottleneckTest, CountsEachClientsSegmentsUntilDelivered) {
+  sim::Simulator sim;
+  sim::Rng rng{9};
+  net::SharedBottleneck bottleneck{sim, net::SharedBottleneck::Config{}, rng};
+  net::Path a{sim, lossless_leg(), rng};
+  net::Path b{sim, lossless_leg(), rng};
+  int delivered_a = 0;
+  int delivered_b = 0;
+  a.down().set_receiver([&](const net::TcpSegment&) { ++delivered_a; });
+  b.down().set_receiver([&](const net::TcpSegment&) { ++delivered_b; });
+  const std::uint32_t ca = bottleneck.attach(a);
+  const std::uint32_t cb = bottleneck.attach(b);
+  std::size_t observed = 0;
+  bottleneck.set_tap([&](sim::SimTime, const net::TcpSegment&, net::LinkEvent event) {
+    if (event == net::LinkEvent::kDeliver) ++observed;
+  });
+
+  ASSERT_TRUE(bottleneck.link().send(segment_for(ca)));
+  ASSERT_TRUE(bottleneck.link().send(segment_for(ca)));
+  ASSERT_TRUE(bottleneck.link().send(segment_for(cb)));
+  net::TcpSegment foreign = segment_for(0);
+  foreign.connection_id = net::SharedBottleneck::kForeignId;
+  ASSERT_TRUE(bottleneck.link().send(foreign));
+  EXPECT_EQ(bottleneck.in_flight(ca), 2u);
+  EXPECT_EQ(bottleneck.in_flight(cb), 1u);
+
+  sim.run();
+  EXPECT_EQ(bottleneck.in_flight(ca), 0u);
+  EXPECT_EQ(bottleneck.in_flight(cb), 0u);
+  EXPECT_EQ(delivered_a, 2);
+  EXPECT_EQ(delivered_b, 1);
+  EXPECT_EQ(observed, 4u);  // the observer tap sees foreign traffic too
+  bottleneck.link().audit_conservation();
+
+  // A drained client can be detached; its index stays taken and the other
+  // client keeps its route.
+  bottleneck.detach(ca);
+  EXPECT_EQ(bottleneck.legs(), 2u);
+  ASSERT_TRUE(bottleneck.link().send(segment_for(cb)));
+  sim.run();
+  EXPECT_EQ(delivered_b, 2);
+}
+
+#if VSTREAM_CHECK_LEVEL >= 1
+TEST(SharedBottleneckTest, DeliveryToDetachedClientFailsLoudly) {
+  sim::Simulator sim;
+  sim::Rng rng{10};
+  net::SharedBottleneck bottleneck{sim, net::SharedBottleneck::Config{}, rng};
+  auto leg = std::make_unique<net::Path>(sim, lossless_leg(), rng);
+  leg->down().set_receiver([](const net::TcpSegment&) {});
+  const std::uint32_t client = bottleneck.attach(*leg);
+  ASSERT_TRUE(bottleneck.link().send(segment_for(client)));
+  // Detaching with a segment still on the shared link is the owner's bug:
+  // the stale route must fail as a contract, not dereference a dead leg.
+  bottleneck.detach(client);
+  leg.reset();
+  EXPECT_THROW(sim.run(), check::ContractViolation);
+  // Detaching twice (or an index never attached) is rejected up front.
+  EXPECT_THROW(bottleneck.detach(client), check::ContractViolation);
+  EXPECT_THROW(bottleneck.detach(7), check::ContractViolation);
+}
+#endif
+
+// ------------------------------------------------------------ bounded worlds
+
+/// Churn of short bulk sessions: ~6 arrivals/s, each viewer watching 3-5 s,
+/// so about 30 are live at once however long the world runs.
+TopologyConfig churn_world(bool diurnal, double horizon_s) {
+  WorkloadBuilder workload;
+  if (diurnal) {
+    workload.diurnal(6.0, /*period_s=*/30.0);
+  } else {
+    workload.poisson(6.0);
+  }
+  return small_world()
+      .sessions(10'000)
+      .video(test_video(4.0, 200e3))
+      .horizon_s(horizon_s)
+      .sample_window_s(0.25)
+      .workload(workload
+                    .customize([](std::size_t, sim::Rng& rng, SessionConfig& cfg) {
+                      cfg.video.duration_s = rng.uniform(3.0, 5.0);
+                    })
+                    .build())
+      .bottleneck_rate_bps(100e6)
+      .build();
+}
+
+TEST(TopologyBoundedMemoryTest, LiveSessionsFollowConcurrencyNotArrivals) {
+  for (const bool diurnal : {false, true}) {
+    SCOPED_TRACE(diurnal ? "diurnal" : "poisson");
+    const TopologyResult shorter = run_topology(churn_world(diurnal, 30.0));
+    const TopologyResult longer = run_topology(churn_world(diurnal, 120.0));
+    const double growth = static_cast<double>(longer.sessions_started) /
+                          static_cast<double>(shorter.sessions_started);
+    EXPECT_NEAR(growth, 4.0, 0.6);
+    EXPECT_LE(static_cast<double>(longer.peak_live_sessions),
+              1.5 * static_cast<double>(shorter.peak_live_sessions));
+    for (const TopologyResult* r : {&shorter, &longer}) {
+      // Held sessions are the concurrent ones plus those that quiesced
+      // within the last window and have not been checked yet.
+      EXPECT_GE(static_cast<double>(r->peak_live_sessions), r->concurrency.peak);
+      EXPECT_LE(static_cast<double>(r->peak_live_sessions), r->concurrency.peak + 4.0);
+      // Bulk viewers who watched to the end all drained: the only sessions
+      // held at the horizon are the ones still playing.
+      EXPECT_EQ(r->live_sessions_at_end, r->sessions_active_at_end);
+    }
+  }
+}
+
+/// Netflix viewers: fetch-based sessions (a fresh TCP connection per
+/// fragment, watchdogs and retry backoffs) behind a lossy shared link.
+TopologyBuilder netflix_world() {
+  video::VideoMeta meta;
+  meta.id = "topology-netflix";
+  meta.duration_s = 60.0;
+  meta.encoding_bps = 3.6e6;  // top of the ladder the client selects
+  meta.container = video::Container::kSilverlight;
+  TopologyBuilder b;
+  b.service(Service::kNetflix)
+      .container(video::Container::kSilverlight)
+      .application(Application::kFirefox)
+      .vantage(net::Vantage::kResidence)
+      .video(meta)
+      .sessions(16)
+      .workload(WorkloadBuilder{}.poisson(0.25).build())
+      .bottleneck_rate_bps(100e6)
+      .bottleneck_loss(0.01, 2.0)
+      .horizon_s(200.0)
+      .sample_window_s(0.5)
+      .seed(77);
+  return b;
+}
+
+TEST(TopologyBoundedMemoryTest, AbandonedFetchSessionsReclaimWithoutMovingTheWorld) {
+  // Viewers abandon at 80% while fragments are still arriving — segments
+  // on the wire, and a 9 s blackout of the shared link has fetch
+  // watchdogs time out and retry backoffs pending. Reclaiming the drained
+  // sessions must not move a single event: twin runs fingerprint equal.
+  const TopologyConfig config =
+      netflix_world()
+          .watch_fraction(0.8)
+          .bottleneck_impairments(net::ImpairmentSchedule{}.blackout(
+              sim::SimTime::from_seconds(30.0), sim::Duration::seconds(9.0)))
+          .build();
+  EXPECT_EQ(fingerprint_topology(config), fingerprint_topology(config));
+  const TopologyResult r = run_topology(config);
+  EXPECT_EQ(r.sessions_interrupted, r.sessions_started);
+  EXPECT_GT(r.wasted_bytes, 0u);
+  EXPECT_GT(r.bottleneck_dropped_loss, 0u);
+  EXPECT_EQ(r.sessions_active_at_end, 0u);
+  // A viewer who left mid-fragment (or whose timed-out connection was
+  // abandoned) stops reading; the server then probes the shut window
+  // forever, so that session never drains and stays held. The others
+  // drained and were reclaimed.
+  EXPECT_GT(r.live_sessions_at_end, 0u);
+  EXPECT_LT(r.live_sessions_at_end, r.sessions_started);
+}
+
+TEST(TopologyBoundedMemoryTest, EverySessionThatDrainsIsReclaimed) {
+  // The same lossy Netflix world with every viewer watching to the end and
+  // no request ever abandoned (a timed-out connection is left open and can
+  // stall on a shut window, like an abandoned viewer's): every fetch
+  // completes, so every session drains, and by the horizon every one has
+  // been reclaimed.
+  RetryPolicy no_retries;
+  no_retries.enabled = false;
+  const TopologyConfig config = netflix_world().fetch_retry(no_retries).build();
+  const TopologyResult r = run_topology(config);
+  EXPECT_EQ(r.sessions_finished, r.sessions_started);
+  EXPECT_GT(r.bottleneck_dropped_loss, 0u);
+  EXPECT_EQ(r.live_sessions_at_end, 0u);
+  EXPECT_LT(r.peak_live_sessions, r.sessions_started);
+  EXPECT_EQ(fingerprint_topology(config), fingerprint_topology(config));
 }
 
 // --------------------------------------------------------------- determinism
