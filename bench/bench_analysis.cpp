@@ -137,18 +137,6 @@ analysis::SessionReport streaming_report(std::uint64_t seed, double duration_s) 
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
 }
 
-/// VmHWM (peak resident set) in kB from /proc/self/status; 0 off-Linux.
-std::size_t peak_rss_kb() {
-  std::ifstream status{"/proc/self/status"};
-  std::string line;
-  while (std::getline(status, line)) {
-    if (line.rfind("VmHWM:", 0) == 0) {
-      return static_cast<std::size_t>(std::strtoul(line.c_str() + 6, nullptr, 10));
-    }
-  }
-  return 0;
-}
-
 // ---- report --------------------------------------------------------------
 
 constexpr std::size_t kSweepSessions = 10'000;
@@ -187,12 +175,12 @@ void print_reproduction() {
     builder.set_duration_s(kBigSessionDuration);
     benchmark::DoNotOptimize(builder.finish().packets);
   }
-  const std::size_t rss_stream_kb = peak_rss_kb();
+  const std::size_t rss_stream_kb = runner::peak_rss_kb();
   {
     const auto trace = materialize_session(77, kBigSessionDuration);
     benchmark::DoNotOptimize(analysis::build_report(trace, synth_options()).packets);
   }
-  const std::size_t rss_batch_kb = peak_rss_kb();
+  const std::size_t rss_batch_kb = runner::peak_rss_kb();
   const double rss_reduction = rss_stream_kb > 0
                                    ? static_cast<double>(rss_batch_kb) / rss_stream_kb
                                    : 0.0;

@@ -1,5 +1,4 @@
-// Engine microbench — the perf trajectory baseline for the event core and
-// the parallel sweep engine.
+// Engine microbench — the perf trajectory baseline for the event core.
 //
 // Sections:
 //   1. schedule/dispatch throughput on the slot-pool arena vs a faithful
@@ -9,8 +8,9 @@
 //      the CI regression floor are measured against;
 //   2. schedule+cancel churn (timer-heavy TCP workloads re-arm constantly);
 //   3. TcpSegment fan-out: copying SACK-bearing segments through a tap
-//      chain, now a flat memcpy instead of a heap round trip per hop;
-//   4. serial-vs-parallel sweep scaling through runner::ParallelSweep.
+//      chain, now a flat memcpy instead of a heap round trip per hop.
+//
+// Sweep scaling across workers is bench_sweep's job (bench/sweep_floor.json).
 //
 // `--metrics-out` writes BENCH_engine.json; tools/check_bench_floor.py
 // compares extra.dispatch_events_per_sec against bench/engine_floor.json.
@@ -266,18 +266,10 @@ std::vector<streaming::SessionConfig> sweep_configs(std::size_t count, double ca
   return configs;
 }
 
-double time_sweep(const std::vector<streaming::SessionConfig>& configs, std::size_t jobs) {
-  const runner::ParallelSweep pool{jobs};
-  const auto t0 = std::chrono::steady_clock::now();
-  const auto results = pool.run_sessions(configs);
-  benchmark::DoNotOptimize(results.size());
-  return wall_seconds_since(t0);
-}
-
 // ---- report --------------------------------------------------------------
 
 void print_reproduction() {
-  bench::print_header("Engine microbench -- event arena + parallel sweep",
+  bench::print_header("Engine microbench -- event arena",
                       "perf trajectory baseline (no paper figure)");
   auto& telemetry = bench::RunTelemetry::instance();
 
@@ -319,22 +311,6 @@ void print_reproduction() {
   std::printf("SACK-bearing segment fan-out: %.0f copies/s (%zu-byte flat segment)\n", fanout,
               sizeof(net::TcpSegment));
   telemetry.note_metric("segment_copies_per_sec", fanout);
-
-  const std::size_t hw = runner::job_count();
-  const auto configs = sweep_configs(8, 15.0);
-  const double t1 = time_sweep(configs, 1);
-  const double t2 = time_sweep(configs, 2);
-  const double t4 = time_sweep(configs, 4);
-  const double ideal4 = static_cast<double>(std::min<std::size_t>(4, hw));
-  std::printf("\nsweep scaling (%zu sessions x %.0f s capture, %zu hw threads)\n",
-              configs.size(), 15.0, hw);
-  std::printf("  1 worker : %7.2f s\n", t1);
-  std::printf("  2 workers: %7.2f s  speedup %.2fx\n", t2, t1 / t2);
-  std::printf("  4 workers: %7.2f s  speedup %.2fx (%.0f%% of ideal %.0fx)\n", t4, t1 / t4,
-              100.0 * (t1 / t4) / ideal4, ideal4);
-  telemetry.note_metric("sweep_speedup_2_workers", t1 / t2);
-  telemetry.note_metric("sweep_speedup_4_workers", t1 / t4);
-  telemetry.note_metric("sweep_efficiency_4_workers", (t1 / t4) / ideal4);
 
   // Fold a real analysed sweep into the telemetry aggregate so the JSON
   // carries sessions / sim_events / merged metrics like every other bench.
@@ -415,18 +391,6 @@ void BM_SegmentFanout(benchmark::State& state) {
   state.SetLabel("1024 SACK-bearing segment copies per iteration");
 }
 BENCHMARK(BM_SegmentFanout);
-
-void BM_SweepJobs(benchmark::State& state) {
-  const auto configs = sweep_configs(4, 5.0);
-  const auto jobs = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    const runner::ParallelSweep pool{jobs};
-    benchmark::DoNotOptimize(pool.run_sessions(configs).size());
-  }
-  state.SetLabel("4 sessions x 5 s capture");
-}
-BENCHMARK(BM_SweepJobs)->Arg(1)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond)
-    ->MeasureProcessCPUTime()->UseRealTime();
 
 }  // namespace
 

@@ -2,8 +2,8 @@
 // engine's near-linear-scaling claim.
 //
 // Sections:
-//   1. materialized sweep wall time at 1/2/4 workers (run_sessions:
-//      per-worker arenas, chunked claiming, padded staging) — the source of
+//   1. materialized sweep wall time at 1/2/4 workers (run_materialized:
+//      per-worker arenas, chunked claiming, padded lanes) — the source of
 //      the sweep_speedup_* / sweep_efficiency_4_workers floor metrics;
 //   2. streamed sweep (runner/session_sweep.hpp) at the same widths, plus
 //      the serial-vs-parallel digest invariance check the floor gates as a
@@ -23,6 +23,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <iterator>
 #include <vector>
 
 #include "runner/parallel_sweep.hpp"
@@ -58,11 +59,29 @@ std::vector<streaming::SessionConfig> sweep_configs(std::size_t count, double ca
   return configs;
 }
 
+/// Run every config on `pool` and hold all the results at once, each world
+/// on its worker's recycled arena as in the streamed sweep. Returns how many
+/// results were held.
+std::size_t run_materialized(const runner::ParallelSweep& pool,
+                             const std::vector<streaming::SessionConfig>& configs) {
+  struct Held {
+    std::vector<streaming::SessionResult> results;
+    void merge(Held&& lane) {
+      std::move(lane.results.begin(), lane.results.end(), std::back_inserter(results));
+    }
+  };
+  const auto run = [&configs](Held& lane, std::size_t i, sim::ArenaResource& arena) {
+    streaming::SessionConfig cfg = configs[i];
+    cfg.arena = &arena;
+    lane.results.push_back(streaming::run_session(cfg));
+  };
+  return pool.fold<Held>(configs.size(), run).results.size();
+}
+
 double time_materialized(const std::vector<streaming::SessionConfig>& configs, std::size_t jobs) {
   const runner::ParallelSweep pool{jobs};
   const auto t0 = std::chrono::steady_clock::now();
-  const auto results = pool.run_sessions(configs);
-  benchmark::DoNotOptimize(results.size());
+  benchmark::DoNotOptimize(run_materialized(pool, configs));
   return wall_seconds_since(t0);
 }
 
@@ -70,7 +89,8 @@ double time_streamed(const std::vector<streaming::SessionConfig>& configs, std::
                      runner::SweepAccumulator* out = nullptr) {
   const runner::ParallelSweep pool{jobs};
   const auto t0 = std::chrono::steady_clock::now();
-  const auto acc = runner::run_sessions_streamed(pool, configs);
+  const auto acc = runner::run_sessions_streamed(
+      pool, 0, configs.size(), [&configs](std::size_t i) { return configs[i]; });
   const double s = wall_seconds_since(t0);
   benchmark::DoNotOptimize(acc.sessions);
   if (out != nullptr) *out = acc;
@@ -170,9 +190,9 @@ void BM_MaterializedSweep(benchmark::State& state) {
   const auto jobs = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {
     const runner::ParallelSweep pool{jobs};
-    benchmark::DoNotOptimize(pool.run_sessions(configs).size());
+    benchmark::DoNotOptimize(run_materialized(pool, configs));
   }
-  state.SetLabel("4 sessions x 5 s capture, submission-order results");
+  state.SetLabel("4 sessions x 5 s capture, every result held");
 }
 BENCHMARK(BM_MaterializedSweep)->Arg(1)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond)
     ->MeasureProcessCPUTime()->UseRealTime();
@@ -182,7 +202,9 @@ void BM_StreamedSweep(benchmark::State& state) {
   const auto jobs = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {
     const runner::ParallelSweep pool{jobs};
-    benchmark::DoNotOptimize(runner::run_sessions_streamed(pool, configs).sessions);
+    const auto make = [&configs](std::size_t i) { return configs[i]; };
+    const auto acc = runner::run_sessions_streamed(pool, 0, configs.size(), make);
+    benchmark::DoNotOptimize(acc.sessions);
   }
   state.SetLabel("4 sessions x 5 s capture, O(workers) accumulators");
 }

@@ -64,21 +64,6 @@ namespace {
 
 using namespace vstream;
 
-/// Peak resident set of this process in kB (Linux VmHWM), 0 if unreadable.
-/// This is the number the million-session claim rests on: it must stay flat
-/// as --capacity grows, because the streamed sweep never materializes
-/// results.
-std::size_t peak_rss_kb() {
-  std::ifstream status{"/proc/self/status"};
-  std::string line;
-  while (std::getline(status, line)) {
-    if (line.rfind("VmHWM:", 0) == 0) {
-      return static_cast<std::size_t>(std::atoll(line.c_str() + 6));
-    }
-  }
-  return 0;
-}
-
 /// The capacity population: a deterministic function of the *global* session
 /// index, so every shard generates exactly the sessions of its slice and
 /// the sharded digest merges to the unsharded one. Mixes containers,
@@ -145,7 +130,7 @@ int run_flash_crowd(std::size_t viewers, double bottleneck_gbps) {
               static_cast<unsigned long long>(result.sessions_finished),
               result.sessions_active_at_end,
               static_cast<double>(result.bytes_downloaded) / 1e9,
-              static_cast<double>(peak_rss_kb()) / 1024.0);
+              static_cast<double>(runner::peak_rss_kb()) / 1024.0);
   return 0;
 }
 
@@ -172,7 +157,9 @@ int run_capacity(std::size_t capacity, double seconds, std::size_t shards, std::
       pool, first, count, [seconds](std::size_t g) { return capacity_config(g, seconds); });
 
   const auto summary = profiler.summary();
-  const std::size_t rss_kb = peak_rss_kb();
+  // The million-session claim rests on this staying flat as --capacity
+  // grows: the streamed sweep never materializes results.
+  const std::size_t rss_kb = runner::peak_rss_kb();
   std::printf("  %llu sessions, %llu sim events, %.1f GB downloaded\n",
               static_cast<unsigned long long>(acc.sessions),
               static_cast<unsigned long long>(acc.sim_events),

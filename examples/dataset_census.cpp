@@ -84,7 +84,7 @@ int main(int argc, char** argv) {
   constexpr std::size_t kPerDataset = 3;
   const std::vector<video::DatasetId> ids{video::DatasetId::kYouFlash, video::DatasetId::kYouHd,
                                           video::DatasetId::kYouHtml};
-  std::vector<streaming::SessionConfig> configs;
+  std::vector<streaming::SessionBuilder> builders;
   sim::Rng sample_rng{42};
   for (const auto id : ids) {
     const auto ds = video::make_dataset(id, sample_rng, 50);
@@ -92,19 +92,19 @@ int main(int argc, char** argv) {
       const auto& meta = ds.videos[i * 7];  // spread the picks across the catalogue
       // The census only reads aggregate outputs, so skip packet storage and
       // let the streaming pipeline build the report during capture.
-      configs.push_back(streaming::SessionBuilder{}
-                            .vantage(net::Vantage::kResearch)
-                            .video(meta)
-                            .container(meta.container)
-                            .capture_duration_s(20.0)
-                            .seed(100 * static_cast<std::uint64_t>(id) + i)
-                            .store_trace(false)
-                            .streaming_report(true)
-                            .build());
+      builders.push_back(streaming::SessionBuilder{}
+                             .vantage(net::Vantage::kResearch)
+                             .video(meta)
+                             .container(meta.container)
+                             .capture_duration_s(20.0)
+                             .seed(100 * static_cast<std::uint64_t>(id) + i)
+                             .store_trace(false)
+                             .streaming_report(true));
     }
   }
   const runner::ParallelSweep pool;
-  const auto sessions = pool.run_sessions(configs);
+  const auto sessions = pool.map<streaming::SessionResult>(
+      builders.size(), [&builders](std::size_t i) { return builders[i].run(); });
   std::printf("%zu sessions across %zu workers\n", sessions.size(), pool.jobs());
   std::printf("%-9s %10s %12s %12s  %s\n", "dataset", "down MB", "est. Mbps", "connections",
               "strategy (first)");

@@ -88,7 +88,8 @@ int run_sweep(std::size_t count, const streaming::SessionConfig& base) {
   for (std::size_t i = 0; i < count; ++i) configs[i].seed = 1000 + i;
 
   const runner::ParallelSweep pool;
-  const auto results = pool.run_sessions(configs);
+  const auto results = pool.map<streaming::SessionResult>(
+      count, [&configs](std::size_t i) { return streaming::run_session(configs[i]); });
 
   std::printf("sweep: %zu sessions of %s across %zu workers\n\n", count,
               results.empty() ? "?" : results.front().trace.label.c_str(), pool.jobs());

@@ -114,14 +114,6 @@ void write_pcap(const PacketTrace& trace, const std::string& path) {
   writer.close();
 }
 
-void for_each_pcap_record(const std::string& path,
-                          const std::function<void(const PacketRecord&)>& fn) {
-  // Thin wrapper over the templated overload (a lambda, so overload
-  // resolution picks the template): the std::function dispatch happens once
-  // per record here and nowhere else.
-  for_each_pcap_record(path, [&fn](const PacketRecord& r) { fn(r); });
-}
-
 PacketTrace read_pcap(const std::string& path) {
   PacketTrace trace;
   for_each_pcap_record(path, [&trace](const PacketRecord& r) { trace.packets.push_back(r); });

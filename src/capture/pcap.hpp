@@ -14,12 +14,11 @@
 //
 // Reading rides `MmapPcapReader` (pcap_reader.hpp): zero-copy mapped
 // records, all four pcap magics (µs/ns, native/byte-swapped), diagnostic
-// errors on truncated or corrupt files. The templated `for_each_pcap_record`
-// overload below inlines its visitor into the record loop; the
-// `std::function` overload is a thin wrapper kept for ABI-stable callers.
+// errors on truncated or corrupt files. `for_each_pcap_record` takes its
+// visitor as a template parameter and inlines it into the record loop; a
+// caller holding a `std::function` passes it straight through.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
@@ -90,11 +89,5 @@ void for_each_pcap_record(const std::string& path, Fn&& fn) {
     }
   });
 }
-
-/// ABI-stable overload for callers that hold the visitor as a
-/// `std::function` (one dispatch per record; prefer the template above on
-/// hot paths).
-void for_each_pcap_record(const std::string& path,
-                          const std::function<void(const PacketRecord&)>& fn);
 
 }  // namespace vstream::capture

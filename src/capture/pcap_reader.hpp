@@ -187,9 +187,9 @@ class SeqUnwrapMap {
 };
 
 /// Decode + unwrap one record against `unwrap`. Returns false for skipped
-/// frames. This is the shared per-record step of every reader path — the
-/// templated `for_each_pcap_record`, the `std::function` wrapper, and the
-/// demux lanes all produce their `PacketRecord`s through it.
+/// frames. This is the shared per-record step of every reader path —
+/// `for_each_pcap_record` and the demux lanes both produce their
+/// `PacketRecord`s through it.
 template <typename Unwrap>
 [[nodiscard]] bool decode_record(const PcapRecordView& view, Unwrap&& unwrap,
                                  PacketRecord& out) {

@@ -183,34 +183,4 @@ void ParallelSweep::for_each_index(std::size_t count,
   errors.rethrow_if_any();
 }
 
-std::vector<streaming::SessionResult> ParallelSweep::run_sessions(
-    const std::vector<streaming::SessionConfig>& configs) const {
-  const std::size_t count = configs.size();
-  // One lane per worker: a recycled world arena plus index-tagged result
-  // staging, padded so no two workers' hot lanes share a cache line. The
-  // submission-order output vector is assembled serially at the end, so it
-  // is written by exactly one thread (no false sharing on result slots).
-  struct alignas(kResultCacheLine) Lane {
-    sim::ArenaResource arena;
-    std::vector<std::pair<std::size_t, streaming::SessionResult>> items;
-  };
-  std::vector<Lane> lanes(jobs_);
-  SweepProfiler* const profiler = profiler_;
-  for_each_chunk(
-      count, 0,
-      [&configs, &lanes, profiler](std::size_t begin, std::size_t end, std::size_t worker) {
-        Lane& lane = lanes[worker];
-        for (std::size_t i = begin; i < end; ++i) {
-          const SweepProfiler::Scope scope{profiler, worker, SweepPhase::kRun};
-          // Recycle the lane's arena for this world: the previous session's
-          // simulator is long destroyed, so the memory comes back warm.
-          lane.arena.reset();
-          streaming::SessionConfig cfg = configs[i];
-          if (cfg.arena == nullptr) cfg.arena = &lane.arena;
-          lane.items.emplace_back(i, streaming::run_session(cfg));
-        }
-      });
-  return splice_stages<streaming::SessionResult>(count, lanes);
-}
-
 }  // namespace vstream::runner

@@ -1,19 +1,22 @@
-// Multi-core session fan-out: a shared-nothing thread pool for sweeps.
+// Multi-core fan-out: a shared-nothing thread pool for sweeps.
 //
 // The paper's results are sweep-scale statements — thousands of sessions
-// across service × container × application × vantage combos (Table 1, §2) —
-// and every session is an independent world: `run_session` builds its own
-// `Simulator`, `ObsContext`, RNG tree and TCP fabric from the config's
-// seed. `ParallelSweep` exploits exactly that: workers claim *chunks* of
-// session indices from a shared counter (one atomic op per chunk, not per
-// index), run each world in complete isolation on a per-worker recycled
-// arena (no shared mutable state, no global-allocator contention on any
-// simulation path), and stage results in cache-line-padded per-worker
-// buffers that are spliced into deterministic submission order at the end —
-// the submission-order results vector is written by exactly one thread, so
-// no two workers ever share a cache line through it. Merging (telemetry,
-// metrics snapshots) stays serial on the caller's thread; for sweeps that
-// must not accumulate results at all, see runner/session_sweep.hpp.
+// across service × container × application × vantage combos (Table 1, §2),
+// and §6's aggregate over many shared-bottleneck worlds — and every world
+// is independent: it builds its own `Simulator`, `ObsContext`, RNG tree and
+// TCP fabric from its config's seed. `ParallelSweep` exploits exactly that:
+// workers claim *chunks* of indices from a shared counter (one atomic op per
+// chunk, not per index) and run each index in complete isolation.
+//
+// `fold` is the primitive every sweep runner layers on. Each worker owns a
+// cache-line-padded lane holding a recycled arena (no global-allocator
+// contention on any simulation path) and a partial accumulator; the
+// partials merge serially on the caller's thread after the pool joins.
+// `map` is `fold` over index-tagged staging, spliced into submission order;
+// the streamed session and topology sweeps (runner/session_sweep.hpp,
+// runner/topology_sweep.hpp) are `fold` over one world per index. This
+// header knows nothing of worlds: tools/vstream_lint.py keeps it free of
+// streaming/ includes.
 //
 // Worker count: explicit argument, else the VSTREAM_JOBS environment
 // variable, else the hardware concurrency; 1 runs inline on the caller's
@@ -33,7 +36,6 @@
 
 #include "runner/sweep_profiler.hpp"
 #include "sim/arena.hpp"
-#include "streaming/session.hpp"
 
 namespace vstream::runner {
 
@@ -71,6 +73,37 @@ class ParallelSweep {
   void for_each_chunk(std::size_t count, std::size_t chunk,
                       const std::function<void(std::size_t, std::size_t, std::size_t)>& fn) const;
 
+  /// Fold `fn(partial, i, arena)` over every i in [0, count). Each worker
+  /// owns a lane: a recycled arena, reset before each index, and a
+  /// default-constructed `Acc` partial. Each index is timed as a kRun task
+  /// on an attached profiler. After the pool joins, the partials merge in
+  /// worker order through `Acc::merge(Acc&&)` under one kMerge scope on the
+  /// caller's thread. Errors follow for_each_chunk: a throwing index
+  /// abandons the rest of its chunk, and the first error is rethrown once
+  /// every other chunk has drained.
+  template <typename Acc, typename Fn>
+  [[nodiscard]] Acc fold(std::size_t count, Fn&& fn) const {
+    struct alignas(kLaneAlign) Lane {
+      sim::ArenaResource arena;
+      Acc partial{};
+    };
+    std::vector<Lane> lanes(jobs_);
+    SweepProfiler* const profiler = profiler_;
+    for_each_chunk(count, 0,
+                   [&lanes, &fn, profiler](std::size_t begin, std::size_t end, std::size_t worker) {
+                     Lane& lane = lanes[worker];
+                     for (std::size_t i = begin; i < end; ++i) {
+                       const SweepProfiler::Scope scope{profiler, worker, SweepPhase::kRun};
+                       lane.arena.reset();  // the previous index's world is gone
+                       fn(lane.partial, i, lane.arena);
+                     }
+                   });
+    const SweepProfiler::Scope merge_scope{profiler, 0, SweepPhase::kMerge};
+    Acc total{};
+    for (Lane& lane : lanes) total.merge(std::move(lane.partial));
+    return total;
+  }
+
   /// Fan `fn(i)` out and collect the results in submission (index) order —
   /// the order is a property of the indices, never of thread scheduling.
   /// Results are constructed in place in per-worker staging (R need not be
@@ -78,35 +111,26 @@ class ParallelSweep {
   /// into the output vector serially at the end.
   template <typename R, typename Fn>
   [[nodiscard]] std::vector<R> map(std::size_t count, Fn&& fn) const {
-    struct alignas(kResultCacheLine) Stage {
-      std::vector<std::pair<std::size_t, R>> items;
+    using Run = std::vector<std::pair<std::size_t, R>>;
+    struct Staging {
+      Run items;  ///< this lane's results, index-ascending
+      std::vector<Run> runs;
+      void merge(Staging&& lane) { runs.push_back(std::move(lane.items)); }
     };
-    std::vector<Stage> stages(jobs_);
-    for_each_chunk(count, 0,
-                   [&stages, &fn](std::size_t begin, std::size_t end, std::size_t worker) {
-                     auto& items = stages[worker].items;
-                     for (std::size_t i = begin; i < end; ++i) items.emplace_back(i, fn(i));
-                   });
-    return splice_stages<R>(count, stages);
+    Staging staged = fold<Staging>(count, [&fn](Staging& lane, std::size_t i, sim::ArenaResource&) {
+      lane.items.emplace_back(i, fn(i));
+    });
+    return splice_runs<R>(count, staged.runs);
   }
 
-  /// Run every session config on the pool; results in submission order.
-  /// Each worker instantiates one full world (Simulator + ObsContext + RNG)
-  /// per session on its own recycled ArenaResource — shared-nothing, so the
-  /// per-session results, digests and metrics snapshots are bit-identical
-  /// to a serial run (the arena changes memory placement, never behaviour).
-  /// A config that already carries an arena keeps it.
-  [[nodiscard]] std::vector<streaming::SessionResult> run_sessions(
-      const std::vector<streaming::SessionConfig>& configs) const;
-
-  /// Attach a profiler (or nullptr to detach). While attached, every fn(i)
-  /// dispatched by for_each_index — and every session run by run_sessions —
-  /// is timed as a kRun task on the worker that executed it. The profiler
-  /// must be sized for at least jobs() workers and must outlive every sweep
-  /// call on this pool. Profiling is harness-side only: it never touches a
-  /// session world, so results and digests are identical with or without it.
+  /// Attach a profiler (or nullptr to detach). While attached, every index
+  /// run by for_each_index, fold or map is timed as a kRun task on the
+  /// worker that executed it, and fold's merge as one kMerge task. The
+  /// profiler must be sized for at least jobs() workers and must outlive
+  /// every sweep call on this pool. Profiling is harness-side only: it
+  /// never touches a session world, so results and digests are identical
+  /// with or without it.
   void set_profiler(SweepProfiler* profiler) { profiler_ = profiler; }
-  [[nodiscard]] SweepProfiler* profiler() const { return profiler_; }
 
   /// Errors beyond the first swallowed by the previous sweep on this pool
   /// (the first is rethrown with this count appended to its message). Reset
@@ -117,27 +141,27 @@ class ParallelSweep {
 
   /// Index of the pool worker running the current thread: 0 for the
   /// caller's thread (also the serial path), 1..N-1 for spawned workers.
-  /// Meaningful inside fn(i) during for_each_index; callers use it to
+  /// Meaningful inside a sweep's per-index call; callers use it to
   /// attribute their own analyze/merge phases to the right worker.
   [[nodiscard]] static std::size_t current_worker();
 
  private:
-  // Staging cells are padded to this boundary so two workers' append paths
-  // never bounce one line; 64 covers x86/ARM, 128 covers Apple M-series.
-  static constexpr std::size_t kResultCacheLine = 128;
+  // Lanes are padded to this boundary so two workers' hot lanes never
+  // bounce one line; 64 covers x86/ARM, 128 covers Apple M-series.
+  static constexpr std::size_t kLaneAlign = 128;
 
-  /// Splice per-worker (index, result) staging into one submission-order
-  /// vector. Each worker's items are index-ascending by construction
-  /// (chunks are claimed off a monotone counter), so this is a k-way merge:
-  /// every element moves exactly once, serially, on the caller's thread.
-  template <typename R, typename Stages>
-  [[nodiscard]] static std::vector<R> splice_stages(std::size_t count, Stages& stages) {
+  /// Splice per-worker (index, result) runs into one submission-order
+  /// vector. Each run is index-ascending by construction (chunks are
+  /// claimed off a monotone counter), so this is a k-way merge: every
+  /// element moves exactly once, serially, on the caller's thread.
+  template <typename R, typename Runs>
+  [[nodiscard]] static std::vector<R> splice_runs(std::size_t count, Runs& runs) {
     std::vector<R> out;
     out.reserve(count);
-    std::vector<std::size_t> cursor(stages.size(), 0);
+    std::vector<std::size_t> cursor(runs.size(), 0);
     for (std::size_t want = 0; want < count; ++want) {
-      for (std::size_t s = 0; s < stages.size(); ++s) {
-        auto& items = stages[s].items;
+      for (std::size_t s = 0; s < runs.size(); ++s) {
+        auto& items = runs[s];
         const std::size_t at = cursor[s];
         if (at < items.size() && items[at].first == want) {
           out.push_back(std::move(items[at].second));

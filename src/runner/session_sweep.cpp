@@ -7,8 +7,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "check/digest.hpp"
-#include "sim/arena.hpp"
 #include "streaming/scenarios.hpp"
 
 namespace vstream::runner {
@@ -194,45 +192,8 @@ SweepAccumulator SweepAccumulator::from_json_file(const std::string& path, std::
 SweepAccumulator run_sessions_streamed(
     const ParallelSweep& pool, std::size_t first, std::size_t count,
     const std::function<streaming::SessionConfig(std::size_t)>& make) {
-  // One lane per worker: the recycled world arena plus the partial
-  // aggregate, padded so two workers' folds never bounce a cache line.
-  struct alignas(128) Lane {
-    sim::ArenaResource arena;
-    SweepAccumulator partial;
-  };
-  std::vector<Lane> lanes(pool.jobs());
-  SweepProfiler* const profiler = pool.profiler();
-
-  pool.for_each_chunk(
-      count, 0, [&lanes, &make, first, profiler](std::size_t begin, std::size_t end,
-                                                 std::size_t worker) {
-        Lane& lane = lanes[worker];
-        for (std::size_t i = begin; i < end; ++i) {
-          const SweepProfiler::Scope scope{profiler, worker, SweepPhase::kRun};
-          lane.arena.reset();
-          const std::size_t global = first + i;
-          streaming::SessionConfig cfg = make(global);
-          check::StateDigest world_digest;
-          cfg.digest = &world_digest;
-          if (cfg.arena == nullptr) cfg.arena = &lane.arena;
-          const streaming::SessionResult result = streaming::run_session(cfg);
-          streaming::fold_outcome(world_digest, result);
-          lane.partial.add(global, cfg, result, world_digest.value(),
-                           world_digest.words_mixed());
-        }
-      });
-
-  const SweepProfiler::Scope merge_scope{profiler, 0, SweepPhase::kMerge};
-  SweepAccumulator total;
-  for (const Lane& lane : lanes) total.merge(lane.partial);
-  return total;
-}
-
-SweepAccumulator run_sessions_streamed(const ParallelSweep& pool,
-                                       const std::vector<streaming::SessionConfig>& configs) {
-  return run_sessions_streamed(
-      pool, 0, configs.size(),
-      [&configs](std::size_t i) -> streaming::SessionConfig { return configs[i]; });
+  return fold_worlds<SweepAccumulator>(pool, first, count, make, streaming::run_session,
+                                       streaming::fold_outcome);
 }
 
 }  // namespace vstream::runner

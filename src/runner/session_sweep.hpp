@@ -4,9 +4,12 @@
 //
 // This extends the PR 4 O(1)-memory pipeline one level up: within a session
 // `StreamingReportBuilder` keeps memory constant in packets; across a sweep
-// `SweepAccumulator` keeps memory constant in sessions. Each ParallelSweep
-// worker owns a cache-line-padded accumulator (and a recycled world arena);
-// the partials merge serially on the caller's thread after the pool joins.
+// `SweepAccumulator` keeps memory constant in sessions. The sweep is one
+// `ParallelSweep::fold`: each worker's lane holds a recycled world arena and
+// a partial accumulator, and the partials merge serially on the caller's
+// thread after the pool joins. `fold_worlds` below is the per-world step,
+// shared with the topology sweep (runner/topology_sweep.hpp), so both world
+// kinds are digested, folded and failed the same way.
 //
 // Determinism story (DESIGN.md §13): floating-point partial sums depend on
 // which worker ran which session, so they are reproducible only up to FP
@@ -24,7 +27,9 @@
 #include <functional>
 #include <string>
 
+#include "check/digest.hpp"
 #include "runner/parallel_sweep.hpp"
+#include "sim/arena.hpp"
 #include "streaming/session.hpp"
 
 namespace vstream::runner {
@@ -101,23 +106,35 @@ struct SweepAccumulator {
                                          std::size_t& count);
 };
 
+/// The per-world step of every streamed sweep, as one ParallelSweep::fold
+/// over global indices [first, first + count). On the worker, right before
+/// world g runs, `make(g)` builds its config; `run` runs it with a
+/// sweep-owned StateDigest (replacing any on the config) and, unless the
+/// config brings one, the lane's arena. `fold_outcome` folds the result
+/// into the digest, and `Acc::add` folds the world into the lane under g.
+template <typename Acc, typename Make, typename Run, typename FoldOutcome>
+[[nodiscard]] Acc fold_worlds(const ParallelSweep& pool, std::size_t first, std::size_t count,
+                              const Make& make, Run run, FoldOutcome fold_outcome) {
+  return pool.fold<Acc>(count, [&](Acc& partial, std::size_t i, sim::ArenaResource& arena) {
+    const std::size_t global = first + i;
+    auto cfg = make(global);
+    check::StateDigest world_digest;
+    cfg.digest = &world_digest;
+    if (cfg.arena == nullptr) cfg.arena = &arena;
+    const auto result = run(cfg);
+    fold_outcome(world_digest, result);
+    partial.add(global, cfg, result, world_digest.value(), world_digest.words_mixed());
+  });
+}
+
 /// Run `count` generated sessions on `pool`, folding every result into
 /// per-worker accumulators the moment it exists — no result vector, no
 /// submission-order staging, O(workers) memory however large `count` is.
 /// `make(g)` is called with each global index g in [first, first + count)
-/// and returns that session's config; configs are never stored. Every
-/// session runs with a sweep-owned world digest attached (a digest already
-/// on the config is replaced — the per-session fingerprint must be local to
-/// the session) and a per-worker recycled arena, exactly like
-/// ParallelSweep::run_sessions (a config-supplied arena is kept).
-/// The merged aggregate's digest is identical for any worker count and any
-/// contiguous sharding of [first, first+count) (see file comment).
+/// and returns that session's config; configs are never stored. Digest,
+/// arena and error handling are fold_worlds'.
 [[nodiscard]] SweepAccumulator run_sessions_streamed(
     const ParallelSweep& pool, std::size_t first, std::size_t count,
     const std::function<streaming::SessionConfig(std::size_t)>& make);
-
-/// Convenience overload over a materialized config vector (index base 0).
-[[nodiscard]] SweepAccumulator run_sessions_streamed(
-    const ParallelSweep& pool, const std::vector<streaming::SessionConfig>& configs);
 
 }  // namespace vstream::runner

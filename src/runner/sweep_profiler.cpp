@@ -7,8 +7,10 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <stdexcept>
+#include <string>
 
 namespace vstream::runner {
 
@@ -26,6 +28,17 @@ void append_double(std::string& out, double value) {
 }
 
 }  // namespace
+
+std::size_t peak_rss_kb() {
+  std::ifstream status{"/proc/self/status"};
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmHWM:", 0) == 0) {
+      return static_cast<std::size_t>(std::strtoull(line.c_str() + 6, nullptr, 10));
+    }
+  }
+  return 0;
+}
 
 const char* to_string(SweepPhase phase) {
   switch (phase) {

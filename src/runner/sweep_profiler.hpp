@@ -33,6 +33,10 @@ inline constexpr std::size_t kSweepPhaseCount = 4;
 
 [[nodiscard]] const char* to_string(SweepPhase phase);
 
+/// Peak resident set of this process in kB (Linux VmHWM from
+/// /proc/self/status), 0 if unreadable.
+[[nodiscard]] std::size_t peak_rss_kb();
+
 class SweepProfiler {
  public:
   /// `workers` is the pool width being profiled (>= 1); worker 0 is the

@@ -1,16 +1,12 @@
 #include "runner/topology_sweep.hpp"
 
 #include <algorithm>
-#include <vector>
-
-#include "check/digest.hpp"
-#include "sim/arena.hpp"
 
 namespace vstream::runner {
 
-void TopologyAccumulator::add(std::size_t index, const streaming::TopologyResult& result,
-                              double arrival_window_s, std::uint64_t digest_value,
-                              std::uint64_t words_mixed) {
+void TopologyAccumulator::add(std::size_t index, const streaming::TopologyConfig& config,
+                              const streaming::TopologyResult& result,
+                              std::uint64_t digest_value, std::uint64_t words_mixed) {
   ++worlds;
   sessions_started += result.sessions_started;
   sessions_finished += result.sessions_finished;
@@ -31,7 +27,7 @@ void TopologyAccumulator::add(std::size_t index, const streaming::TopologyResult
   sum_duration_s += result.sum_duration_s;
   sum_goodput_bps += result.sum_goodput_bps;
   goodput_samples += result.goodput_samples;
-  arrival_window_s_sum += arrival_window_s;
+  arrival_window_s_sum += config.arrival_window_s();
   digest.add(index, digest_value, words_mixed);
 }
 
@@ -63,38 +59,8 @@ void TopologyAccumulator::merge(const TopologyAccumulator& other) {
 TopologyAccumulator run_topologies_streamed(
     const ParallelSweep& pool, std::size_t first, std::size_t count,
     const std::function<streaming::TopologyConfig(std::size_t)>& make) {
-  // One lane per worker, as in run_sessions_streamed: a recycled world
-  // arena plus the partial aggregate, padded against false sharing.
-  struct alignas(128) Lane {
-    sim::ArenaResource arena;
-    TopologyAccumulator partial;
-  };
-  std::vector<Lane> lanes(pool.jobs());
-  SweepProfiler* const profiler = pool.profiler();
-
-  pool.for_each_chunk(
-      count, 0, [&lanes, &make, first, profiler](std::size_t begin, std::size_t end,
-                                                 std::size_t worker) {
-        Lane& lane = lanes[worker];
-        for (std::size_t i = begin; i < end; ++i) {
-          const SweepProfiler::Scope scope{profiler, worker, SweepPhase::kRun};
-          lane.arena.reset();
-          const std::size_t global = first + i;
-          streaming::TopologyConfig cfg = make(global);
-          check::StateDigest world_digest;
-          cfg.digest = &world_digest;
-          if (cfg.arena == nullptr) cfg.arena = &lane.arena;
-          const streaming::TopologyResult result = streaming::run_topology(cfg);
-          streaming::fold_topology_outcome(world_digest, result);
-          lane.partial.add(global, result, cfg.arrival_window_s(), world_digest.value(),
-                           world_digest.words_mixed());
-        }
-      });
-
-  const SweepProfiler::Scope merge_scope{profiler, 0, SweepPhase::kMerge};
-  TopologyAccumulator total;
-  for (const Lane& lane : lanes) total.merge(lane.partial);
-  return total;
+  return fold_worlds<TopologyAccumulator>(pool, first, count, make, streaming::run_topology,
+                                          streaming::fold_topology_outcome);
 }
 
 }  // namespace vstream::runner

@@ -1,6 +1,7 @@
 // Streamed multi-world topology sweeps: many shared-bottleneck worlds run
 // across the ParallelSweep pool, each folding into a per-worker partial the
-// moment it finishes — the topology counterpart of run_sessions_streamed.
+// moment it finishes — the topology counterpart of run_sessions_streamed,
+// and the same one `fold_worlds` step (runner/session_sweep.hpp).
 //
 // A single `run_topology` world is O(peak concurrency) in memory, so one
 // long world can carry any number of arrivals; sharding buys cores instead:
@@ -11,9 +12,10 @@
 // world's window series would produce, up to FP associativity of the final
 // merge.
 //
-// Determinism matches DESIGN.md §13: every world runs with a sweep-owned
-// StateDigest; (index, digest, outcome) words XOR into a SweepDigest that
-// is bit-identical for any worker count or contiguous sharding.
+// Determinism matches DESIGN.md §13: fold_worlds runs every world with a
+// sweep-owned StateDigest; (index, digest, outcome) words XOR into a
+// SweepDigest that is bit-identical for any worker count or contiguous
+// sharding.
 #pragma once
 
 #include <cstddef>
@@ -54,10 +56,11 @@ struct TopologyAccumulator {
   SweepDigest digest;
 
   /// Fold one finished world. `index` is the world's global submission
-  /// index; `arrival_window_s` its TopologyConfig::arrival_window_s() (the
-  /// realized arrival rate pools as Σstarted / Σwindow).
-  void add(std::size_t index, const streaming::TopologyResult& result, double arrival_window_s,
-           std::uint64_t digest_value, std::uint64_t words_mixed);
+  /// index; its config contributes arrival_window_s() (the realized arrival
+  /// rate pools as Σstarted / Σwindow).
+  void add(std::size_t index, const streaming::TopologyConfig& config,
+           const streaming::TopologyResult& result, std::uint64_t digest_value,
+           std::uint64_t words_mixed);
 
   /// Combine another partial (worker lane) into this one.
   void merge(const TopologyAccumulator& other);
@@ -92,10 +95,7 @@ struct TopologyAccumulator {
 /// Run `count` generated worlds on `pool`, folding each result as it
 /// finishes — O(workers) memory however large the sweep. `make(g)` is
 /// called with each global index g in [first, first + count) and returns
-/// that world's config. Every world runs with a sweep-owned digest (a
-/// digest already on the config is replaced) and a per-worker recycled
-/// arena (a config-supplied arena is kept). The merged digest is identical
-/// for any worker count and any contiguous sharding of [first, first+count).
+/// that world's config. Digest, arena and error handling are fold_worlds'.
 [[nodiscard]] TopologyAccumulator run_topologies_streamed(
     const ParallelSweep& pool, std::size_t first, std::size_t count,
     const std::function<streaming::TopologyConfig(std::size_t)>& make);

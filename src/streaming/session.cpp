@@ -112,44 +112,12 @@ void SessionConfig::validate() const {
   if (bandwidth_jitter < 0.0) {
     throw std::invalid_argument{"SessionConfig: bandwidth jitter must be non-negative"};
   }
-  if (topology_attached) {
-    if (bandwidth_jitter > 0.0) {
-      throw std::invalid_argument{
-          "SessionConfig: bandwidth_jitter is the private-path stand-in for shared-link "
-          "contention and cannot compose with a topology attachment — the shared bottleneck "
-          "produces the contention for real; set bandwidth_jitter(0) on the session template "
-          "(TopologyBuilder's default)"};
-    }
-    if (store_trace || keep_full_trace || streaming_report) {
-      throw std::invalid_argument{
-          "SessionConfig: per-session capture and report machinery is private-path only — a "
-          "topology world samples its shared bottleneck instead of recording per-session "
-          "packets; disable store_trace/keep_full_trace/streaming_report on the session "
-          "template (TopologyBuilder's default)"};
-    }
-    if (trace_sink != nullptr || digest != nullptr || arena != nullptr) {
-      throw std::invalid_argument{
-          "SessionConfig: trace sinks, digests and arenas are per-world attachments — in a "
-          "topology they belong on TopologyConfig, not on the session template"};
-    }
-    if (!impairments.empty()) {
-      throw std::invalid_argument{
-          "SessionConfig: impairment windows are absolute world times, which a session "
-          "arriving mid-run cannot honour — fault the shared link via "
-          "TopologyConfig::bottleneck_impairments instead"};
-    }
-  }
   fetch_retry.validate();
   impairments.validate();
 }
 
 SessionResult run_session(const SessionConfig& cfg) {
   cfg.validate();
-  if (cfg.topology_attached) {
-    throw std::invalid_argument{
-        "run_session: config is marked topology_attached — run it through run_topology "
-        "(streaming/topology.hpp), which owns the shared world this session expects"};
-  }
 
   World w{cfg};
   if (cfg.trace_sink != nullptr) w.obs.trace().attach(cfg.trace_sink);

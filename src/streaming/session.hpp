@@ -117,17 +117,6 @@ struct SessionConfig {
   /// (per-block throughput + fault downswitch) instead of the paper's fixed
   /// selection.
   bool adaptive_bitrate{false};
-  /// Topology-attach mode: the session runs inside a shared multi-session
-  /// world (streaming/topology.hpp) instead of owning a private path.
-  /// `validate()` then rejects the private-path-only machinery — bandwidth
-  /// jitter (the shared bottleneck replaces that stand-in), per-session
-  /// capture/reports, and per-session world attachments (trace sink,
-  /// digest, arena) — with diagnostics pointing at the topology-level
-  /// equivalent. `run_session` refuses such configs; `run_topology` sets
-  /// the flag on its session template. `capture_duration_s` is ignored in
-  /// this mode (the topology horizon governs the world).
-  bool topology_attached{false};
-
   /// Reject impossible configurations up front (negative durations, watch
   /// fractions outside (0,1], invalid retry/impairment parameters, Table 1
   /// combinations the paper marks "Not Applicable"). `run_session` calls

@@ -94,28 +94,39 @@ std::vector<double> generate_arrivals(const ArrivalSchedule& schedule, std::size
   return arrivals;
 }
 
-void TopologyConfig::validate() const {
-  if (sessions == 0) {
-    throw std::invalid_argument{"TopologyConfig: at least one session required"};
-  }
-  if (horizon_s <= 0.0) {
-    throw std::invalid_argument{"TopologyConfig: horizon must be positive"};
-  }
-  if (sample_window_s <= 0.0) {
-    throw std::invalid_argument{"TopologyConfig: sample window must be positive"};
-  }
-  if (warmup_s < 0.0 || warmup_s >= horizon_s) {
-    throw std::invalid_argument{"TopologyConfig: warmup must lie inside [0, horizon)"};
-  }
-  SessionConfig probe = session;
-  probe.topology_attached = true;
-  probe.validate();
-  arrivals.validate();
-  bottleneck.validate();
-  bottleneck_impairments.validate();
-}
-
 namespace {
+
+/// SessionConfig::validate, then reject the private-path-only knobs of a
+/// session inside a topology world, naming the topology-level equivalent.
+/// Run on the template and on every customized session.
+void validate_topology_session(const SessionConfig& cfg) {
+  cfg.validate();
+  if (cfg.bandwidth_jitter > 0.0) {
+    throw std::invalid_argument{
+        "SessionConfig: bandwidth_jitter is the private-path stand-in for shared-link "
+        "contention and cannot compose with a topology attachment — the shared bottleneck "
+        "produces the contention for real; set bandwidth_jitter(0) on the session template "
+        "(TopologyBuilder's default)"};
+  }
+  if (cfg.store_trace || cfg.keep_full_trace || cfg.streaming_report) {
+    throw std::invalid_argument{
+        "SessionConfig: per-session capture and report machinery is private-path only — a "
+        "topology world samples its shared bottleneck instead of recording per-session "
+        "packets; disable store_trace/keep_full_trace/streaming_report on the session "
+        "template (TopologyBuilder's default)"};
+  }
+  if (cfg.trace_sink != nullptr || cfg.digest != nullptr || cfg.arena != nullptr) {
+    throw std::invalid_argument{
+        "SessionConfig: trace sinks, digests and arenas are per-world attachments — in a "
+        "topology they belong on TopologyConfig, not on the session template"};
+  }
+  if (!cfg.impairments.empty()) {
+    throw std::invalid_argument{
+        "SessionConfig: impairment windows are absolute world times, which a session "
+        "arriving mid-run cannot honour — fault the shared link via "
+        "TopologyConfig::bottleneck_impairments instead"};
+  }
+}
 
 /// What one session contributes to TopologyResult. Folded when the session
 /// is reclaimed (or at the horizon, if it is still held then) and summed in
@@ -175,10 +186,9 @@ struct Runner {
     VSTREAM_INVARIANT(k == started, "session start events fired out of slot order");
     sim::Rng rng = session_parent.fork("session");
     SessionConfig cfg = config.session;
-    cfg.topology_attached = true;
     cfg.seed = rng.seed();
     if (config.customize) config.customize(k, rng, cfg);
-    cfg.validate();
+    validate_topology_session(cfg);
 
     auto session = std::make_unique<LiveSession>();
     session->duration_s = cfg.video.duration_s;
@@ -260,6 +270,25 @@ struct Runner {
 };
 
 }  // namespace
+
+void TopologyConfig::validate() const {
+  if (sessions == 0) {
+    throw std::invalid_argument{"TopologyConfig: at least one session required"};
+  }
+  if (horizon_s <= 0.0) {
+    throw std::invalid_argument{"TopologyConfig: horizon must be positive"};
+  }
+  if (sample_window_s <= 0.0) {
+    throw std::invalid_argument{"TopologyConfig: sample window must be positive"};
+  }
+  if (warmup_s < 0.0 || warmup_s >= horizon_s) {
+    throw std::invalid_argument{"TopologyConfig: warmup must lie inside [0, horizon)"};
+  }
+  validate_topology_session(session);
+  arrivals.validate();
+  bottleneck.validate();
+  bottleneck_impairments.validate();
+}
 
 TopologyResult run_topology(const TopologyConfig& config) {
   config.validate();

@@ -75,8 +75,9 @@ struct Workload {
 };
 
 struct TopologyConfig {
-  /// Per-session template; `run_topology` forces `topology_attached` and
-  /// validates it (which rejects the private-path-only knobs).
+  /// Per-session template; `validate()` rejects its private-path-only
+  /// knobs, and `run_topology` re-checks every customized session the same
+  /// way. Its capture_duration_s is ignored: the horizon governs the world.
   SessionConfig session;
   /// Maximum sessions to admit (arrival processes may produce fewer within
   /// the horizon).

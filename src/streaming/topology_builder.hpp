@@ -7,10 +7,11 @@
 // setters to configure the *session template* of an N-session world, then
 // adds the topology-level knobs (population size, arrival process, shared
 // bottleneck, sampling grid). Both funnel through the same
-// `SessionConfig::validate()` — there is no duplicated validation, and a
-// knob that is private-path-only (bandwidth_jitter, per-session capture,
-// per-session impairments) fails `TopologyBuilder::build()` with the
-// validate() diagnostic explaining the topology-level replacement.
+// `SessionConfig::validate()`; `TopologyConfig::validate()` then adds the
+// one topology-only check, so a knob that is private-path-only
+// (bandwidth_jitter, per-session capture, per-session impairments) fails
+// `TopologyBuilder::build()` with a diagnostic explaining the
+// topology-level replacement.
 //
 //   auto result = streaming::TopologyBuilder{}
 //                     .service(streaming::Service::kYouTube)
@@ -195,21 +196,15 @@ class WorkloadBuilder {
 /// setters shape the session *template*; the methods here shape the world.
 /// `seed`/`digest`/`arena` are shadowed deliberately: in a topology those
 /// are world-level attachments (TopologyConfig), and leaving them on the
-/// session template is exactly what `SessionConfig::validate()` rejects.
+/// session template is exactly what `TopologyConfig::validate()` rejects.
 class TopologyBuilder : public SessionConfigurator<TopologyBuilder> {
  public:
-  TopologyBuilder() {
+  TopologyBuilder() : TopologyBuilder{SessionConfig{}} {}
+  /// Start from an existing session template (e.g. a catalog scenario).
+  explicit TopologyBuilder(SessionConfig base) : SessionConfigurator{std::move(base)} {
     // Topology-mode defaults: the shared link produces contention for real
     // (no jitter stand-in), and per-session capture/auxiliary machinery
     // stays off — an N=10k world samples its bottleneck instead.
-    cfg_.topology_attached = true;
-    cfg_.bandwidth_jitter = 0.0;
-    cfg_.auxiliary_traffic = false;
-    cfg_.store_trace = false;
-  }
-  /// Start from an existing session template (e.g. a catalog scenario).
-  explicit TopologyBuilder(SessionConfig base) : SessionConfigurator{std::move(base)} {
-    cfg_.topology_attached = true;
     cfg_.bandwidth_jitter = 0.0;
     cfg_.auxiliary_traffic = false;
     cfg_.store_trace = false;

@@ -1,6 +1,8 @@
-// Tests for the shared-nothing sweep engine: results land in submission
-// order and are bit-identical for any worker count, metrics merge the same
-// way serial and parallel, and worker exceptions propagate to the caller.
+// Tests for the shared-nothing sweep engine: fold visits every index once
+// on a freshly reset lane arena and merges like a serial fold, results land
+// in submission order and are bit-identical for any worker count, metrics
+// merge the same way serial and parallel, and worker exceptions propagate
+// to the caller.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -49,6 +51,28 @@ std::vector<streaming::SessionConfig> sweep_configs() {
   return configs;
 }
 
+/// Every session of `configs` on `pool`, in submission order.
+std::vector<streaming::SessionResult> run_all(
+    const ParallelSweep& pool, const std::vector<streaming::SessionConfig>& configs) {
+  return pool.map<streaming::SessionResult>(
+      configs.size(), [&configs](std::size_t i) { return streaming::run_session(configs[i]); });
+}
+
+/// A fold accumulator: indices seen and a position-weighted sum that a
+/// lost or doubled index would move.
+struct IndexSum {
+  std::uint64_t count{0};
+  std::uint64_t sum{0};
+  void add(std::size_t i) {
+    ++count;
+    sum += (i + 1) * (i + 7);
+  }
+  void merge(IndexSum&& lane) {
+    count += lane.count;
+    sum += lane.sum;
+  }
+};
+
 TEST(ParallelSweepTest, ExplicitJobCountWins) {
   EXPECT_EQ(ParallelSweep{3}.jobs(), 3u);
   EXPECT_GE(ParallelSweep{0}.jobs(), 1u);  // env/hardware resolution, never 0
@@ -89,6 +113,68 @@ TEST(ParallelSweepTest, MapReturnsSubmissionOrder) {
       pool.map<std::size_t>(64, [](std::size_t i) { return i * i; });
   ASSERT_EQ(squares.size(), 64u);
   for (std::size_t i = 0; i < squares.size(); ++i) EXPECT_EQ(squares[i], i * i);
+}
+
+TEST(ParallelSweepTest, FoldVisitsEveryIndexOnceOnAResetArenaAndMergesLikeSerial) {
+  constexpr std::size_t kCount = 150;
+  IndexSum serial;
+  for (std::size_t i = 0; i < kCount; ++i) serial.add(i);
+
+  for (const std::size_t jobs : {1u, 4u}) {
+    SCOPED_TRACE("jobs=" + std::to_string(jobs));
+    ParallelSweep pool{jobs};
+    SweepProfiler profiler{pool.jobs()};
+    pool.set_profiler(&profiler);
+    std::vector<std::atomic<int>> hits(kCount);
+    std::atomic<std::size_t> dirty_arenas{0};
+    const IndexSum folded = pool.fold<IndexSum>(
+        kCount, [&](IndexSum& lane, std::size_t i, sim::ArenaResource& arena) {
+          if (arena.bytes_in_use() != 0) dirty_arenas.fetch_add(1);  // not reset since last index
+          (void)arena.allocate(64 + i, 8);
+          hits[i].fetch_add(1);
+          lane.add(i);
+        });
+    for (std::size_t i = 0; i < kCount; ++i) EXPECT_EQ(hits[i].load(), 1) << "index " << i;
+    EXPECT_EQ(dirty_arenas.load(), 0u);
+    EXPECT_EQ(folded.count, serial.count);
+    EXPECT_EQ(folded.sum, serial.sum);
+
+    const auto s = profiler.summary();
+    std::uint64_t run_tasks = 0;
+    std::uint64_t merge_tasks = 0;
+    for (const auto& w : s.per_worker) {
+      run_tasks += w.phase_tasks[static_cast<std::size_t>(SweepPhase::kRun)];
+      merge_tasks += w.phase_tasks[static_cast<std::size_t>(SweepPhase::kMerge)];
+    }
+    EXPECT_EQ(run_tasks, kCount);
+    EXPECT_EQ(merge_tasks, 1u);
+
+    const IndexSum empty = pool.fold<IndexSum>(
+        0, [](IndexSum&, std::size_t, sim::ArenaResource&) { FAIL() << "must not be called"; });
+    EXPECT_EQ(empty.count, 0u);
+    EXPECT_EQ(empty.sum, 0u);
+  }
+}
+
+TEST(ParallelSweepTest, FoldRethrowsAfterOtherChunksDrain) {
+  constexpr std::size_t kCount = 64;
+  for (const std::size_t jobs : {1u, 4u}) {
+    SCOPED_TRACE("jobs=" + std::to_string(jobs));
+    std::vector<std::atomic<int>> hits(kCount);
+    const auto fn = [&hits](IndexSum&, std::size_t i, sim::ArenaResource&) {
+      if (i == 17) throw std::runtime_error{"boom"};
+      hits[i].fetch_add(1);
+    };
+    EXPECT_THROW((void)ParallelSweep{jobs}.fold<IndexSum>(kCount, fn), std::runtime_error);
+    // Only the thrower's chunk tail may be lost: auto chunks here hold at
+    // most 4 indices, so nothing outside [17, 20) is skipped.
+    EXPECT_EQ(hits[17].load(), 0);
+    for (std::size_t i = 0; i < kCount; ++i) {
+      if (i < 17 || i >= 20) {
+        EXPECT_EQ(hits[i].load(), 1) << "index " << i;
+      }
+    }
+  }
 }
 
 TEST(ParallelSweepTest, ForEachCoversEveryIndexExactlyOnce) {
@@ -228,11 +314,11 @@ TEST(ParallelSweepTest, MapSupportsNonDefaultConstructibleResults) {
 
 TEST(ParallelSweepTest, SessionResultsIdenticalAcrossWorkerCounts) {
   const auto configs = sweep_configs();
-  const auto serial = ParallelSweep{1}.run_sessions(configs);
+  const auto serial = run_all(ParallelSweep{1}, configs);
   ASSERT_EQ(serial.size(), configs.size());
 
   for (const std::size_t jobs : {2u, 4u}) {
-    const auto parallel = ParallelSweep{jobs}.run_sessions(configs);
+    const auto parallel = run_all(ParallelSweep{jobs}, configs);
     ASSERT_EQ(parallel.size(), serial.size()) << "jobs=" << jobs;
     for (std::size_t i = 0; i < serial.size(); ++i) {
       SCOPED_TRACE("jobs=" + std::to_string(jobs) + " session=" + std::to_string(i));
@@ -259,8 +345,8 @@ TEST(ParallelSweepTest, MetricsMergeEqualsSerial) {
   };
   // The merge itself is serial on the caller's thread; with per-session
   // snapshots identical across worker counts, the merged rollup is too.
-  const auto serial_json = merge_all(ParallelSweep{1}.run_sessions(configs));
-  const auto parallel_json = merge_all(ParallelSweep{4}.run_sessions(configs));
+  const auto serial_json = merge_all(run_all(ParallelSweep{1}, configs));
+  const auto parallel_json = merge_all(run_all(ParallelSweep{4}, configs));
   EXPECT_FALSE(serial_json.empty());
   EXPECT_EQ(parallel_json, serial_json);
 }
@@ -395,7 +481,6 @@ TEST(SweepProfilerTest, WriteJsonCreatesFileAndBadPathThrows) {
 
 TEST(ParallelSweepTest, ZeroSessionsIsFine) {
   const ParallelSweep pool{4};
-  EXPECT_TRUE(pool.run_sessions({}).empty());
   pool.for_each_index(0, [](std::size_t) { FAIL() << "must not be called"; });
 }
 

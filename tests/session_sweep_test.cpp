@@ -38,6 +38,12 @@ std::vector<streaming::SessionConfig> sweep_configs(std::size_t n) {
   return configs;
 }
 
+SweepAccumulator stream_all(const ParallelSweep& pool,
+                            const std::vector<streaming::SessionConfig>& configs) {
+  return run_sessions_streamed(pool, 0, configs.size(),
+                               [&configs](std::size_t i) { return configs[i]; });
+}
+
 TEST(SweepDigestTest, OrderIndependentButIndexAndValueSensitive) {
   SweepDigest forward;
   forward.add(0, 111, 5);
@@ -61,9 +67,10 @@ TEST(SweepDigestTest, OrderIndependentButIndexAndValueSensitive) {
 TEST(SessionSweepTest, StreamedAggregateMatchesMaterializedResults) {
   const auto configs = sweep_configs(6);
   const ParallelSweep pool{2};
-  const SweepAccumulator streamed = run_sessions_streamed(pool, configs);
+  const SweepAccumulator streamed = stream_all(pool, configs);
 
-  const auto results = pool.run_sessions(configs);
+  const auto results = pool.map<streaming::SessionResult>(
+      configs.size(), [&configs](std::size_t i) { return streaming::run_session(configs[i]); });
   std::uint64_t bytes = 0;
   std::uint64_t events = 0;
   std::uint64_t connections = 0;
@@ -86,7 +93,7 @@ TEST(SessionSweepTest, StreamedAggregateMatchesMaterializedResults) {
 
 TEST(SessionSweepTest, StreamedDigestMatchesPerSessionFingerprints) {
   const auto configs = sweep_configs(5);
-  const SweepAccumulator streamed = run_sessions_streamed(ParallelSweep{2}, configs);
+  const SweepAccumulator streamed = stream_all(ParallelSweep{2}, configs);
 
   // The streamed path must fingerprint each session exactly the way
   // fingerprint_session does (world digest + fold_outcome) — same words,

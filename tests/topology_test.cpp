@@ -78,20 +78,6 @@ TEST(TopologyValidationTest, PerSessionCaptureExcludedFromTopologies) {
   EXPECT_THROW((void)b.build(), std::invalid_argument);
 }
 
-TEST(TopologyValidationTest, RunSessionRejectsTopologyAttachedConfig) {
-  SessionConfig cfg = SessionBuilder{}
-                          .container(video::Container::kFlashHd)
-                          .application(Application::kFirefox)
-                          .vantage(net::Vantage::kResearch)
-                          .video(test_video())
-                          .bandwidth_jitter(0.0)
-                          .auxiliary_traffic(false)
-                          .store_trace(false)
-                          .build();
-  cfg.topology_attached = true;
-  EXPECT_THROW((void)run_session(cfg), std::invalid_argument);
-}
-
 TEST(TopologyValidationTest, SessionBuilderStillValidatesTheOldWay) {
   // The rebased SessionBuilder (N=1 case of the shared mixin) must keep
   // rejecting what it always rejected.
@@ -520,6 +506,22 @@ TEST(TopologyDeterminismTest, SweepDigestInvariantAcrossWorkerCounts) {
   const auto second_half = runner::run_topologies_streamed(pooled, 8, 8, make);
   first_half.merge(second_half);
   EXPECT_EQ(first_half.digest, a.digest);
+}
+
+TEST(TopologyDeterminismTest, StreamedDigestMatchesPerWorldFingerprints) {
+  // The streamed topology sweep must fingerprint each world exactly the way
+  // fingerprint_topology does (world digest + fold_topology_outcome) — the
+  // same words and XOR combine as the session sweep, through one world fold.
+  const auto make = [](std::size_t g) { return small_world().seed(300 + g).build(); };
+  constexpr std::size_t kWorlds = 4;
+  const auto streamed = runner::run_topologies_streamed(runner::ParallelSweep{2}, 0, kWorlds, make);
+
+  runner::SweepDigest expected;
+  for (std::size_t g = 0; g < kWorlds; ++g) {
+    const TopologyFingerprint fp = fingerprint_topology(make(g));
+    expected.add(g, fp.digest, fp.words_mixed);
+  }
+  EXPECT_EQ(streamed.digest, expected);
 }
 
 // ------------------------------------------------------- model agreement §6.1

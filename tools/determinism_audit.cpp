@@ -38,6 +38,7 @@
 #include <vector>
 
 #include <algorithm>
+#include <array>
 #include <string>
 
 #include "obs/trace.hpp"
@@ -118,6 +119,36 @@ int run_parallel_audit(double seconds, std::size_t jobs) {
   return divergent == 0 ? 0 : 1;
 }
 
+/// Run worlds [0, n) of `make` through the streamed `sweep` three ways:
+/// serially, on 4 workers, and as `shards` contiguous slices on 2 workers
+/// merged back. The partition-invariant digest must agree across all three.
+template <typename Sweep, typename Make>
+auto serial_parallel_sharded(Sweep sweep, std::size_t n, std::size_t shards, const Make& make) {
+  using vstream::runner::ParallelSweep;
+  auto serial = sweep(ParallelSweep{1}, 0, n, make);
+  auto parallel = sweep(ParallelSweep{4}, 0, n, make);
+  decltype(serial) merged;
+  for (std::size_t s = 0; s < shards; ++s) {
+    const std::size_t first = n * s / shards;
+    merged.merge(sweep(ParallelSweep{2}, first, n * (s + 1) / shards - first, make));
+  }
+  return std::array{serial, parallel, merged};
+}
+
+/// One line per serial_parallel_sharded run: its digest and world count.
+template <typename Acc>
+void print_three_ways(const std::array<Acc, 3>& runs, const char* what, const char* unit,
+                      std::size_t shards) {
+  static constexpr const char* kLabels[] = {"serial  ", "parallel", "sharded "};
+  for (std::size_t k = 0; k < runs.size(); ++k) {
+    std::printf("%s %s %016llx over %llu %s", kLabels[k], what,
+                static_cast<unsigned long long>(runs[k].digest.combined),
+                static_cast<unsigned long long>(runs[k].digest.sessions), unit);
+    if (k == 2) std::printf(" (%zu shards)", shards);
+    std::printf("\n");
+  }
+}
+
 /// Sharded-sweep audit: the same catalog run through the streamed sweep
 /// (runner/session_sweep.hpp) three ways — serial, parallel, and split into
 /// `shards` contiguous slices merged back together. The order-independent
@@ -129,27 +160,10 @@ int run_shard_audit(double seconds, std::size_t shards) {
   const std::size_t n = scenarios.size();
   const auto make = [&scenarios](std::size_t g) { return scenarios[g].config; };
 
-  const auto serial = vstream::runner::run_sessions_streamed(
-      vstream::runner::ParallelSweep{1}, 0, n, make);
-  const auto parallel = vstream::runner::run_sessions_streamed(
-      vstream::runner::ParallelSweep{4}, 0, n, make);
-  vstream::runner::SweepAccumulator merged;
-  for (std::size_t s = 0; s < shards; ++s) {
-    const std::size_t first = n * s / shards;
-    const std::size_t count = n * (s + 1) / shards - first;
-    merged.merge(vstream::runner::run_sessions_streamed(
-        vstream::runner::ParallelSweep{2}, first, count, make));
-  }
-
-  std::printf("serial   digest %016llx over %llu sessions\n",
-              static_cast<unsigned long long>(serial.digest.combined),
-              static_cast<unsigned long long>(serial.digest.sessions));
-  std::printf("parallel digest %016llx over %llu sessions\n",
-              static_cast<unsigned long long>(parallel.digest.combined),
-              static_cast<unsigned long long>(parallel.digest.sessions));
-  std::printf("sharded  digest %016llx over %llu sessions (%zu shards)\n",
-              static_cast<unsigned long long>(merged.digest.combined),
-              static_cast<unsigned long long>(merged.digest.sessions), shards);
+  const auto runs =
+      serial_parallel_sharded(vstream::runner::run_sessions_streamed, n, shards, make);
+  const auto& [serial, parallel, merged] = runs;
+  print_three_ways(runs, "digest", "sessions", shards);
   const bool ok = serial.digest == parallel.digest && serial.digest == merged.digest &&
                   serial.sessions == merged.sessions &&
                   serial.bytes_downloaded == merged.bytes_downloaded &&
@@ -260,27 +274,11 @@ int run_topology_audit(double seconds) {
     return cfg;
   };
   constexpr std::size_t kWorlds = 12;
-  const auto serial =
-      runner::run_topologies_streamed(runner::ParallelSweep{1}, 0, kWorlds, make);
-  const auto parallel =
-      runner::run_topologies_streamed(runner::ParallelSweep{4}, 0, kWorlds, make);
-  runner::TopologyAccumulator merged;
   constexpr std::size_t kShards = 3;
-  for (std::size_t s = 0; s < kShards; ++s) {
-    const std::size_t first_idx = kWorlds * s / kShards;
-    const std::size_t count = kWorlds * (s + 1) / kShards - first_idx;
-    merged.merge(
-        runner::run_topologies_streamed(runner::ParallelSweep{2}, first_idx, count, make));
-  }
-  std::printf("serial   sweep digest %016llx over %llu worlds\n",
-              static_cast<unsigned long long>(serial.digest.combined),
-              static_cast<unsigned long long>(serial.worlds));
-  std::printf("parallel sweep digest %016llx over %llu worlds\n",
-              static_cast<unsigned long long>(parallel.digest.combined),
-              static_cast<unsigned long long>(parallel.worlds));
-  std::printf("sharded  sweep digest %016llx over %llu worlds (%zu shards)\n",
-              static_cast<unsigned long long>(merged.digest.combined),
-              static_cast<unsigned long long>(merged.worlds), kShards);
+  const auto runs =
+      serial_parallel_sharded(runner::run_topologies_streamed, kWorlds, kShards, make);
+  const auto& [serial, parallel, merged] = runs;
+  print_three_ways(runs, "sweep digest", "worlds", kShards);
   const bool sweep_ok = serial.digest == parallel.digest && serial.digest == merged.digest &&
                         serial.sessions_started == merged.sessions_started &&
                         serial.bytes_downloaded == merged.bytes_downloaded &&

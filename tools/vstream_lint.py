@@ -61,6 +61,11 @@ Rules (all scoped to C++ sources):
                single-session entry points (DESIGN.md §15) are exempt:
                examples/quickstart.cpp and examples/strategy_explorer.cpp.
                Scope: examples/ only.
+  runner-layering
+               no #include "streaming/..." in the sweep pool or profiler:
+               worlds enter the runner through session_sweep/topology_sweep.
+               Matched on the raw line, string literals included.
+               Scope: ONLY src/runner/parallel_sweep.* and sweep_profiler.*.
 
 Waivers: append `// vstream-lint: allow(<rule>): <reason>` to the offending
 line, or put `// vstream-lint-file: allow(<rule>): <reason>` anywhere in the
@@ -153,6 +158,12 @@ RULES = {
         "the sweep profiler reads the clock but must never sleep on it",
         ("src",),
     ),
+    "runner-layering": (
+        re.compile(r'#\s*include\s*"streaming/'),
+        "the sweep pool and profiler must not depend on streaming/; layer worlds on top via "
+        "session_sweep / topology_sweep",
+        ("src",),
+    ),
     "run-session": (
         re.compile(r"\brun_session\s*\("),
         "direct run_session in examples/; use TopologyBuilder / SessionBuilder — the documented "
@@ -209,7 +220,16 @@ RULE_ONLY_PREFIXES = {
         ("src", "runner", "sweep_profiler.hpp"),
         ("src", "runner", "sweep_profiler.cpp"),
     ),
+    "runner-layering": (
+        ("src", "runner", "parallel_sweep.hpp"),
+        ("src", "runner", "parallel_sweep.cpp"),
+        ("src", "runner", "sweep_profiler.hpp"),
+        ("src", "runner", "sweep_profiler.cpp"),
+    ),
 }
+
+# Rules matched against the raw line instead of the string-stripped code.
+RAW_LINE_RULES = {"runner-layering"}
 
 COMMENT_ONLY = re.compile(r"^\s*(//|\*|/\*)")
 STRING_LITERAL = re.compile(r'"(?:[^"\\]|\\.)*"')
@@ -248,7 +268,7 @@ def lint_file(path: Path, root: Path) -> list[str]:
                 rel.parts[: len(prefix)] == prefix for prefix in only
             ):
                 continue
-            if pattern.search(code):
+            if pattern.search(line if rule in RAW_LINE_RULES else code):
                 findings.append(f"{rel}:{lineno}: [{rule}] {message}\n    {line.strip()}")
     return findings
 
