@@ -18,39 +18,6 @@ std::size_t PacketTrace::connection_count() const {
   return ids.size();
 }
 
-std::vector<PacketRecord> PacketTrace::in_direction(net::Direction d) const {
-  std::vector<PacketRecord> out;
-  out.reserve(packets.size());
-  for (const auto& p : packets) {
-    if (p.direction == d) out.push_back(p);
-  }
-  return out;
-}
-
-PacketTrace PacketTrace::only_host(std::uint8_t host) const {
-  PacketTrace out;
-  out.label = label;
-  out.encoding_bps = encoding_bps;
-  out.duration_s = duration_s;
-  out.packets.reserve(packets.size());
-  for (const auto& p : packets) {
-    if (p.host == host) out.packets.push_back(p);
-  }
-  return out;
-}
-
-PacketTrace PacketTrace::without_connection(std::uint64_t connection_id) const {
-  PacketTrace out;
-  out.label = label;
-  out.encoding_bps = encoding_bps;
-  out.duration_s = duration_s;
-  out.packets.reserve(packets.size());
-  for (const auto& p : packets) {
-    if (p.connection_id != connection_id) out.packets.push_back(p);
-  }
-  return out;
-}
-
 std::vector<PacketTrace::CurvePoint> PacketTrace::download_curve() const {
   std::vector<CurvePoint> curve;
   std::uint64_t total = 0;

@@ -41,22 +41,6 @@ struct PacketTrace {
   /// Number of distinct TCP connections observed.
   [[nodiscard]] std::size_t connection_count() const;
 
-  // The three copy-returning filters below are legacy: new code should use
-  // `capture::TraceView` (trace_view.hpp), which expresses the same
-  // restrictions without materializing anything. The `trace-copy` lint rule
-  // flags fresh call sites outside src/capture.
-
-  /// Records for one direction only, preserving order.
-  [[nodiscard]] std::vector<PacketRecord> in_direction(net::Direction d) const;
-
-  /// Copy of the trace without the given connection — used to strip tagged
-  /// cross-traffic before analysis.
-  [[nodiscard]] PacketTrace without_connection(std::uint64_t connection_id) const;
-
-  /// Copy of the trace restricted to one server host — the paper's "only
-  /// the TCP connections used to transfer the video content" step (§2).
-  [[nodiscard]] PacketTrace only_host(std::uint8_t host) const;
-
   /// Cumulative (time, downloaded bytes) curve of down-direction payload —
   /// the "Download Amount" axis of Figs 1, 2a, 6a, 7a, 10.
   struct CurvePoint {

@@ -3,12 +3,10 @@
 //
 // The paper's methodology (§2, §5) repeatedly restricts a capture — to the
 // video host's connections, to one direction, to everything but tagged
-// cross-traffic — before analysing it. The seed implemented each restriction
-// as a copy-returning filter (`only_host`, `in_direction`,
-// `without_connection`), so a sweep over thousands of sessions duplicated
-// every trace several times. A `TraceView` expresses the same restrictions
-// as a predicate evaluated during iteration: composing filters never
-// allocates, and the analysis layer walks the single owned vector in place.
+// cross-traffic — before analysing it. A `TraceView` expresses each
+// restriction as a predicate evaluated during iteration instead of a copy
+// of the trace: composing filters never allocates, and the analysis layer
+// walks the single owned vector in place.
 //
 // Views are value types the size of a pointer plus a small filter; pass
 // them by value. A view never outlives its trace — holders of a view must
@@ -100,9 +98,7 @@ class TraceView {
 
   // -- combinators ---------------------------------------------------------
   // Each returns a narrowed copy of the view; the underlying trace is
-  // shared, never duplicated. Names deliberately differ from the retired
-  // copy-returning PacketTrace filters so the `trace-copy` lint rule can
-  // flag the old spellings without false positives.
+  // shared, never duplicated.
 
   /// Restrict to one direction (paper: down = server->viewer payload).
   [[nodiscard]] TraceView direction(net::Direction d) const {

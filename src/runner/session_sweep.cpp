@@ -1,7 +1,8 @@
 #include "runner/session_sweep.hpp"
 
 #include <algorithm>
-#include <cctype>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -44,53 +45,54 @@ std::size_t value_offset(const std::string& text, const std::string& key, const 
   return at + needle.size();
 }
 
-std::uint64_t parse_u64(const std::string& text, const std::string& key, const std::string& path) {
-  const std::size_t at = value_offset(text, key, path);
-  std::uint64_t value = 0;
-  if (std::sscanf(text.c_str() + at, "%llu", reinterpret_cast<unsigned long long*>(&value)) != 1) {
-    throw std::runtime_error{"shard payload " + path + ": field \"" + key + "\" is not an integer"};
+/// Parse the number at `text[at]` with std::from_chars, which takes no sign
+/// for an unsigned type (sscanf's %llu would wrap "-1" to 2^64-1) and no
+/// leading space. A double must also be finite.
+template <typename T, typename... Base>
+T parse_at(const std::string& text, std::size_t at, const std::string& key,
+           const std::string& path, const char* what, Base... base) {
+  T value{};
+  if (std::from_chars(text.data() + at, text.data() + text.size(), value, base...).ec !=
+          std::errc{} ||
+      !std::isfinite(static_cast<double>(value))) {
+    throw std::runtime_error{"shard payload " + path + ": field \"" + key + "\" " + what};
   }
   return value;
 }
 
+std::uint64_t parse_u64(const std::string& text, const std::string& key, const std::string& path) {
+  return parse_at<std::uint64_t>(text, value_offset(text, key, path), key, path,
+                                 "is not an integer");
+}
+
 double parse_f64(const std::string& text, const std::string& key, const std::string& path) {
-  const std::size_t at = value_offset(text, key, path);
-  double value = 0.0;
-  if (std::sscanf(text.c_str() + at, "%lf", &value) != 1) {
-    throw std::runtime_error{"shard payload " + path + ": field \"" + key + "\" is not a number"};
-  }
-  return value;
+  return parse_at<double>(text, value_offset(text, key, path), key, path, "is not a number");
 }
 
 /// The digest travels as a hex string — a JSON number would silently lose
 /// bits above 2^53 in any double-based reader touching the payload.
 std::uint64_t parse_hex(const std::string& text, const std::string& key, const std::string& path) {
-  std::size_t at = value_offset(text, key, path);
-  if (at >= text.size() || text[at] != '"') {
+  const std::size_t at = value_offset(text, key, path);
+  if (text[at] != '"') {
     throw std::runtime_error{"shard payload " + path + ": field \"" + key + "\" is not a string"};
   }
-  std::uint64_t value = 0;
-  if (std::sscanf(text.c_str() + at + 1, "%llx", reinterpret_cast<unsigned long long*>(&value)) !=
-      1) {
-    throw std::runtime_error{"shard payload " + path + ": field \"" + key + "\" is not hex"};
-  }
-  return value;
+  return parse_at<std::uint64_t>(text, at + 1, key, path, "is not hex", 16);
 }
 
 }  // namespace
 
-void SweepDigest::add(std::size_t index, std::uint64_t digest_value, std::uint64_t words_mixed) {
+void SweepDigest::add(std::size_t index, const streaming::RunFingerprint& world) {
   check::StateDigest word;
   word.mix(static_cast<std::uint64_t>(index));
-  word.mix(digest_value);
-  word.mix(words_mixed);
+  word.mix(world.digest);
+  word.mix(world.words_mixed);
   combined ^= word.value();
   ++sessions;
 }
 
 void SweepAccumulator::add(std::size_t index, const streaming::SessionConfig& config,
-                           const streaming::SessionResult& result, std::uint64_t digest_value,
-                           std::uint64_t words_mixed) {
+                           const streaming::SessionResult& result,
+                           const streaming::RunFingerprint& world) {
   ++sessions;
   bytes_downloaded += result.bytes_downloaded;
   sim_events += result.sim_events;
@@ -105,7 +107,7 @@ void SweepAccumulator::add(std::size_t index, const streaming::SessionConfig& co
   }
   encoding_bps_estimated_sum += result.encoding_bps_estimated;
   stall_time_s_sum += result.player.stall_time_s;
-  digest.add(index, digest_value, words_mixed);
+  digest.add(index, world);
 }
 
 void SweepAccumulator::merge(const SweepAccumulator& other) {

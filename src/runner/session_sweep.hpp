@@ -27,10 +27,10 @@
 #include <functional>
 #include <string>
 
-#include "check/digest.hpp"
 #include "runner/parallel_sweep.hpp"
 #include "sim/arena.hpp"
 #include "streaming/session.hpp"
+#include "streaming/world.hpp"
 
 namespace vstream::runner {
 
@@ -45,7 +45,7 @@ struct SweepDigest {
 
   /// Fold one finished session: its global index, its world digest value
   /// and words-mixed count, hashed together into one word.
-  void add(std::size_t index, std::uint64_t digest_value, std::uint64_t words_mixed);
+  void add(std::size_t index, const streaming::RunFingerprint& world);
 
   void merge(const SweepDigest& other) {
     combined ^= other.combined;
@@ -78,8 +78,7 @@ struct SweepAccumulator {
   /// submission index — under process sharding, the index in the *full*
   /// sweep, so shard digests merge to the unsharded value.
   void add(std::size_t index, const streaming::SessionConfig& config,
-           const streaming::SessionResult& result, std::uint64_t digest_value,
-           std::uint64_t words_mixed);
+           const streaming::SessionResult& result, const streaming::RunFingerprint& world);
 
   /// Combine another partial (worker lane or shard file) into this one.
   void merge(const SweepAccumulator& other);
@@ -108,22 +107,19 @@ struct SweepAccumulator {
 
 /// The per-world step of every streamed sweep, as one ParallelSweep::fold
 /// over global indices [first, first + count). On the worker, right before
-/// world g runs, `make(g)` builds its config; `run` runs it with a
-/// sweep-owned StateDigest (replacing any on the config) and, unless the
-/// config brings one, the lane's arena. `fold_outcome` folds the result
-/// into the digest, and `Acc::add` folds the world into the lane under g.
+/// world g runs, `make(g)` builds its config; `run` runs it on the lane's
+/// arena (unless the config brings one) and is fingerprinted the one way
+/// every world is (streaming::run_fingerprinted, which replaces any digest
+/// on the config). `Acc::add` folds the world into the lane under g.
 template <typename Acc, typename Make, typename Run, typename FoldOutcome>
 [[nodiscard]] Acc fold_worlds(const ParallelSweep& pool, std::size_t first, std::size_t count,
                               const Make& make, Run run, FoldOutcome fold_outcome) {
   return pool.fold<Acc>(count, [&](Acc& partial, std::size_t i, sim::ArenaResource& arena) {
     const std::size_t global = first + i;
     auto cfg = make(global);
-    check::StateDigest world_digest;
-    cfg.digest = &world_digest;
     if (cfg.arena == nullptr) cfg.arena = &arena;
-    const auto result = run(cfg);
-    fold_outcome(world_digest, result);
-    partial.add(global, cfg, result, world_digest.value(), world_digest.words_mixed());
+    const auto world = streaming::run_fingerprinted(cfg, run, fold_outcome);
+    partial.add(global, cfg, world.result, world.print);
   });
 }
 

@@ -6,7 +6,7 @@ namespace vstream::runner {
 
 void TopologyAccumulator::add(std::size_t index, const streaming::TopologyConfig& config,
                               const streaming::TopologyResult& result,
-                              std::uint64_t digest_value, std::uint64_t words_mixed) {
+                              const streaming::RunFingerprint& world) {
   ++worlds;
   sessions_started += result.sessions_started;
   sessions_finished += result.sessions_finished;
@@ -28,7 +28,7 @@ void TopologyAccumulator::add(std::size_t index, const streaming::TopologyConfig
   sum_goodput_bps += result.sum_goodput_bps;
   goodput_samples += result.goodput_samples;
   arrival_window_s_sum += config.arrival_window_s();
-  digest.add(index, digest_value, words_mixed);
+  digest.add(index, world);
 }
 
 void TopologyAccumulator::merge(const TopologyAccumulator& other) {

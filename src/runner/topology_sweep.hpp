@@ -59,8 +59,7 @@ struct TopologyAccumulator {
   /// index; its config contributes arrival_window_s() (the realized arrival
   /// rate pools as Σstarted / Σwindow).
   void add(std::size_t index, const streaming::TopologyConfig& config,
-           const streaming::TopologyResult& result, std::uint64_t digest_value,
-           std::uint64_t words_mixed);
+           const streaming::TopologyResult& result, const streaming::RunFingerprint& world);
 
   /// Combine another partial (worker lane) into this one.
   void merge(const TopologyAccumulator& other);

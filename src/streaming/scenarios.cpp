@@ -188,22 +188,9 @@ void fold_outcome(check::StateDigest& digest, const SessionResult& result) {
   digest.mix(result.resilience.fault_drops);
 }
 
-RunFingerprint fingerprint_session(const SessionConfig& config, obs::TraceSink* sink) {
-  check::StateDigest digest;
-  SessionConfig cfg = config;
-  cfg.digest = &digest;
-  if (sink != nullptr) cfg.trace_sink = sink;
-  const SessionResult result = run_session(cfg);
-
-  RunFingerprint fp;
-  fp.sim_events = result.sim_events;
-  fp.bytes_downloaded = result.bytes_downloaded;
-  // Fold the headline outcome in after the run, so a divergence that the
-  // event-order stream somehow missed still flips the fingerprint.
-  fold_outcome(digest, result);
-  fp.digest = digest.value();
-  fp.words_mixed = digest.words_mixed();
-  return fp;
+RunFingerprint fingerprint_session(SessionConfig config, obs::TraceSink* sink) {
+  if (sink != nullptr) config.trace_sink = sink;
+  return run_fingerprinted(config, run_session, fold_outcome).print;
 }
 
 }  // namespace vstream::streaming

@@ -6,11 +6,10 @@
 
 #include "analysis/streaming_report.hpp"
 #include "capture/recorder.hpp"
-#include "check/digest.hpp"
 #include "net/path.hpp"
 #include "net/path_builder.hpp"
-#include "obs/context.hpp"
 #include "streaming/session_instance.hpp"
+#include "streaming/world.hpp"
 #include "tcp/connection.hpp"
 
 namespace vstream::streaming {
@@ -69,31 +68,6 @@ net::NetworkProfile jittered(const SessionConfig& cfg, sim::Rng& rng) {
   return profile;
 }
 
-struct World {
-  explicit World(const SessionConfig& cfg)
-      : sim{cfg.arena},
-        rng{cfg.seed},
-        obs_wired{(sim.set_obs(&obs), true)},
-        path{net::PathBuilder{sim, jittered(cfg, rng), rng}
-                 .impairments(cfg.impairments)
-                 .build()},
-        fabric{sim, *path},
-        recorder{sim, *path} {
-    recorder.start();
-  }
-
-  sim::Simulator sim;
-  sim::Rng rng;
-  // The context must be attached to the simulator before any instrumented
-  // component (links, endpoints, players) constructs — they cache registry
-  // pointers in their constructors.
-  obs::ObsContext obs;
-  bool obs_wired;
-  std::unique_ptr<net::Path> path;
-  tcp::Fabric fabric;
-  capture::TraceRecorder recorder;
-};
-
 }  // namespace
 
 void SessionConfig::validate() const {
@@ -119,47 +93,45 @@ void SessionConfig::validate() const {
 SessionResult run_session(const SessionConfig& cfg) {
   cfg.validate();
 
-  World w{cfg};
-  if (cfg.trace_sink != nullptr) w.obs.trace().attach(cfg.trace_sink);
-  if (cfg.digest != nullptr) w.sim.set_digest(cfg.digest);
+  // The private-path world: one jittered path, its TCP fabric and the
+  // viewer-side recorder, built on the shared world shell.
+  World world{cfg.seed, cfg.arena, cfg.digest, cfg.trace_sink};
+  sim::Simulator& sim = world.sim();
+  const std::unique_ptr<net::Path> path =
+      net::PathBuilder{sim, jittered(cfg, world.rng()), world.rng()}
+          .impairments(cfg.impairments)
+          .build();
+  tcp::Fabric fabric{sim, *path};
+  capture::TraceRecorder recorder{sim, *path};
+  recorder.start();
 
   // Capture plumbing: size the trace for the expected capture up front
   // (un-jittered profile rate as the upper bound), optionally stream every
   // video-host record through the single-pass analysis pipeline, and skip
   // storing entirely when the caller only wants the streamed report.
-  w.recorder.set_store_packets(cfg.store_trace);
-  w.recorder.reserve_for(cfg.capture_duration_s, cfg.network.down_bps);
+  recorder.set_store_packets(cfg.store_trace);
+  recorder.reserve_for(cfg.capture_duration_s, cfg.network.down_bps);
   std::unique_ptr<analysis::StreamingReportBuilder> live_report;
   if (cfg.streaming_report) {
     live_report = std::make_unique<analysis::StreamingReportBuilder>();
-    w.recorder.set_record_sink([&live = *live_report](const capture::PacketRecord& r) {
+    recorder.set_record_sink([&live = *live_report](const capture::PacketRecord& r) {
       if (r.host == 0) live.add(r);  // the §2 video-host filter, streamed
     });
   }
-  obs::SimLoopMonitor loop_monitor{w.sim, sim::Duration::seconds(1.0)};
-  loop_monitor.start();
+  world.start_monitor();
 
   // The instance owns the whole Table-1 application layer: server pacing,
   // client read policy, player, auxiliary traffic. It takes the session
   // stream by value after the world-level bandwidth fork, and forks
   // "session-knobs"/"auxiliary"/"rate-estimate" in the historical order.
-  SessionInstance instance{w.sim, w.fabric, cfg, w.rng};
+  SessionInstance instance{sim, fabric, cfg, world.rng()};
 
-  w.sim.run_until(sim::SimTime::from_seconds(cfg.capture_duration_s));
+  sim.run_until(sim::SimTime::from_seconds(cfg.capture_duration_s));
 
-  loop_monitor.stop();
   instance.stop_auxiliary();
-  w.path->down().audit_conservation();
-  w.path->up().audit_conservation();
-
-  // Flush episode spans truncated by the capture cutoff while their owners
-  // are still alive; outstanding RAII handles become inert, so component
-  // destruction below cannot double-emit. The count is the teardown
-  // unclosed-span detector.
-  if (w.obs.trace().active()) {
-    const std::size_t truncated = w.obs.spans().close_all("capture_end");
-    w.obs.metrics().gauge("obs.spans_truncated").set(static_cast<double>(truncated));
-  }
+  path->down().audit_conservation();
+  path->up().audit_conservation();
+  const WorldStats stats = world.finish();
 
   SessionOutcome outcome = instance.finalize();
 
@@ -167,7 +139,7 @@ SessionResult run_session(const SessionConfig& cfg) {
   // capture, then the filter to the video CDN's connections (Section 2) —
   // applied in place, so the session holds one trace, not two copies.
   SessionResult result;
-  result.trace = w.recorder.take();
+  result.trace = recorder.take();
   result.trace.label = to_string(cfg.service) + "/" + video::to_string(cfg.container) + "/" +
                        to_string(cfg.application) + " @ " + cfg.network.name;
   result.trace.duration_s = cfg.capture_duration_s;
@@ -190,7 +162,7 @@ SessionResult run_session(const SessionConfig& cfg) {
     live_report->set_encoding_bps(result.encoding_bps_estimated);
     live_report->set_resilience(outcome.resilience);
     result.report = live_report->finish();
-    w.recorder.set_record_sink({});
+    recorder.set_record_sink({});
   }
 
   result.player = outcome.player;
@@ -199,10 +171,9 @@ SessionResult run_session(const SessionConfig& cfg) {
   result.bytes_downloaded = outcome.bytes_downloaded;
   result.connections = cfg.store_trace ? result.video_trace().connection_count()
                                        : (result.report ? result.report->connections : 0);
-  result.metrics = w.obs.metrics().snapshot();
-  result.sim_events = w.sim.events_processed();
-  result.sim_max_events_pending = w.sim.max_events_pending();
-  if (cfg.trace_sink != nullptr) w.obs.trace().detach(cfg.trace_sink);
+  result.metrics = world.metrics();
+  result.sim_events = stats.sim_events;
+  result.sim_max_events_pending = stats.sim_max_events_pending;
   return result;
 }
 

@@ -1,12 +1,14 @@
 // Streaming-session orchestration: the executable form of Table 1.
 //
-// `run_session` builds a simulated world (vantage network, TCP fabric,
-// viewer-side capture), instantiates the server pacing discipline and the
-// client read policy that the paper observed for the requested
-// (service, container, application) combination, streams one video for the
-// capture duration (180 s in the paper), and returns the packet trace plus
-// player/transfer statistics. The analysis layer then treats the trace
-// exactly as the paper treated its tcpdump captures.
+// `run_session` builds a private-path world on the shared `World` shell
+// (streaming/world.hpp): one vantage path, its TCP fabric and the
+// viewer-side capture recorder. On it one `SessionInstance` wires the
+// server pacing discipline and the client read policy that the paper
+// observed for the requested (service, container, application)
+// combination, streams one video for the capture duration (180 s in the
+// paper), and the run returns the packet trace plus player/transfer
+// statistics. The analysis layer then treats the trace exactly as the
+// paper treated its tcpdump captures.
 #pragma once
 
 #include <cstdint>

@@ -5,10 +5,11 @@
 // one (service, container, application) combination: the server pacing
 // discipline, the client read policy, the fetch manager, the player, and
 // the optional auxiliary traffic. It deliberately owns neither the
-// simulator nor the path: `run_session` gives each instance a private
-// world and a capture recorder, while `run_topology` (streaming/topology.hpp)
-// places many instances into one world, each on its own access leg behind
-// a shared bottleneck.
+// simulator nor the path. Both world kinds are built on one `World` shell
+// (streaming/world.hpp): `run_session` hosts one instance on a private
+// path with a capture recorder, while `run_topology`
+// (streaming/topology.hpp) places many instances into one world, each on
+// its own access leg behind a shared bottleneck.
 //
 // Determinism contract: the instance forks "session-knobs", "auxiliary"
 // (only with auxiliary traffic enabled) and — in `finalize()` —

@@ -7,12 +7,11 @@
 #include <stdexcept>
 
 #include "check/contracts.hpp"
-#include "check/digest.hpp"
 #include "net/path.hpp"
 #include "net/path_builder.hpp"
-#include "obs/context.hpp"
 #include "sim/periodic_timer.hpp"
 #include "streaming/session_instance.hpp"
+#include "streaming/world.hpp"
 #include "tcp/connection.hpp"
 
 namespace vstream::streaming {
@@ -293,11 +292,11 @@ void TopologyConfig::validate() const {
 TopologyResult run_topology(const TopologyConfig& config) {
   config.validate();
 
-  sim::Simulator sim{config.arena};
-  obs::ObsContext obs;
-  sim.set_obs(&obs);
-  if (config.digest != nullptr) sim.set_digest(config.digest);
-  sim::Rng root{config.seed};
+  // The shared-bottleneck world: the bottleneck, optional cross traffic
+  // and one slot per arrival, built on the shared world shell.
+  World world{config.seed, config.arena, config.digest, nullptr};
+  sim::Simulator& sim = world.sim();
+  sim::Rng& root = world.rng();
 
   net::SharedBottleneck bottleneck{sim, config.bottleneck, root};
   if (!config.bottleneck_impairments.empty()) {
@@ -313,8 +312,7 @@ TopologyResult run_topology(const TopologyConfig& config) {
     cross->start();
   }
 
-  obs::SimLoopMonitor loop_monitor{sim, sim::Duration::seconds(1.0)};
-  loop_monitor.start();
+  world.start_monitor();
 
   // Arrival process, then per-session streams: every session forks off one
   // parent in arrival order, when it arrives (Runner::start_session).
@@ -373,8 +371,8 @@ TopologyResult run_topology(const TopologyConfig& config) {
   sim.run_until(sim::SimTime::from_seconds(config.horizon_s));
 
   window_clock.stop();
-  loop_monitor.stop();
   if (cross) cross->stop();
+  const WorldStats stats = world.finish();
   sampler.advance_to(config.horizon_s);
 
   TopologyResult result;
@@ -414,8 +412,8 @@ TopologyResult run_topology(const TopologyConfig& config) {
   const double window_s = config.arrival_window_s();
   result.realized_arrival_rate_per_s =
       window_s > 0.0 ? static_cast<double>(runner.started) / window_s : 0.0;
-  result.sim_events = sim.events_processed();
-  result.sim_max_events_pending = sim.max_events_pending();
+  result.sim_events = stats.sim_events;
+  result.sim_max_events_pending = stats.sim_max_events_pending;
   return result;
 }
 
@@ -436,19 +434,8 @@ void fold_topology_outcome(check::StateDigest& digest, const TopologyResult& res
   digest.mix(result.sim_events);
 }
 
-TopologyFingerprint fingerprint_topology(const TopologyConfig& config) {
-  check::StateDigest digest;
-  TopologyConfig cfg = config;
-  cfg.digest = &digest;
-  const TopologyResult result = run_topology(cfg);
-
-  TopologyFingerprint fp;
-  fp.sim_events = result.sim_events;
-  fp.bytes_downloaded = result.bytes_downloaded;
-  fold_topology_outcome(digest, result);
-  fp.digest = digest.value();
-  fp.words_mixed = digest.words_mixed();
-  return fp;
+RunFingerprint fingerprint_topology(TopologyConfig config) {
+  return run_fingerprinted(config, run_topology, fold_topology_outcome).print;
 }
 
 }  // namespace vstream::streaming

@@ -5,8 +5,9 @@
 // Table 1's per-session strategy signatures, but structurally unable to
 // say anything about *aggregate* traffic: Eq. 3/4, the dimensioning rule,
 // and §6.2's interruption waste are all statements about superposed
-// sessions sharing a link. `run_topology` instantiates many
-// `SessionInstance`s inside one `sim::Simulator`, each on its own access
+// sessions sharing a link. `run_topology` builds one shared-bottleneck
+// world on the same `World` shell as `run_session` (streaming/world.hpp)
+// and instantiates many `SessionInstance`s in it, each on its own access
 // leg behind a `net::SharedBottleneck`, with arrivals driven by a
 // deterministic arrival process (Poisson churn, flash crowds, diurnal
 // load) from forked `sim::Rng` streams. The world samples every session's
@@ -31,6 +32,7 @@
 #include "net/dynamics.hpp"
 #include "stats/windowed_rate.hpp"
 #include "streaming/session.hpp"
+#include "streaming/world.hpp"
 
 namespace vstream::streaming {
 
@@ -191,17 +193,13 @@ struct TopologyResult {
 /// digest so a divergence the event stream missed still flips the value.
 void fold_topology_outcome(check::StateDigest& digest, const TopologyResult& result);
 
+/// `bench/e2e/workloads.cpp` still names the topology fingerprint; there
+/// is one fingerprint type.
+using TopologyFingerprint = RunFingerprint;
+
 /// Run with a digest attached and fingerprint the result (event order +
-/// folded outcome). Twin configs must produce equal fingerprints.
-struct TopologyFingerprint {
-  std::uint64_t digest{0};
-  std::uint64_t words_mixed{0};
-  std::uint64_t sim_events{0};
-  std::uint64_t bytes_downloaded{0};
-
-  friend bool operator==(const TopologyFingerprint&, const TopologyFingerprint&) = default;
-};
-
-[[nodiscard]] TopologyFingerprint fingerprint_topology(const TopologyConfig& config);
+/// folded outcome) through run_fingerprinted. Twin configs must produce
+/// equal fingerprints.
+[[nodiscard]] RunFingerprint fingerprint_topology(TopologyConfig config);
 
 }  // namespace vstream::streaming

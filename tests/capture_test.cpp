@@ -10,6 +10,7 @@
 #include "capture/pcap.hpp"
 #include "capture/recorder.hpp"
 #include "capture/trace.hpp"
+#include "capture/trace_view.hpp"
 #include "net/path.hpp"
 #include "net/profile.hpp"
 #include "tcp/connection.hpp"
@@ -38,8 +39,8 @@ TEST(PacketTraceTest, DownPayloadAndConnectionCount) {
   trace.packets.push_back(make_record(0.3, Direction::kDown, 500, 2));
   EXPECT_EQ(trace.down_payload_bytes(), 1500U);
   EXPECT_EQ(trace.connection_count(), 2U);
-  EXPECT_EQ(trace.in_direction(Direction::kDown).size(), 2U);
-  EXPECT_EQ(trace.in_direction(Direction::kUp).size(), 1U);
+  EXPECT_EQ(TraceView{trace}.direction(Direction::kDown).count(), 2U);
+  EXPECT_EQ(TraceView{trace}.direction(Direction::kUp).count(), 1U);
 }
 
 TEST(PacketTraceTest, DownloadCurveIsCumulative) {

@@ -7,6 +7,7 @@
 
 #include "analysis/report_json.hpp"
 #include "capture/pcap.hpp"
+#include "capture/trace_view.hpp"
 #include "net/cross_traffic.hpp"
 #include "net/path.hpp"
 #include "net/profile.hpp"
@@ -111,7 +112,7 @@ TEST(TraceFilterTest, WithoutConnectionStripsTaggedTraffic) {
     r.payload_bytes = 100;
     trace.packets.push_back(r);
   }
-  const auto filtered = trace.without_connection(0xC0FFEE);
+  const auto filtered = capture::TraceView{trace}.excluding_connection(0xC0FFEE).materialize();
   EXPECT_EQ(filtered.packets.size(), 5U);
   EXPECT_EQ(filtered.label, "x");
   for (const auto& p : filtered.packets) EXPECT_EQ(p.connection_id, 1U);

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -46,21 +47,21 @@ SweepAccumulator stream_all(const ParallelSweep& pool,
 
 TEST(SweepDigestTest, OrderIndependentButIndexAndValueSensitive) {
   SweepDigest forward;
-  forward.add(0, 111, 5);
-  forward.add(1, 222, 6);
+  forward.add(0, {111, 5});
+  forward.add(1, {222, 6});
   SweepDigest backward;
-  backward.add(1, 222, 6);
-  backward.add(0, 111, 5);
+  backward.add(1, {222, 6});
+  backward.add(0, {111, 5});
   EXPECT_EQ(forward, backward);  // schedule order cannot matter
 
   SweepDigest swapped_index;
-  swapped_index.add(1, 111, 5);
-  swapped_index.add(0, 222, 6);
+  swapped_index.add(1, {111, 5});
+  swapped_index.add(0, {222, 6});
   EXPECT_NE(forward.combined, swapped_index.combined);  // index is part of the word
 
   SweepDigest different_value;
-  different_value.add(0, 112, 5);
-  different_value.add(1, 222, 6);
+  different_value.add(0, {112, 5});
+  different_value.add(1, {222, 6});
   EXPECT_NE(forward.combined, different_value.combined);
 }
 
@@ -100,8 +101,7 @@ TEST(SessionSweepTest, StreamedDigestMatchesPerSessionFingerprints) {
   // same XOR combine.
   SweepDigest expected;
   for (std::size_t i = 0; i < configs.size(); ++i) {
-    const auto fp = streaming::fingerprint_session(configs[i]);
-    expected.add(i, fp.digest, fp.words_mixed);
+    expected.add(i, streaming::fingerprint_session(configs[i]));
   }
   EXPECT_EQ(streamed.digest, expected);
 }
@@ -177,6 +177,58 @@ TEST(SessionSweepTest, ShardJsonRoundTrips) {
         (void)SweepAccumulator::from_json_file("/nonexistent/shard.json", s0, s1, f0, c0);
       },
       std::runtime_error);
+}
+
+/// Parse `json` as a shard payload; the error message, or "" if it parsed.
+std::string shard_parse_error(const std::string& json) {
+  const std::string path = ::testing::TempDir() + "session_sweep_bad_shard_test.json";
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  if (f == nullptr) return "cannot write " + path;
+  std::fputs(json.c_str(), f);
+  std::fclose(f);
+  std::size_t shard = 0;
+  std::size_t shards = 0;
+  std::size_t first = 0;
+  std::size_t count = 0;
+  std::string error;
+  try {
+    (void)SweepAccumulator::from_json_file(path, shard, shards, first, count);
+  } catch (const std::runtime_error& e) {
+    error = e.what();
+  }
+  std::remove(path.c_str());
+  return error;
+}
+
+std::string replaced(std::string text, const std::string& from, const std::string& to) {
+  const std::size_t at = text.find(from);
+  if (at != std::string::npos) text.replace(at, from.size(), to);
+  return text;
+}
+
+TEST(SessionSweepTest, ShardPayloadRejectsSignedAndNonFiniteFields) {
+  const std::string good = SweepAccumulator{}.to_json("bad-fields", 0, 1, 0, 0);
+  ASSERT_EQ(shard_parse_error(good), "");
+
+  // A negative count would wrap to 2^64-1; the paired digest_sessions is
+  // negated too, so only the sign check can catch it.
+  const std::string negative = replaced(replaced(good, "\"sessions\":0", "\"sessions\":-1"),
+                                        "\"digest_sessions\":0", "\"digest_sessions\":-1");
+  ASSERT_NE(negative, good);
+  EXPECT_NE(shard_parse_error(negative).find("\"sessions\" is not an integer"), std::string::npos)
+      << shard_parse_error(negative);
+
+  const std::string nan_sum = replaced(good, "\"stall_time_s_sum\":0", "\"stall_time_s_sum\":nan");
+  ASSERT_NE(nan_sum, good);
+  EXPECT_NE(shard_parse_error(nan_sum).find("\"stall_time_s_sum\" is not a number"),
+            std::string::npos)
+      << shard_parse_error(nan_sum);
+
+  const std::string signed_hex =
+      replaced(good, "\"digest\":\"0000000000000000\"", "\"digest\":\"-000000000000001\"");
+  ASSERT_NE(signed_hex, good);
+  EXPECT_NE(shard_parse_error(signed_hex).find("\"digest\" is not hex"), std::string::npos)
+      << shard_parse_error(signed_hex);
 }
 
 TEST(SessionSweepTest, EmptySweepIsWellFormed) {

@@ -520,6 +520,10 @@ struct Table1Case {
   const char* name;
 };
 
+// gtest prints a param into each listed test name; without this it would
+// dump the struct's bytes, the name pointer included.
+void PrintTo(const Table1Case& tc, std::ostream* os) { *os << tc.name; }
+
 class Table1Property : public ::testing::TestWithParam<Table1Case> {};
 
 TEST_P(Table1Property, StrategyMatchesPaper) {
@@ -544,9 +548,6 @@ TEST_P(Table1Property, StrategyMatchesPaper) {
       << " (median block " << decision.median_block_bytes << ")";
 }
 
-// Static storage zero-fills the padding after the enum fields, so the
-// "GetParam() = 16-byte object <...>" suffix gtest prints into each test's
-// listed name is the same on every run instead of echoing stack contents.
 constexpr Table1Case kTable1Cases[] = {
     Table1Case{Service::kYouTube, Container::kFlash, Application::kInternetExplorer,
                analysis::Strategy::kShortOnOff, "FlashIE"},

@@ -42,6 +42,15 @@ struct LossCase {
   double burst;
 };
 
+std::string case_name(const LossCase& c) {
+  return "loss" + std::to_string(static_cast<int>(c.loss * 1000)) + "burst" +
+         std::to_string(static_cast<int>(c.burst));
+}
+
+// gtest prints a param into each listed test name; without this it would
+// dump the struct's bytes.
+void PrintTo(const LossCase& c, std::ostream* os) { *os << case_name(c); }
+
 class LossSweep : public ::testing::TestWithParam<LossCase> {};
 
 TEST_P(LossSweep, TransferCompletesWithBoundedOverhead) {
@@ -70,10 +79,7 @@ INSTANTIATE_TEST_SUITE_P(Rates, LossSweep,
                                            LossCase{0.03, 1.0}, LossCase{0.01, 4.0},
                                            LossCase{0.03, 4.0}, LossCase{0.05, 6.0}),
                          [](const ::testing::TestParamInfo<LossCase>& info) {
-                           const auto promille = static_cast<int>(info.param.loss * 1000);
-                           const auto burst = static_cast<int>(info.param.burst);
-                           return "loss" + std::to_string(promille) + "burst" +
-                                  std::to_string(burst);
+                           return case_name(info.param);
                          });
 
 TEST(TcpStressTest, BidirectionalTransfer) {

@@ -12,6 +12,14 @@
 #include "net/profile.hpp"
 #include "tcp/connection.hpp"
 
+namespace vstream::net {
+
+// gtest prints a param into each listed test name; without this it would
+// dump the enum's byte.
+void PrintTo(Vantage v, std::ostream* os) { *os << vantage_name(v); }
+
+}  // namespace vstream::net
+
 namespace vstream::tcp {
 namespace {
 

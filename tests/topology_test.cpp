@@ -463,8 +463,8 @@ TEST(TopologyDeterminismTest, TwinRunsFingerprintIdentically) {
                     .workload(WorkloadBuilder{}.poisson(1.0).build())
                     .bottleneck_rate_bps(10e6)
                     .build();
-  const TopologyFingerprint a = fingerprint_topology(config);
-  const TopologyFingerprint b = fingerprint_topology(config);
+  const RunFingerprint a = fingerprint_topology(config);
+  const RunFingerprint b = fingerprint_topology(config);
   EXPECT_EQ(a, b);
   EXPECT_GT(a.sim_events, 0u);
   EXPECT_GT(a.bytes_downloaded, 0u);
@@ -518,8 +518,7 @@ TEST(TopologyDeterminismTest, StreamedDigestMatchesPerWorldFingerprints) {
 
   runner::SweepDigest expected;
   for (std::size_t g = 0; g < kWorlds; ++g) {
-    const TopologyFingerprint fp = fingerprint_topology(make(g));
-    expected.add(g, fp.digest, fp.words_mixed);
+    expected.add(g, fingerprint_topology(make(g)));
   }
   EXPECT_EQ(streamed.digest, expected);
 }

@@ -1,9 +1,10 @@
 // Tests for the zero-copy capture::TraceView: filter composition, skipping
-// iteration, aggregate equivalence with the legacy copy-returning filters,
+// iteration, aggregate equivalence with an eagerly copied reference trace,
 // and materialization.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <vector>
 
 #include "capture/trace.hpp"
@@ -46,6 +47,22 @@ capture::PacketTrace make_trace() {
   return trace;
 }
 
+/// The reference a view must agree with: an eager copy of the records that
+/// satisfy `keep`, with the trace's metadata.
+template <typename Keep>
+capture::PacketTrace copied(const capture::PacketTrace& trace, Keep keep) {
+  capture::PacketTrace out;
+  out.label = trace.label;
+  out.encoding_bps = trace.encoding_bps;
+  out.duration_s = trace.duration_s;
+  std::copy_if(trace.packets.begin(), trace.packets.end(), std::back_inserter(out.packets), keep);
+  return out;
+}
+
+capture::PacketTrace copied_host(const capture::PacketTrace& trace, std::uint8_t host) {
+  return copied(trace, [host](const capture::PacketRecord& p) { return p.host == host; });
+}
+
 TEST(TraceViewTest, PassThroughMatchesTrace) {
   const auto trace = make_trace();
   const capture::TraceView view{trace};
@@ -62,7 +79,7 @@ TEST(TraceViewTest, PassThroughMatchesTrace) {
 TEST(TraceViewTest, HostFilterMatchesLegacyOnlyHost) {
   const auto trace = make_trace();
   const auto view = capture::TraceView{trace}.host(0);
-  const auto legacy = trace.only_host(0);
+  const auto legacy = copied_host(trace, 0);
   EXPECT_EQ(view.count(), legacy.packets.size());
   EXPECT_EQ(view.down_payload_bytes(), legacy.down_payload_bytes());
   EXPECT_EQ(view.connection_count(), legacy.connection_count());
@@ -73,7 +90,9 @@ TEST(TraceViewTest, HostFilterMatchesLegacyOnlyHost) {
 TEST(TraceViewTest, DirectionFilterMatchesLegacyInDirection) {
   const auto trace = make_trace();
   const auto view = capture::TraceView{trace}.direction(net::Direction::kUp);
-  const auto legacy = trace.in_direction(net::Direction::kUp);
+  const auto legacy = copied(trace, [](const capture::PacketRecord& p) {
+                        return p.direction == net::Direction::kUp;
+                      }).packets;
   ASSERT_EQ(view.count(), legacy.size());
   std::size_t i = 0;
   for (const auto& p : view) {
@@ -86,7 +105,8 @@ TEST(TraceViewTest, DirectionFilterMatchesLegacyInDirection) {
 TEST(TraceViewTest, ExcludingConnectionMatchesLegacyWithoutConnection) {
   const auto trace = make_trace();
   const auto view = capture::TraceView{trace}.excluding_connection(7);
-  const auto legacy = trace.without_connection(7);
+  const auto legacy =
+      copied(trace, [](const capture::PacketRecord& p) { return p.connection_id != 7; });
   EXPECT_EQ(view.count(), legacy.packets.size());
   EXPECT_EQ(view.down_payload_bytes(), legacy.down_payload_bytes());
   for (const auto& p : view) EXPECT_NE(p.connection_id, 7U);
@@ -150,7 +170,7 @@ TEST(TraceViewTest, DefaultViewIsEmptyAndSafe) {
 
 TEST(TraceViewTest, DownloadCurveAndWindowSeriesMatchLegacy) {
   const auto trace = make_trace();
-  const auto video = trace.only_host(0);
+  const auto video = copied_host(trace, 0);
   const auto view = capture::TraceView{trace}.host(0);
   const auto curve = view.download_curve();
   const auto legacy_curve = video.download_curve();
@@ -174,7 +194,7 @@ TEST(TraceViewTest, MaterializeCopiesFilteredRecordsAndMetadata) {
   EXPECT_EQ(owned.label, trace.label);
   EXPECT_DOUBLE_EQ(owned.encoding_bps, trace.encoding_bps);
   EXPECT_DOUBLE_EQ(owned.duration_s, trace.duration_s);
-  const auto legacy = trace.only_host(0);
+  const auto legacy = copied_host(trace, 0);
   ASSERT_EQ(owned.packets.size(), legacy.packets.size());
   for (std::size_t i = 0; i < owned.packets.size(); ++i) {
     EXPECT_DOUBLE_EQ(owned.packets[i].t_s, legacy.packets[i].t_s);

@@ -117,6 +117,10 @@ struct RangeSpec {
   Container container;
 };
 
+// gtest prints a param into each listed test name; without this it would
+// dump the struct's bytes, padding included.
+void PrintTo(const RangeSpec& spec, std::ostream* os) { *os << to_string(spec.id); }
+
 class DatasetRateRange : public ::testing::TestWithParam<RangeSpec> {};
 
 TEST_P(DatasetRateRange, EncodingRatesWithinPaperRanges) {

@@ -267,9 +267,8 @@ int run_topology_audit(double seconds) {
   }
 
   // Streamed sweep: 12 worlds derived from the catalog by reseeding.
-  const auto base_catalog = topology_catalog(seconds);
-  const auto make = [&base_catalog](std::size_t g) {
-    auto cfg = base_catalog[g % base_catalog.size()].config;
+  const auto make = [&catalog](std::size_t g) {
+    auto cfg = catalog[g % catalog.size()].config;
     cfg.seed += 1000 + g;
     return cfg;
   };

@@ -32,14 +32,6 @@ Rules (all scoped to C++ sources):
                runner::ParallelSweep, which parallelises across whole
                worlds, never inside one.
                Scope: src/, examples/, tools/, bench/; src/runner/ exempt.
-  trace-copy   no copy-returning trace filters (only_host / in_direction /
-               without_connection) outside src/capture — they materialise a
-               second packet vector per call. Use the zero-copy
-               capture::TraceView combinators (host / direction /
-               excluding_connection) instead.
-               Scope: src/, examples/, tools/, bench/; src/capture/ exempt
-               (the legacy filters live there and TraceView::materialize
-               uses them on purpose).
   sim-time     retry/backoff and impairment-schedule code must time itself
                exclusively on the simulation clock: no std::chrono types,
                no sleep_for/sleep_until/usleep/nanosleep. A wall-clock nap
@@ -66,6 +58,11 @@ Rules (all scoped to C++ sources):
                worlds enter the runner through session_sweep/topology_sweep.
                Matched on the raw line, string literals included.
                Scope: ONLY src/runner/parallel_sweep.* and sweep_profiler.*.
+  world-assembly
+               no set_obs( / set_digest( / SimLoopMonitor outside the world
+               shell: library worlds are assembled by streaming::World, one
+               way. Scope: src/; src/sim/, src/obs/ and
+               src/streaming/world.* exempt (tests and benches are out).
 
 Waivers: append `// vstream-lint: allow(<rule>): <reason>` to the offending
 line, or put `// vstream-lint-file: allow(<rule>): <reason>` anywhere in the
@@ -134,11 +131,6 @@ RULES = {
         "threads outside src/runner; per-world code is single-threaded — fan out via runner::ParallelSweep",
         ("src", "examples", "tools", "bench"),
     ),
-    "trace-copy": (
-        re.compile(r"\.\s*(?:only_host|in_direction|without_connection)\s*\("),
-        "copy-returning trace filter; use the zero-copy capture::TraceView combinators",
-        ("src", "examples", "tools", "bench"),
-    ),
     "sim-time": (
         re.compile(
             r"std::chrono::"
@@ -164,6 +156,11 @@ RULES = {
         "session_sweep / topology_sweep",
         ("src",),
     ),
+    "world-assembly": (
+        re.compile(r"\bset_(?:obs|digest)\s*\(|\bSimLoopMonitor\b"),
+        "world assembly outside the shell; build the world on streaming::World",
+        ("src",),
+    ),
     "run-session": (
         re.compile(r"\brun_session\s*\("),
         "direct run_session in examples/; use TopologyBuilder / SessionBuilder — the documented "
@@ -177,9 +174,6 @@ RULES = {
 # whole simulated worlds and never shares state inside one.
 RULE_EXEMPT_PREFIXES = {
     "thread": (("src", "runner"),),
-    # The legacy copy filters are defined in src/capture, and
-    # TraceView::materialize delegates to them deliberately.
-    "trace-copy": (("src", "capture"),),
     # The sweep profiler is the one sanctioned wall-clock reader: it times
     # the harness around session worlds (build/run/analyze/merge phases),
     # never anything inside a world. The profiler-clock rule below still
@@ -187,6 +181,13 @@ RULE_EXEMPT_PREFIXES = {
     "wall-clock": (
         ("src", "runner", "sweep_profiler.hpp"),
         ("src", "runner", "sweep_profiler.cpp"),
+    ),
+    # The simulator and obs layers define what the shell wires together.
+    "world-assembly": (
+        ("src", "sim"),
+        ("src", "obs"),
+        ("src", "streaming", "world.hpp"),
+        ("src", "streaming", "world.cpp"),
     ),
     # The two documented legacy single-session entry points (DESIGN.md §15):
     # quickstart is the canonical smallest private-world example, and
