@@ -3,11 +3,11 @@
 //
 // Sections:
 //   1. 10k-session synthetic sweep: build a SessionReport per session the
-//      batch way (materialise the trace, then the multi-pass
-//      `build_report`) and the streaming way (`StreamingReportBuilder`
-//      consuming the record stream, nothing stored). The speedup is the
-//      headline acceptance metric; the first sessions are also checked
-//      field-identical between the two paths.
+//      batch way (materialise the trace, then `build_report` over it) and
+//      the streaming way (`StreamingReportBuilder` consuming the record
+//      stream, nothing stored). The speedup is the headline acceptance
+//      metric; the first sessions are also checked field-identical between
+//      the two paths.
 //   2. peak-RSS probe: one multi-million-record capture analysed streaming
 //      first, then batch; /proc VmHWM before/after quantifies the memory
 //      the trace vector costs the batch path.
@@ -233,7 +233,7 @@ void print_reproduction() {
   std::printf("\n%zu-session synthetic sweep (%.0f s sessions, ~%llu records each)\n",
               kSweepSessions, kSweepDuration,
               static_cast<unsigned long long>(sweep_records / kSweepSessions));
-  std::printf("  batch     : %7.2f s (materialise + multi-pass build_report)\n", t_batch);
+  std::printf("  batch     : %7.2f s (materialise + build_report)\n", t_batch);
   std::printf("  streaming : %7.2f s (single pass, nothing stored)\n", t_stream);
   std::printf("  speedup   : %.2fx\n", speedup);
   telemetry.note_metric("report_build_speedup_vs_batch", speedup);
@@ -284,7 +284,7 @@ void BM_BatchReport(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(batch_report(42, kSweepDuration).packets);
   }
-  state.SetLabel("materialise trace + multi-pass build_report");
+  state.SetLabel("materialise trace + build_report");
 }
 BENCHMARK(BM_BatchReport)->Unit(benchmark::kMillisecond);
 

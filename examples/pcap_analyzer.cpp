@@ -10,8 +10,9 @@
 //        <file.pcap> [encoding_rate_mbps]
 //
 // --stream runs the single-pass analysis pipeline over the file without
-// materialising the trace: memory stays O(1) in the capture length and the
-// report is field-identical to the default batch path.
+// materialising the trace: memory stays O(1) in the capture length once the
+// handshake is seen, and the report is field-identical to the default
+// batch path.
 //
 // --trace-out synthesizes a Chrome trace-event timeline from the offline
 // analysis — per-connection lifetimes, steady-state ON blocks, and the

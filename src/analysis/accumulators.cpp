@@ -20,7 +20,14 @@ OnOffAccumulator::OnOffAccumulator(const OnOffOptions& options) : options_{optio
 std::optional<OnStartEvent> OnOffAccumulator::add(const capture::PacketRecord& p) {
   if (p.direction != net::Direction::kDown || p.payload_bytes == 0) return std::nullopt;
   acc_.total_bytes += p.payload_bytes;
-  if (p.payload_bytes < options_.min_data_payload_bytes) return std::nullopt;  // probes
+  if (p.payload_bytes < options_.min_data_payload_bytes) {  // probes
+    if (p.t_s != probe_t_s_) {
+      probe_t_s_ = p.t_s;
+      probe_bytes_at_t_ = 0;
+    }
+    probe_bytes_at_t_ += p.payload_bytes;
+    return std::nullopt;
+  }
 
   std::optional<OnStartEvent> event;
   if (!in_period_) {
@@ -33,7 +40,7 @@ std::optional<OnStartEvent> OnOffAccumulator::add(const capture::PacketRecord& p
     acc_.off_durations_s.push_back(off);
     acc_.on_periods.push_back(current_);
     current_ = OnPeriod{p.t_s, p.t_s, p.payload_bytes, 1};
-    event = OnStartEvent{p.t_s, false, off};
+    event = OnStartEvent{p.t_s, false, off, probe_t_s_ == p.t_s ? probe_bytes_at_t_ : 0};
   } else {
     current_.end_s = p.t_s;
     current_.bytes += p.payload_bytes;
@@ -101,23 +108,24 @@ double RetransmissionAccumulator::fraction() const {
 // ---------------------------------------------------------------------------
 // HandshakeRttTracker
 
-void HandshakeRttTracker::add(const capture::PacketRecord& p) {
+bool HandshakeRttTracker::add(const capture::PacketRecord& p) {
   const bool syn = net::has_flag(p.flags, net::TcpFlag::kSyn);
-  if (!syn) return;
+  if (!syn) return false;
+  if (!syns_.empty() && syns_.front().rtt_s.has_value()) return false;  // already final
   const bool ack = net::has_flag(p.flags, net::TcpFlag::kAck);
   if (p.direction == net::Direction::kUp && !ack) {
     syns_.push_back(PendingSyn{p.connection_id, p.t_s, std::nullopt});
-    return;
+    return false;
   }
-  if (p.direction == net::Direction::kDown && ack) {
-    // The earliest SYN-ACK at or after each pending SYN resolves it; a SYN
-    // resolved once keeps its value (first match wins, as in the batch scan).
-    for (auto& s : syns_) {
-      if (!s.rtt_s.has_value() && s.connection_id == p.connection_id && s.t_s <= p.t_s) {
-        s.rtt_s = p.t_s - s.t_s;
-      }
+  if (p.direction != net::Direction::kDown || !ack) return false;
+  // The earliest SYN-ACK at or after each pending SYN resolves it; a SYN
+  // resolved once keeps its value (first match wins, as in the batch scan).
+  for (auto& s : syns_) {
+    if (!s.rtt_s.has_value() && s.connection_id == p.connection_id && s.t_s <= p.t_s) {
+      s.rtt_s = p.t_s - s.t_s;
     }
   }
+  return !syns_.empty() && syns_.front().rtt_s.has_value();
 }
 
 std::optional<double> HandshakeRttTracker::rtt_s() const {
@@ -130,40 +138,44 @@ std::optional<double> HandshakeRttTracker::rtt_s() const {
 // ---------------------------------------------------------------------------
 // FirstRttAccumulator
 
-void FirstRttAccumulator::open_window(double start_s, std::optional<double> rtt_now) {
-  Window w;
-  w.bounded = rtt_now.has_value();
-  w.rtt_used = rtt_now.value_or(0.0);
-  w.end_s = w.bounded ? start_s + *rtt_now : start_s;
+void FirstRttAccumulator::open_window(double start_s, std::uint64_t tied_bytes) {
+  Window w{start_s, 0.0, tied_bytes, log_.size()};
+  if (rtt_s_.has_value()) bound(w, *rtt_s_);
   windows_.push_back(w);
 }
 
 void FirstRttAccumulator::add_down_data(double t_s, std::uint64_t bytes) {
-  // Windows open in time order and share one RTT, so they also close in
-  // order; skip the closed prefix instead of rescanning it.
-  while (first_open_ < windows_.size() && windows_[first_open_].bounded &&
-         t_s >= windows_[first_open_].end_s) {
-    ++first_open_;
+  if (!rtt_s_.has_value()) {
+    if (!windows_.empty()) log_.emplace_back(t_s, bytes);
+    return;
   }
-  for (std::size_t i = first_open_; i < windows_.size(); ++i) {
-    Window& w = windows_[i];
-    if (!w.bounded || t_s < w.end_s) w.bytes += bytes;
+  // Windows open in time order and share one RTT, so they also close in
+  // order: skip the closed prefix, and every window after it is open.
+  while (first_open_ < windows_.size() && t_s >= windows_[first_open_].end_s) ++first_open_;
+  for (std::size_t i = first_open_; i < windows_.size(); ++i) windows_[i].bytes += bytes;
+}
+
+void FirstRttAccumulator::settle(double rtt_s) {
+  rtt_s_ = rtt_s;
+  for (auto& w : windows_) bound(w, rtt_s);
+  log_ = {};
+}
+
+void FirstRttAccumulator::bound(Window& w, double rtt_s) const {
+  w.end_s = w.start_s + rtt_s;
+  for (std::size_t i = w.log_from; i < log_.size() && log_[i].first < w.end_s; ++i) {
+    w.bytes += log_[i].second;
   }
 }
 
-std::vector<double> FirstRttAccumulator::samples() const {
+std::vector<double> FirstRttAccumulator::samples(double rtt_s) const {
   std::vector<double> out;
   out.reserve(windows_.size());
-  for (const auto& w : windows_) out.push_back(static_cast<double>(w.bytes));
-  return out;
-}
-
-bool FirstRttAccumulator::stale_against(std::optional<double> final_rtt_s) const {
-  for (const auto& w : windows_) {
-    if (!w.bounded) return true;
-    if (!final_rtt_s.has_value() || w.rtt_used != *final_rtt_s) return true;
+  for (Window w : windows_) {
+    if (!rtt_s_.has_value()) bound(w, rtt_s);
+    out.push_back(static_cast<double>(w.bytes));
   }
-  return false;
+  return out;
 }
 
 // ---------------------------------------------------------------------------

@@ -36,6 +36,9 @@ struct OnStartEvent {
   double start_s{0.0};
   bool first_period{false};    ///< no preceding OFF (buffering phase start)
   double preceding_off_s{0.0}; ///< OFF duration before this ON; 0 for the first
+  /// Probe bytes at start_s fed before this packet: records at the ON
+  /// start time that precede it (only probes can, data would be ON).
+  std::uint64_t tied_probe_bytes{0};
 };
 
 /// Online ON/OFF cycle analysis (§5). `analyze_on_off` == feed + finish.
@@ -58,6 +61,8 @@ class OnOffAccumulator {
   OnOffAnalysis acc_;  // closed periods, off durations, running totals
   bool in_period_{false};
   OnPeriod current_;
+  double probe_t_s_{0.0};              // latest probe time
+  std::uint64_t probe_bytes_at_t_{0};  // probe bytes fed at probe_t_s_
 };
 
 /// Online zero-window episode counter (rising edges of `window_bytes == 0`
@@ -91,7 +96,10 @@ class RetransmissionAccumulator {
 /// connections) instead of the seed's O(packets^2).
 class HandshakeRttTracker {
  public:
-  void add(const capture::PacketRecord& p);
+  /// Returns true when this record made the estimate final: the
+  /// head-of-queue SYN just matched, so no later record can change it.
+  /// Once final, further SYNs are ignored.
+  bool add(const capture::PacketRecord& p);
 
   /// Current best estimate; may change while unmatched SYNs precede the
   /// first matched one, and is final once the head-of-queue SYN matches.
@@ -108,40 +116,46 @@ class HandshakeRttTracker {
 
 /// Online first-RTT byte windows (§5.1.5 / Fig 9): one window per
 /// steady-state ON period preceded by a qualifying OFF, summing all
-/// down-direction data bytes in [start, start + rtt). The owner opens
-/// windows from `OnOffAccumulator` cycle events and feeds every down data
-/// record. Windows use the RTT known when they open; if the handshake
-/// estimate later changes (`stale_against` reports it), the samples are
-/// best-effort rather than batch-identical — impossible when the video
-/// connection's handshake completes before steady state, i.e. every real
-/// capture.
+/// down-direction data bytes in [start, start + rtt) with rtt the final
+/// handshake estimate — `first_rtt_bytes` over the same records, exactly.
+/// The owner opens windows from `OnOffAccumulator` cycle events, feeds
+/// every down data record, and calls `settle` once the estimate is final;
+/// windows opened after that are bounded at once. Windows opened before it
+/// wait: the (t, bytes) of every down data record from the first window on
+/// goes to a replay log, which `settle` (or `samples`, with the last
+/// estimate) replays into them. The log is empty whenever the handshake
+/// completes before steady state, and is dropped at `settle`.
 class FirstRttAccumulator {
  public:
-  /// Open a window at an ON-period start. `rtt_now` absent (no handshake
-  /// resolved yet) makes the window unbounded and marks the result stale.
-  void open_window(double start_s, std::optional<double> rtt_now);
+  /// Open a window at an ON-period start, before the window-opening record
+  /// is fed, so that record lands in its own window; `tied_bytes` are the
+  /// down data bytes at `start_s` fed before it (`OnStartEvent`).
+  void open_window(double start_s, std::uint64_t tied_bytes);
 
   /// Feed one down-direction data packet (payload > 0), the same packet
-  /// stream the ON/OFF machine sees; call after `open_window` so the
-  /// window-opening packet lands in its own window.
+  /// stream the ON/OFF machine sees.
   void add_down_data(double t_s, std::uint64_t bytes);
 
-  /// Per-window byte counts in window-open order (the Fig 9 samples).
-  [[nodiscard]] std::vector<double> samples() const;
+  /// The handshake estimate is final: bound every window by `rtt_s`.
+  void settle(double rtt_s);
 
-  /// True when any window was opened with an RTT that differs from the
-  /// final estimate (or with none at all).
-  [[nodiscard]] bool stale_against(std::optional<double> final_rtt_s) const;
+  /// Per-window byte counts in window-open order (the Fig 9 samples);
+  /// before `settle`, the windows are bounded by `rtt_s`, the last estimate.
+  [[nodiscard]] std::vector<double> samples(double rtt_s) const;
 
  private:
   struct Window {
-    double end_s{0.0};
-    double rtt_used{0.0};
+    double start_s{0.0};
+    double end_s{0.0};        ///< set once bounded
     std::uint64_t bytes{0};
-    bool bounded{false};
+    std::size_t log_from{0};  ///< first log entry fed after the window opened
   };
+  void bound(Window& w, double rtt_s) const;
+
+  std::optional<double> rtt_s_;  // set by settle
   std::vector<Window> windows_;
   std::size_t first_open_{0};
+  std::vector<std::pair<double, std::uint64_t>> log_;
 };
 
 /// Online autocorrelation periodicity estimate. Replicates the batch

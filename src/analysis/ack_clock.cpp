@@ -27,20 +27,31 @@ std::vector<double> first_rtt_bytes(capture::TraceView trace,
   }
   if (rtt <= 0.0) throw std::invalid_argument{"first_rtt_bytes: non-positive RTT"};
 
+  // Qualifying ON starts increase and every window is rtt long, so window
+  // ends increase too. One walk over the time-ordered trace moves two
+  // cursors: `lo` to the first down data record at or after the window
+  // start, `hi` to the first at or after its end. The window holds the down
+  // data bytes between them, read off the running totals before each.
+  auto lo = trace.begin();
+  auto hi = trace.begin();
+  std::uint64_t before_lo = 0;
+  std::uint64_t before_hi = 0;
+  const auto advance = [&trace](capture::TraceView::iterator& it, std::uint64_t& before, double t) {
+    for (; it != trace.end(); ++it) {
+      if (it->direction != net::Direction::kDown || it->payload_bytes == 0) continue;
+      if (it->t_s >= t) break;
+      before += it->payload_bytes;
+    }
+  };
+
   std::vector<double> samples;
   // ON period i (i >= 1) is preceded by OFF i-1.
   for (std::size_t i = 1; i < analysis.on_periods.size(); ++i) {
     if (analysis.off_durations_s[i - 1] < options.min_preceding_off_s) continue;
-    const auto& on = analysis.on_periods[i];
-    const double window_end = on.start_s + rtt;
-    std::uint64_t bytes = 0;
-    for (const auto& p : trace) {
-      if (p.direction != net::Direction::kDown || p.payload_bytes == 0) continue;
-      if (p.t_s < on.start_s) continue;
-      if (p.t_s >= window_end) break;
-      bytes += p.payload_bytes;
-    }
-    samples.push_back(static_cast<double>(bytes));
+    const double start = analysis.on_periods[i].start_s;
+    advance(lo, before_lo, start);
+    advance(hi, before_hi, start + rtt);
+    samples.push_back(static_cast<double>(before_hi - before_lo));
   }
   return samples;
 }

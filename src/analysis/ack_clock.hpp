@@ -33,7 +33,8 @@ struct AckClockOptions {
 [[nodiscard]] std::optional<double> estimate_handshake_rtt(capture::TraceView trace);
 
 /// Bytes received within the first RTT of each qualifying ON period (the
-/// samples behind the Fig 9 CDF).
+/// samples behind the Fig 9 CDF): all down data in [start, start + rtt).
+/// One walk over the time-ordered trace, however many windows there are.
 [[nodiscard]] std::vector<double> first_rtt_bytes(capture::TraceView trace,
                                                   const OnOffAnalysis& analysis,
                                                   const AckClockOptions& options = {});

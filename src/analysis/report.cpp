@@ -2,54 +2,17 @@
 
 #include <cstdio>
 
-#include "stats/descriptive.hpp"
+#include "analysis/streaming_report.hpp"
 
 namespace vstream::analysis {
 
 SessionReport build_report(capture::TraceView trace, const ReportOptions& options) {
-  SessionReport report;
-  report.label = trace.label();
-  report.packets = trace.count();
-  report.connections = trace.connection_count();
-  report.retransmission_pct = trace.retransmission_fraction() * 100.0;
-  report.zero_window_episodes = count_zero_window_episodes(trace);
-  report.duration_s = trace.duration_s();
-
-  const auto onoff = analyze_on_off(trace, options.onoff);
-  const auto decision = classify_strategy(onoff, trace);
-  report.strategy = decision.strategy;
-  report.rationale = decision.rationale;
-  report.buffering_end_s = onoff.buffering_end_s;
-  report.buffering_mb = static_cast<double>(onoff.buffering_bytes) / 1048576.0;
-  report.total_mb = static_cast<double>(onoff.total_bytes) / 1048576.0;
-  report.has_steady_state = onoff.has_steady_state();
-  report.steady_rate_mbps = onoff.steady_rate_bps / 1e6;
-  report.median_block_kb = onoff.median_block_bytes() / 1024.0;
-  report.median_off_s = onoff.median_off_s();
-
-  const double rate =
-      options.encoding_bps.has_value() ? *options.encoding_bps : trace.encoding_bps();
-  if (rate > 0.0) {
-    report.buffered_playback_s = onoff.buffered_playback_s(rate);
-    if (onoff.has_steady_state()) report.accumulation_ratio = onoff.accumulation_ratio(rate);
-  }
-
-  if (const auto rtt = estimate_handshake_rtt(trace)) {
-    report.rtt_ms = *rtt * 1000.0;
-    if (options.estimate_ack_clock && onoff.has_steady_state()) {
-      AckClockOptions ack;
-      ack.rtt_s = *rtt;
-      const auto samples = first_rtt_bytes(trace, onoff, ack);
-      if (!samples.empty()) report.median_first_rtt_kb = stats::median(samples) / 1024.0;
-    }
-  }
-
-  if (options.estimate_periodicity && onoff.has_steady_state()) {
-    const auto periodicity = estimate_cycle_period(trace);
-    if (periodicity.periodic) report.cycle_period_s = periodicity.period_s;
-  }
-  report.resilience = options.resilience;
-  return report;
+  StreamingReportBuilder builder{options};
+  builder.set_label(trace.label());
+  builder.set_duration_s(trace.duration_s());
+  builder.set_encoding_bps(trace.encoding_bps());
+  for (const auto& p : trace) builder.add(p);
+  return builder.finish();
 }
 
 std::string SessionReport::render() const {

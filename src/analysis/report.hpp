@@ -18,9 +18,9 @@ namespace vstream::analysis {
 
 /// Session-side fault/recovery accounting (retries, rebuffers, fault drops).
 /// Unlike every other report field this is *not* derivable from the packet
-/// trace — it is supplied by the session (ReportOptions::resilience for the
-/// batch path, StreamingReportBuilder::set_resilience for the streaming
-/// path) and defaults to all-zero for fault-free captures.
+/// trace — it is supplied by the session (ReportOptions::resilience, or
+/// StreamingReportBuilder::set_resilience once the builder exists) and
+/// defaults to all-zero for fault-free captures.
 struct ResilienceStats {
   std::uint32_t fetch_retries{0};    ///< request retries after a timeout
   std::uint32_t fetch_timeouts{0};   ///< no-progress watchdog firings
@@ -76,9 +76,9 @@ struct SessionReport {
 
   [[nodiscard]] std::string render() const;
 
-  /// Exact field-wise equality — the contract between the batch and
-  /// streaming paths is *identical* output, not approximately equal output,
-  /// so the comparison is deliberately strict.
+  /// Exact field-wise equality — the report must be *identical* to the
+  /// composition of the batch analyses, not approximately equal, so the
+  /// comparison is deliberately strict.
   friend bool operator==(const SessionReport&, const SessionReport&) = default;
 };
 
@@ -94,9 +94,10 @@ struct ReportOptions {
   ResilienceStats resilience;
 };
 
-/// Batch entry point: several passes over one in-memory trace (view). The
-/// single-pass equivalent is `StreamingReportBuilder` (streaming_report.hpp);
-/// the two are tested field-identical on the whole scenario catalog.
+/// Report over an in-memory trace (view): feeds every record to a
+/// `StreamingReportBuilder` (streaming_report.hpp) in one pass, so a stored
+/// trace and a live record stream share one implementation and agree
+/// exactly on every trace.
 [[nodiscard]] SessionReport build_report(capture::TraceView trace,
                                          const ReportOptions& options = {});
 

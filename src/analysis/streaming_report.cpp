@@ -14,7 +14,7 @@ void StreamingReportBuilder::add(const capture::PacketRecord& p) {
   connections_.insert(p.connection_id);
   retransmissions_.add(p);
   zero_window_.add(p);
-  handshake_.add(p);
+  if (handshake_.add(p)) first_rtt_.settle(*handshake_.rtt_s());
 
   const auto event = onoff_.add(p);
   if (event.has_value() && !event->first_period &&
@@ -22,7 +22,7 @@ void StreamingReportBuilder::add(const capture::PacketRecord& p) {
     // A steady-state ON period preceded by a qualifying OFF: open a Fig 9
     // window before counting this packet, so the window-opening packet
     // lands in its own window — exactly the batch [start, start + rtt).
-    first_rtt_.open_window(event->start_s, handshake_.rtt_s());
+    first_rtt_.open_window(event->start_s, event->tied_probe_bytes);
   }
   if (p.direction == net::Direction::kDown && p.payload_bytes > 0) {
     first_rtt_.add_down_data(p.t_s, p.payload_bytes);
@@ -32,8 +32,6 @@ void StreamingReportBuilder::add(const capture::PacketRecord& p) {
 }
 
 SessionReport StreamingReportBuilder::finish() const {
-  // Field order mirrors build_report exactly, so every floating-point
-  // operation happens with the same operands in the same sequence.
   SessionReport report;
   report.label = label_;
   report.packets = packets_;
@@ -64,7 +62,7 @@ SessionReport StreamingReportBuilder::finish() const {
     report.rtt_ms = *rtt * 1000.0;
     if (options_.estimate_ack_clock && onoff.has_steady_state()) {
       if (*rtt <= 0.0) throw std::invalid_argument{"first_rtt_bytes: non-positive RTT"};
-      const auto samples = first_rtt_.samples();
+      const auto samples = first_rtt_.samples(*rtt);
       if (!samples.empty()) report.median_first_rtt_kb = stats::median(samples) / 1024.0;
     }
   }
@@ -75,10 +73,6 @@ SessionReport StreamingReportBuilder::finish() const {
   }
   report.resilience = resilience_;
   return report;
-}
-
-bool StreamingReportBuilder::first_rtt_stale() const {
-  return first_rtt_.stale_against(handshake_.rtt_s());
 }
 
 }  // namespace vstream::analysis

@@ -1,19 +1,21 @@
-// Single-pass session report: the streaming counterpart of `build_report`.
+// Single-pass session report: the one implementation behind `SessionReport`.
 //
 // A `StreamingReportBuilder` consumes `PacketRecord`s one at a time — from
-// a live `TraceRecorder` sink or a pcap read loop — and assembles the same
-// `SessionReport` the batch path produces, without ever materializing the
+// a live `TraceRecorder` sink, a pcap read loop, or `build_report`'s walk
+// over a `TraceView` — and assembles the report without materializing the
 // trace. Memory scales with ON/OFF cycles and TCP connections, not packets
 // (see DESIGN.md §9), which is what lets a 10k-session sweep or a
 // multi-hour capture run in constant space per session.
 //
-// Equivalence contract: `finish()` is field-identical to
-// `build_report(trace, options)` over the same record stream, provided the
-// handshake RTT estimate is final before the first qualifying steady-state
-// ON period (true whenever the video connection's handshake completes
-// before data flows — every catalog scenario; `first_rtt_stale()` reports
-// the exception). The equivalence tests in tests/streaming_report_test.cpp
-// enforce this across the whole scenario catalog and randomized traces.
+// One path, exact on every trace: on any time-ordered record stream,
+// `finish()` equals the composition of the per-analysis batch functions
+// (`analyze_on_off`, `classify_strategy`, `estimate_handshake_rtt`,
+// `first_rtt_bytes`, `estimate_cycle_period`, ...). First-RTT windows that
+// open before the handshake RTT estimate is final are held and replayed
+// once it is (see `FirstRttAccumulator`); the replay log is empty whenever
+// the handshake completes before steady state. tests/streaming_report_test.cpp
+// checks every field against that composition on the scenario catalog and
+// on randomized and late-handshake traces.
 #pragma once
 
 #include <set>
@@ -28,13 +30,13 @@ class StreamingReportBuilder {
  public:
   explicit StreamingReportBuilder(const ReportOptions& options = {});
 
-  /// Metadata the batch path reads off the trace; set any time before
+  /// Metadata `build_report` reads off the view; set any time before
   /// `finish()`.
   void set_label(std::string label) { label_ = std::move(label); }
   void set_encoding_bps(double bps) { encoding_bps_ = bps; }
   void set_duration_s(double s) { duration_s_ = s; }
-  /// Session-side recovery accounting, mirroring ReportOptions::resilience
-  /// on the batch path (packets cannot supply it on either path).
+  /// Session-side recovery accounting, overriding ReportOptions::resilience
+  /// (packets cannot supply it).
   void set_resilience(const ResilienceStats& r) { resilience_ = r; }
 
   /// Process one record, in capture order.
@@ -42,11 +44,6 @@ class StreamingReportBuilder {
 
   /// Assemble the report. Idempotent; `add` may not be called afterwards.
   [[nodiscard]] SessionReport finish() const;
-
-  /// True when a first-RTT window opened before the handshake RTT estimate
-  /// settled — the one case where `finish()` is best-effort instead of
-  /// batch-identical (see file comment).
-  [[nodiscard]] bool first_rtt_stale() const;
 
   [[nodiscard]] std::size_t packets_seen() const { return packets_; }
 

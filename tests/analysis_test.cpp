@@ -2,6 +2,8 @@
 // ack-clock estimator — the paper's measurement methodology.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "analysis/ack_clock.hpp"
 #include "analysis/onoff.hpp"
 #include "analysis/strategy.hpp"
@@ -281,6 +283,31 @@ TEST(AckClockTest, SlowStartDeliversLessInFirstRtt) {
   const auto samples = first_rtt_bytes(trace, a, opts);
   ASSERT_EQ(samples.size(), 1U);
   EXPECT_LE(samples[0], 3.0 * 1460);
+}
+
+TEST(AckClockTest, WindowsLongerThanACycleOverlap) {
+  // An RTT spanning several cycles: each window runs into the next ON
+  // periods, and must hold every down data byte in [start, start + rtt).
+  auto trace = make_paced_trace(50, 12, 20, 0.3);
+  add_up(trace, 0.5, 65536);  // up traffic interleaved, never counted
+  std::stable_sort(trace.packets.begin(), trace.packets.end(),
+                   [](const PacketRecord& a, const PacketRecord& b) { return a.t_s < b.t_s; });
+  const auto a = analyze_on_off(trace);
+  AckClockOptions opts;
+  opts.rtt_s = 1.1;
+  const auto samples = first_rtt_bytes(trace, a, opts);
+  ASSERT_EQ(samples.size(), 12U);
+  for (std::size_t i = 1; i < a.on_periods.size(); ++i) {
+    const double start = a.on_periods[i].start_s;
+    double expected = 0.0;
+    for (const auto& p : trace.packets) {
+      if (p.direction == Direction::kDown && p.t_s >= start && p.t_s < start + *opts.rtt_s) {
+        expected += p.payload_bytes;
+      }
+    }
+    EXPECT_DOUBLE_EQ(samples[i - 1], expected) << "window " << i;
+  }
+  EXPECT_GT(samples.front(), 20.0 * 1460);  // really overlapping
 }
 
 TEST(AckClockTest, ShortOffPeriodsAreExcluded) {

@@ -1,58 +1,123 @@
-// Equivalence tests for the single-pass analysis pipeline: the
-// StreamingReportBuilder must produce a SessionReport field-identical to
-// the multi-pass batch `build_report` — on every catalog scenario and on
-// randomized synthetic traces exercising the awkward cases (timestamp
-// ties, zero-window probe episodes, multiple connections, retransmissions).
+// Oracle tests for the one session-report path: `build_report` (a
+// StreamingReportBuilder fed from a view) and the in-session builder must
+// equal `reference_report`, a test-local composition of the per-analysis
+// batch functions, field for field — on every catalog and fault scenario,
+// on randomized synthetic traces exercising the awkward cases (timestamp
+// ties, zero-window probe episodes, multiple connections, retransmissions)
+// and on late-handshake traces whose first-RTT windows open before the
+// handshake RTT estimate is final.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 
+#include "analysis/ack_clock.hpp"
+#include "analysis/onoff.hpp"
+#include "analysis/periodicity.hpp"
 #include "analysis/report.hpp"
 #include "analysis/report_json.hpp"
 #include "analysis/streaming_report.hpp"
 #include "capture/trace.hpp"
 #include "sim/rng.hpp"
+#include "stats/descriptive.hpp"
 #include "streaming/scenarios.hpp"
 #include "streaming/session.hpp"
 
 namespace vstream {
 namespace {
 
-/// Feed a whole trace to a fresh builder, mirroring the metadata the batch
-/// path reads off the trace itself.
+/// The multi-pass report: the per-analysis batch functions composed field
+/// by field, each with its own pass over the view.
+/// Independent of the builder wherever a batch function has code of its own:
+/// first-RTT windows, retransmission fraction and connection count.
+analysis::SessionReport reference_report(capture::TraceView trace,
+                                         const analysis::ReportOptions& options = {}) {
+  analysis::SessionReport report;
+  report.label = trace.label();
+  report.packets = trace.count();
+  report.connections = trace.connection_count();
+  report.retransmission_pct = trace.retransmission_fraction() * 100.0;
+  report.zero_window_episodes = analysis::count_zero_window_episodes(trace);
+  report.duration_s = trace.duration_s();
+
+  const auto onoff = analysis::analyze_on_off(trace, options.onoff);
+  const auto decision = analysis::classify_strategy(onoff, trace);
+  report.strategy = decision.strategy;
+  report.rationale = decision.rationale;
+  report.buffering_end_s = onoff.buffering_end_s;
+  report.buffering_mb = static_cast<double>(onoff.buffering_bytes) / 1048576.0;
+  report.total_mb = static_cast<double>(onoff.total_bytes) / 1048576.0;
+  report.has_steady_state = onoff.has_steady_state();
+  report.steady_rate_mbps = onoff.steady_rate_bps / 1e6;
+  report.median_block_kb = onoff.median_block_bytes() / 1024.0;
+  report.median_off_s = onoff.median_off_s();
+
+  const double rate =
+      options.encoding_bps.has_value() ? *options.encoding_bps : trace.encoding_bps();
+  if (rate > 0.0) {
+    report.buffered_playback_s = onoff.buffered_playback_s(rate);
+    if (onoff.has_steady_state()) report.accumulation_ratio = onoff.accumulation_ratio(rate);
+  }
+
+  if (const auto rtt = analysis::estimate_handshake_rtt(trace)) {
+    report.rtt_ms = *rtt * 1000.0;
+    if (options.estimate_ack_clock && onoff.has_steady_state()) {
+      analysis::AckClockOptions ack;
+      ack.rtt_s = *rtt;
+      const auto samples = analysis::first_rtt_bytes(trace, onoff, ack);
+      if (!samples.empty()) report.median_first_rtt_kb = stats::median(samples) / 1024.0;
+    }
+  }
+
+  if (options.estimate_periodicity && onoff.has_steady_state()) {
+    const auto periodicity = analysis::estimate_cycle_period(trace);
+    if (periodicity.periodic) report.cycle_period_s = periodicity.period_s;
+  }
+  report.resilience = options.resilience;
+  return report;
+}
+
+/// Feed a whole trace to a fresh builder, setting the metadata
+/// `build_report` reads off the view.
 analysis::SessionReport stream_over(const capture::PacketTrace& trace,
-                                    const analysis::ReportOptions& options = {},
-                                    bool* stale = nullptr) {
+                                    const analysis::ReportOptions& options = {}) {
   analysis::StreamingReportBuilder builder{options};
   for (const auto& p : trace.packets) builder.add(p);
   builder.set_label(trace.label);
   builder.set_duration_s(trace.duration_s);
   builder.set_encoding_bps(trace.encoding_bps);
-  if (stale != nullptr) *stale = builder.first_rtt_stale();
   return builder.finish();
 }
 
+/// `build_report` equals the multi-pass reference, in fields and in JSON.
+void expect_matches_reference(capture::TraceView trace, const analysis::ReportOptions& options,
+                              const std::string& what) {
+  const auto report = analysis::build_report(trace, options);
+  const auto reference = reference_report(trace, options);
+  EXPECT_EQ(report, reference) << what;
+  EXPECT_EQ(analysis::to_json(report), analysis::to_json(reference)) << what;
+}
+
 TEST(StreamingReportTest, CatalogScenariosBatchIdentical) {
-  // Every supported Table-1 combination: the in-session streamed report must
-  // equal the batch report built afterwards over the owned video trace.
+  // Every supported Table-1 combination: the in-session streamed report and
+  // the report built afterwards over the owned video trace both equal the
+  // multi-pass reference.
   for (const auto& scenario : streaming::canonical_scenarios(20.0)) {
     auto cfg = scenario.config;
     cfg.streaming_report = true;
     const auto result = streaming::run_session(cfg);
     ASSERT_TRUE(result.report.has_value()) << scenario.name;
-    const auto batch = analysis::build_report(result.video_trace());
-    EXPECT_EQ(*result.report, batch) << scenario.name;
-    // Belt and braces: the machine-readable rendering agrees byte for byte.
-    EXPECT_EQ(analysis::to_json(*result.report), analysis::to_json(batch)) << scenario.name;
+    EXPECT_EQ(*result.report, reference_report(result.video_trace())) << scenario.name;
+    expect_matches_reference(result.video_trace(), {}, scenario.name);
   }
 }
 
 TEST(StreamingReportTest, FaultScenariosBatchIdenticalWithMirroredResilience) {
   // Fault runs carry non-zero ResilienceStats that only the session knows
   // (retries, rebuffers, fault drops are not derivable from packets). The
-  // equivalence contract still holds once the batch side is handed the same
-  // stats via ReportOptions::resilience — exactly how SessionResult
-  // documents they should be mirrored.
+  // reports still agree once the view-built side is handed the same stats
+  // via ReportOptions::resilience — exactly how SessionResult documents
+  // they should be mirrored.
   for (const auto& scenario : streaming::fault_scenarios(15.0)) {
     auto cfg = scenario.config;
     cfg.streaming_report = true;
@@ -60,9 +125,8 @@ TEST(StreamingReportTest, FaultScenariosBatchIdenticalWithMirroredResilience) {
     ASSERT_TRUE(result.report.has_value()) << scenario.name;
     analysis::ReportOptions options;
     options.resilience = result.resilience;
-    const auto batch = analysis::build_report(result.video_trace(), options);
-    EXPECT_EQ(*result.report, batch) << scenario.name;
-    EXPECT_EQ(analysis::to_json(*result.report), analysis::to_json(batch)) << scenario.name;
+    EXPECT_EQ(*result.report, reference_report(result.video_trace(), options)) << scenario.name;
+    expect_matches_reference(result.video_trace(), options, scenario.name);
   }
 }
 
@@ -182,15 +246,7 @@ capture::PacketTrace random_trace(std::uint64_t seed) {
 
 TEST(StreamingReportTest, RandomizedTracesBatchIdentical) {
   for (std::uint64_t seed = 1; seed <= 25; ++seed) {
-    const auto trace = random_trace(seed);
-    bool stale = false;
-    const auto streamed = stream_over(trace, {}, &stale);
-    const auto batch = analysis::build_report(trace);
-    EXPECT_EQ(streamed, batch) << "seed " << seed;
-    EXPECT_EQ(analysis::to_json(streamed), analysis::to_json(batch)) << "seed " << seed;
-    // Handshakes complete before steady state in these traces, so the
-    // single-pass first-RTT windows are never built on a stale estimate.
-    EXPECT_FALSE(stale) << "seed " << seed;
+    expect_matches_reference(random_trace(seed), {}, "seed " + std::to_string(seed));
   }
 }
 
@@ -200,15 +256,156 @@ TEST(StreamingReportTest, ExplicitOptionsFlowThrough) {
   options.encoding_bps = 2.0e6;
   options.onoff.gap_threshold_s = 0.25;
   options.estimate_periodicity = false;
-  const auto streamed = stream_over(trace, options);
-  const auto batch = analysis::build_report(trace, options);
-  EXPECT_EQ(streamed, batch);
-  EXPECT_FALSE(streamed.cycle_period_s.has_value());
+  expect_matches_reference(trace, options, "explicit options");
+  EXPECT_FALSE(analysis::build_report(trace, options).cycle_period_s.has_value());
 }
 
 TEST(StreamingReportTest, EmptyStreamMatchesEmptyTrace) {
   const capture::PacketTrace empty;
-  EXPECT_EQ(stream_over(empty), analysis::build_report(empty));
+  EXPECT_EQ(stream_over(empty), reference_report(empty));
+  EXPECT_EQ(analysis::build_report(empty), reference_report(empty));
+}
+
+// ---- late handshakes -----------------------------------------------------
+//
+// First-RTT windows open at steady-state ON starts, but their length is the
+// final handshake RTT estimate. When the estimate is not final by the first
+// qualifying ON start, the windows must wait for it.
+
+/// Insert `r` after every record at or before its time, keeping the trace
+/// time-ordered.
+void insert_in_time_order(capture::PacketTrace& trace, const capture::PacketRecord& r) {
+  const auto at = std::upper_bound(
+      trace.packets.begin(), trace.packets.end(), r.t_s,
+      [](double t, const capture::PacketRecord& p) { return t < p.t_s; });
+  trace.packets.insert(at, r);
+}
+
+void insert_syn(capture::PacketTrace& trace, std::uint64_t conn, double t) {
+  insert_in_time_order(trace, rec(t, net::Direction::kUp, conn, 0, net::TcpFlag::kSyn, false,
+                                  65536));
+}
+
+void insert_syn_ack(capture::PacketTrace& trace, std::uint64_t conn, double t) {
+  insert_in_time_order(trace, rec(t, net::Direction::kDown, conn, 0,
+                                  net::TcpFlag::kSyn | net::TcpFlag::kAck, false, 65536));
+}
+
+/// ON/OFF video data on `conn` from 0.05 s to `horizon`, with no handshake:
+/// blocks of full-size segments with OFF gaps on both sides of the 0.15 s
+/// threshold.
+capture::PacketTrace data_only_trace(std::uint64_t seed, std::uint64_t conn, double horizon) {
+  sim::Rng rng{seed};
+  capture::PacketTrace trace;
+  trace.label = "late-" + std::to_string(seed);
+  trace.encoding_bps = 1.5e6;
+  double t = 0.05;
+  while (t < horizon) {
+    const int block = static_cast<int>(rng.uniform_int(5, 40));
+    for (int i = 0; i < block; ++i) {
+      trace.packets.push_back(rec(t, net::Direction::kDown, conn, 1448,
+                                  net::TcpFlag::kAck | net::TcpFlag::kPsh, false, 262144));
+      trace.packets.push_back(
+          rec(t, net::Direction::kUp, conn, 0, net::TcpFlag::kAck, false, 262144));
+      t += rng.uniform(0.0005, 0.004);
+    }
+    t += rng.bernoulli(0.2) ? rng.uniform(0.01, 0.12) : rng.uniform(0.2, 1.2);
+  }
+  trace.duration_s = t;
+  return trace;
+}
+
+/// Start of the first ON period that opens a first-RTT window.
+double first_window_start(const capture::PacketTrace& trace) {
+  const auto onoff = analysis::analyze_on_off(trace);
+  for (std::size_t i = 1; i < onoff.on_periods.size(); ++i) {
+    if (onoff.off_durations_s[i - 1] >= analysis::AckClockOptions{}.min_preceding_off_s) {
+      return onoff.on_periods[i].start_s;
+    }
+  }
+  return trace.duration_s;
+}
+
+/// The late trace must really open windows early and still yield samples.
+void expect_late_and_matching(const capture::PacketTrace& trace, double final_at,
+                              const std::string& what) {
+  EXPECT_LT(first_window_start(trace), final_at) << what;
+  const auto report = analysis::build_report(trace);
+  EXPECT_TRUE(report.median_first_rtt_kb.has_value()) << what;
+  expect_matches_reference(trace, {}, what);
+}
+
+TEST(StreamingReportTest, MidFlowCaptureWithLateSecondHandshake) {
+  // The video connection was captured mid-flow, so its SYN is missing; a
+  // second connection's handshake lands after the first qualifying OFF.
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    auto trace = data_only_trace(seed, 0, 30.0);
+    sim::Rng rng{seed + 1000};
+    const double syn_at = rng.uniform(5.0, 10.0);
+    const double syn_ack_at = syn_at + rng.uniform(0.01, 0.3);
+    insert_syn(trace, 1, syn_at);
+    insert_syn_ack(trace, 1, syn_ack_at);
+    expect_late_and_matching(trace, syn_ack_at, "seed " + std::to_string(seed));
+  }
+}
+
+TEST(StreamingReportTest, FirstSynAnsweredAfterSteadyStateStarts) {
+  // The first SYN is answered only seconds into steady state, so the final
+  // RTT spans several cycles and the windows overlap. With `early_second`,
+  // another connection's handshake completes first, so an estimate exists
+  // but is not yet final when the windows open.
+  for (const bool early_second : {false, true}) {
+    for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+      auto trace = data_only_trace(seed, 0, 30.0);
+      sim::Rng rng{seed + 2000};
+      const double syn_ack_at = rng.uniform(4.0, 8.0);
+      insert_syn(trace, 0, 0.0);
+      insert_syn_ack(trace, 0, syn_ack_at);
+      if (early_second) {
+        insert_syn(trace, 1, 0.01);
+        insert_syn_ack(trace, 1, 0.03);
+      }
+      expect_late_and_matching(trace, syn_ack_at,
+                               "seed " + std::to_string(seed) +
+                                   (early_second ? " (early second handshake)" : ""));
+    }
+  }
+}
+
+TEST(StreamingReportTest, HeadSynNeverAnsweredUsesLastEstimate) {
+  // The first SYN is never answered, so the estimate is never final: the
+  // windows wait to the end of the trace and take the last estimate, the
+  // second connection's RTT.
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    auto trace = data_only_trace(seed, 1, 30.0);
+    insert_syn(trace, 0, 0.0);
+    insert_syn(trace, 1, 0.01);
+    insert_syn_ack(trace, 1, 0.04);
+    expect_late_and_matching(trace, trace.duration_s, "seed " + std::to_string(seed));
+  }
+}
+
+TEST(StreamingReportTest, ProbeTiedWithOnStartCountsInItsWindow) {
+  // A zero-window probe at the exact time of the record that opens an ON
+  // period, but before it: [start, start + rtt) includes the probe. Checked
+  // with the handshake first (windows bounded at once) and last (windows
+  // held for the estimate).
+  for (const bool late : {false, true}) {
+    auto trace = data_only_trace(7, 0, 20.0);
+    const auto onoff = analysis::analyze_on_off(trace);
+    for (std::size_t i = 1; i < onoff.on_periods.size(); ++i) {
+      const double start = onoff.on_periods[i].start_s;
+      const auto at = std::find_if(trace.packets.begin(), trace.packets.end(),
+                                   [start](const capture::PacketRecord& p) {
+                                     return p.t_s >= start;
+                                   });
+      trace.packets.insert(at, rec(start, net::Direction::kDown, 0, 1, net::TcpFlag::kAck,
+                                   false, 262144));
+    }
+    insert_syn(trace, 0, late ? 12.0 : 0.0);
+    insert_syn_ack(trace, 0, late ? 12.05 : 0.02);
+    expect_matches_reference(trace, {}, late ? "late handshake" : "early handshake");
+  }
 }
 
 }  // namespace
