@@ -192,12 +192,19 @@ PeriodicityAccumulator::PeriodicityAccumulator(const PeriodicityOptions& options
   }
 }
 
-void PeriodicityAccumulator::bin_add(std::vector<double>& sums, double steady_start, double t,
+void PeriodicityAccumulator::bin_add(Series& series, double steady_start, double t,
                                      double amount) const {
   if (t < steady_start) return;
+  ++series.records;
   const auto i = static_cast<std::size_t>((t - steady_start) / options_.bin_s);
-  if (i >= sums.size()) sums.resize(i + 1, 0.0);
-  sums[i] += amount;
+  if (i >= series.sums.size()) {
+    if (i >= max_bins(series.records)) {
+      series.spill.emplace_back(i, amount);
+      return;
+    }
+    series.sums.resize(i + 1, 0.0);
+  }
+  series.sums[i] += amount;
 }
 
 void PeriodicityAccumulator::add(const capture::PacketRecord& p) {
@@ -206,7 +213,7 @@ void PeriodicityAccumulator::add(const capture::PacketRecord& p) {
   if (p.direction != net::Direction::kDown || p.payload_bytes == 0) return;
 
   if (anchored_) {
-    bin_add(sums_, steady_start_, p.t_s, static_cast<double>(p.payload_bytes));
+    bin_add(series_, steady_start_, p.t_s, static_cast<double>(p.payload_bytes));
     return;
   }
 
@@ -221,9 +228,9 @@ void PeriodicityAccumulator::add(const capture::PacketRecord& p) {
     // began — the batch pass's `buffering_end_s`.
     anchored_ = true;
     steady_start_ = event->start_s - event->preceding_off_s;
-    for (const auto& [t, bytes] : gap_buffer_) bin_add(sums_, steady_start_, t, bytes);
+    for (const auto& [t, bytes] : gap_buffer_) bin_add(series_, steady_start_, t, bytes);
     gap_buffer_.clear();
-    bin_add(sums_, steady_start_, p.t_s, static_cast<double>(p.payload_bytes));
+    bin_add(series_, steady_start_, p.t_s, static_cast<double>(p.payload_bytes));
     return;
   }
   if (!probe) {
@@ -248,19 +255,24 @@ PeriodicityResult PeriodicityAccumulator::finish() const {
   // period (or 0 with no data at all), and the only packets at/after it are
   // still in the gap buffer.
   double steady_start = steady_start_;
-  std::vector<double> sums = sums_;
+  Series series = series_;
   if (!anchored_) {
     steady_start = onoff_.finish().buffering_end_s;
-    for (const auto& [t, bytes] : gap_buffer_) bin_add(sums, steady_start, t, bytes);
+    for (const auto& [t, bytes] : gap_buffer_) bin_add(series, steady_start, t, bytes);
   }
 
   if (t_end_ - steady_start < 4.0 * options_.bin_s) return result;
 
   // Size the series exactly as the batch RateBinner does over
   // [steady_start, t_end): ceil of the span, dropping anything past it.
-  const auto bins =
-      static_cast<std::size_t>(std::ceil((t_end_ - steady_start) / options_.bin_s));
+  const double span_bins = std::ceil((t_end_ - steady_start) / options_.bin_s);
+  if (span_bins > static_cast<double>(max_bins(series.records))) return result;
+  const auto bins = static_cast<std::size_t>(span_bins);
+  std::vector<double>& sums = series.sums;
   sums.resize(bins, 0.0);
+  for (const auto& [i, amount] : series.spill) {
+    if (i < bins) sums[i] += amount;
+  }
   std::vector<double> values;
   values.reserve(sums.size());
   for (const double s : sums) values.push_back(s / options_.bin_s);

@@ -165,8 +165,24 @@ class FirstRttAccumulator {
 /// inside a candidate gap) is buffered until the gap is confirmed or
 /// absorbed, so the binned series is identical to the two-pass batch one.
 /// The gap buffer holds at most the data packets of one idle gap.
+///
+/// The series is bounded by the input, not by its time span: a series may
+/// hold `max_bins(r)` bins for r down-data records binned into it. A longer
+/// one is almost all empty bins (one hostile timestamp makes it so) and is
+/// reported non-periodic without being built, so memory and time stay
+/// linear in the records however far apart their timestamps lie.
 class PeriodicityAccumulator {
  public:
+  /// Bins allowed per binned record, on top of a fixed allowance that
+  /// covers short captures (27 min at the default 50 ms bins). The bound
+  /// sits more than 10x above every series the catalog, fault and
+  /// synthetic traces produce.
+  static constexpr std::size_t kMaxBinsPerRecord = 64;
+  static constexpr std::size_t kFreeBins = 32768;
+  [[nodiscard]] static constexpr std::size_t max_bins(std::size_t records) {
+    return kMaxBinsPerRecord * records + kFreeBins;
+  }
+
   explicit PeriodicityAccumulator(const PeriodicityOptions& options = {});
 
   void add(const capture::PacketRecord& p);
@@ -174,14 +190,21 @@ class PeriodicityAccumulator {
   [[nodiscard]] PeriodicityResult finish() const;
 
  private:
-  void bin_add(std::vector<double>& sums, double steady_start, double t, double amount) const;
+  /// Rate-bin sums, dense up to the bound the records binned so far allow;
+  /// a record past it waits in `spill` until `finish` knows the final size.
+  struct Series {
+    std::vector<double> sums;
+    std::vector<std::pair<std::size_t, double>> spill;
+    std::size_t records{0};
+  };
+  void bin_add(Series& series, double steady_start, double t, double amount) const;
 
   PeriodicityOptions options_;
   OnOffAccumulator onoff_;  // default options: anchor discovery only
   bool anchored_{false};
   double steady_start_{0.0};
   double provisional_end_{0.0};
-  std::vector<double> sums_;  // grows as packets land; sized exactly at finish
+  Series series_;  // grows as packets land; sized exactly at finish
   std::vector<std::pair<double, double>> gap_buffer_;  // (t, bytes) at/after provisional end
   double t_end_{0.0};
   bool any_packet_{false};

@@ -10,6 +10,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <map>
 #include <string>
 #include <vector>
@@ -19,6 +21,7 @@
 #include "analysis/streaming_report.hpp"
 #include "capture/pcap.hpp"
 #include "capture/pcap_reader.hpp"
+#include "capture/pcap_wire.hpp"
 #include "capture/synthetic.hpp"
 #include "runner/parallel_sweep.hpp"
 
@@ -187,6 +190,53 @@ TEST_F(ClassifierTest, EmptyCaptureClassifiesToNothingAtEveryJobCount) {
   const std::string csv = reference.to_csv();
   EXPECT_EQ(csv.find('\n'), csv.size() - 1);
   (void)std::remove(empty.c_str());
+}
+
+TEST_F(ClassifierTest, HostileTimestampOnlyDropsItsConnectionsCycle) {
+  // Push one connection's last down-data record ~17 years into the future.
+  // Its rate series would need ~10^10 bins; the periodicity bound leaves
+  // that connection without a cycle estimate instead of exhausting memory.
+  const CaptureClassification reference = serial();
+  const auto periodic = std::find_if(
+      reference.connections.begin(), reference.connections.end(),
+      [](const ConnectionLabel& row) { return row.cycle_period_s.has_value(); });
+  ASSERT_NE(periodic, reference.connections.end());
+  const std::uint64_t target = periodic->connection_id;
+
+  std::uint64_t last_down_data = 0;
+  {
+    const MmapPcapReader reader{path_};
+    ASSERT_FALSE(reader.header().swapped);
+    capture::PartitionProbe probe;
+    reader.for_each([&](const capture::PcapRecordView& view) {
+      if (capture::probe_frame(view, probe) && probe.connection_id == target && probe.down &&
+          probe.payload_bytes > 0) {
+        last_down_data = view.offset;
+      }
+    });
+  }
+  ASSERT_GT(last_down_data, 0U);
+  std::ifstream in{path_, std::ios::binary};
+  std::vector<char> bytes{std::istreambuf_iterator<char>{in}, std::istreambuf_iterator<char>{}};
+  capture::wire::put_u32le(reinterpret_cast<std::uint8_t*>(bytes.data() + last_down_data),
+                           0x20000000U);
+  const std::string hostile =
+      "/tmp/vstream_classifier_test_hostile_" + std::to_string(::getpid()) + ".pcap";
+  std::ofstream{hostile, std::ios::binary}.write(bytes.data(),
+                                                 static_cast<std::streamsize>(bytes.size()));
+
+  const MmapPcapReader reader{hostile};
+  const CaptureClassification got = classify_capture_serial(reader, {});
+  (void)std::remove(hostile.c_str());
+  ASSERT_EQ(got.connections.size(), reference.connections.size());
+  for (std::size_t i = 0; i < got.connections.size(); ++i) {
+    SCOPED_TRACE(got.connections[i].connection_id);
+    if (got.connections[i].connection_id == target) {
+      EXPECT_FALSE(got.connections[i].cycle_period_s.has_value());
+    } else {
+      EXPECT_EQ(got.connections[i], reference.connections[i]);
+    }
+  }
 }
 
 TEST_F(ClassifierTest, CsvHasStableShape) {

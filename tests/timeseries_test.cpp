@@ -2,8 +2,10 @@
 // estimator built on them.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
+#include "analysis/accumulators.hpp"
 #include "analysis/periodicity.hpp"
 #include "stats/timeseries.hpp"
 
@@ -155,6 +157,43 @@ TEST(PeriodicityTest, EmptyTraceAndValidation) {
   analysis::PeriodicityOptions bad;
   bad.bin_s = 0.0;
   EXPECT_THROW((void)analysis::estimate_cycle_period(PacketTrace{}, bad), std::invalid_argument);
+}
+
+TEST(PeriodicityTest, HostileTimestampCannotGrowTheSeries) {
+  // One record ~17 years past the rest would need a 10^10-bin series; the
+  // series is bounded by the records binned, so the trace is simply not
+  // periodic.
+  auto trace = paced_trace(2.0, 0.1, 1460, 120.0);
+  ASSERT_TRUE(analysis::estimate_cycle_period(trace).periodic);
+  PacketRecord far = trace.packets.back();
+  far.t_s = static_cast<double>(0x20000000U);
+  trace.packets.push_back(far);
+  const auto result = analysis::estimate_cycle_period(trace);
+  EXPECT_FALSE(result.periodic);
+  EXPECT_EQ(result.bins_analysed, 0U);
+}
+
+TEST(PeriodicityTest, RecordsPastTheBoundSoFarStillCount) {
+  // Moving the last record to the front puts it past the bound the first
+  // records allow; it must still land in its bin once later records raise
+  // the bound, so the estimate is independent of record order.
+  analysis::PeriodicityOptions opts;
+  opts.steady_start_s = 4.0;
+  opts.bin_s = 0.002;
+  opts.max_period_s = 4.0;
+  const auto sorted = paced_trace(2.0, 0.1, 1460, 80.0);
+  auto reordered = sorted;
+  std::rotate(reordered.packets.begin(), reordered.packets.end() - 1, reordered.packets.end());
+  const double span_bins = (sorted.packets.back().t_s - 4.0) / opts.bin_s;
+  ASSERT_GT(span_bins, static_cast<double>(analysis::PeriodicityAccumulator::max_bins(1)));
+
+  const auto want = analysis::estimate_cycle_period(sorted, opts);
+  const auto got = analysis::estimate_cycle_period(reordered, opts);
+  ASSERT_GT(want.bins_analysed, 0U);
+  EXPECT_EQ(got.bins_analysed, want.bins_analysed);
+  EXPECT_EQ(got.periodic, want.periodic);
+  EXPECT_EQ(got.period_s, want.period_s);
+  EXPECT_EQ(got.correlation, want.correlation);
 }
 
 TEST(PeriodicityTest, PacedCycleGroundTruth) {
