@@ -155,7 +155,10 @@ struct PartitionProbe {
 /// Per-connection sequence unwrap state: wire values are 32-bit and wrap
 /// every 4 GiB per direction; unwrap against the highest absolute value seen
 /// so far on each direction stream (ACKs acknowledge the opposite
-/// direction's space, so the caller picks the stream index).
+/// direction's space, so the caller picks the stream index). A value that
+/// would unwrap before the stream start — only a corrupt capture, or one
+/// that begins mid-stream, holds one — is read one lap ahead instead, so
+/// any input unwraps to a non-negative offset.
 class ConnectionUnwrap {
  public:
   std::uint64_t unwrap(int dir, tcp::WireSeq wire) {
@@ -164,7 +167,12 @@ class ConnectionUnwrap {
       reference_[dir] = wire;
       return wire;
     }
-    const std::uint64_t absolute = tcp::from_wire(wire, reference_[dir]);
+    const std::int32_t delta = tcp::seq_distance(tcp::to_wire(reference_[dir]), wire);
+    const bool before_start =
+        delta < 0 && static_cast<std::uint64_t>(-static_cast<std::int64_t>(delta)) > reference_[dir];
+    const std::uint64_t absolute = before_start
+                                       ? reference_[dir] + static_cast<std::uint32_t>(delta)
+                                       : tcp::from_wire(wire, reference_[dir]);
     if (absolute > reference_[dir]) reference_[dir] = absolute;
     return absolute;
   }

@@ -251,6 +251,20 @@ TEST_F(MmapPcapReaderTest, SequenceNumbersUnwrapAcrossFourGiB) {
   EXPECT_EQ(records[1].seq, 0x100000200ULL);
 }
 
+TEST(ConnectionUnwrapTest, ValueBeforeTheStreamStartIsReadOneLapAhead) {
+  // 0xFFFFFFF0 sits 26 bytes behind a stream first seen at 10: unwrapped
+  // backwards it would precede the stream start, so it is read forwards,
+  // and later values unwrap against it as usual.
+  ConnectionUnwrap unwrap;
+  EXPECT_EQ(unwrap.unwrap(0, 10U), 10U);
+  EXPECT_EQ(unwrap.unwrap(0, 0xFFFFFFF0U), 0xFFFFFFF0ULL);
+  EXPECT_EQ(unwrap.unwrap(0, 0x20U), 0x100000020ULL);
+  // A value behind by less than the stream's span still unwraps backwards.
+  EXPECT_EQ(unwrap.unwrap(0, 0x10U), 0x100000010ULL);
+  // The other direction's stream is independent.
+  EXPECT_EQ(unwrap.unwrap(1, 5U), 5U);
+}
+
 TEST_F(MmapPcapReaderTest, EmptyCaptureYieldsNoRecords) {
   PcapWriter writer{path_};
   writer.close();
