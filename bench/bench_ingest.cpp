@@ -6,7 +6,7 @@
 //      here verbatim as the fixed baseline the floor is measured against —
 //      the same technique bench_engine uses for the legacy engine;
 //   2. mmap scan: the zero-copy templated reader decoding the same file;
-//   3. end-to-end classification (partition + per-connection lanes + merge)
+//   3. end-to-end classification (per-connection lanes + merge)
 //      at 1/2/4 workers, with the parallel-vs-serial byte-equality check
 //      the floor gates as a correctness metric (classifier_output_invariant
 //      must be 1);
@@ -247,7 +247,7 @@ void print_reproduction(const std::string& scratch) {
   const bool invariant = via1 == serial && via4 == serial &&
                          via4.to_json() == serial.to_json() &&
                          via4.to_csv() == serial.to_csv();
-  std::printf("\nper-connection classification (partition + lanes + merge)\n");
+  std::printf("\nper-connection classification (lanes + merge)\n");
   std::printf("  1 worker : %6.2f s  %.0f MB/s\n", c1, file_mb / c1);
   std::printf("  2 workers: %6.2f s  %.0f MB/s  speedup %.2fx\n", c2, file_mb / c2, c1 / c2);
   std::printf("  4 workers: %6.2f s  %.0f MB/s  speedup %.2fx\n", c4, file_mb / c4, c1 / c4);
@@ -321,7 +321,7 @@ void BM_Classify(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(analysis::classify_capture(reader, pool, options).packets);
   }
-  state.SetLabel("partition + per-connection lanes + ordered merge");
+  state.SetLabel("per-connection lanes + ordered merge");
 }
 BENCHMARK(BM_Classify)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond)
     ->MeasureProcessCPUTime()->UseRealTime();

@@ -108,34 +108,36 @@ bool write_chrome_trace(const std::string& path, const vstream::analysis::FlowTa
 }
 
 /// --stream: one pass over the file, O(1) memory. Foreign captures need the
-/// same direction heuristic as the batch path, but the decision (which peer
-/// sends the bulk of the payload) is only known at EOF — so two builders
-/// consume the stream, one as-is and one with directions flipped, and the
-/// totals pick the winner when the file ends.
+/// same direction heuristic as the batch path, and it is a whole-file
+/// question, so the rule is the classifier's: one builder consumes the file
+/// as written while the payload totals accumulate, and only when the totals
+/// say the capture is mirrored does a second pass feed a fresh builder with
+/// directions flipped. Our own writer's captures never take that pass.
 vstream::analysis::SessionReport stream_report(const std::string& path,
                                                const vstream::analysis::ReportOptions& options) {
   using namespace vstream;
-  analysis::StreamingReportBuilder as_is{options};
-  analysis::StreamingReportBuilder flipped{options};
   std::uint64_t down_payload = 0;
   std::uint64_t up_payload = 0;
-  double t_first = 0.0;
-  double t_last = 0.0;
-  bool any = false;
-  capture::for_each_pcap_record(path, [&](const capture::PacketRecord& r) {
-    if (!any) t_first = r.t_s;
-    any = true;
-    t_last = r.t_s;
-    (r.direction == net::Direction::kDown ? down_payload : up_payload) += r.payload_bytes;
-    as_is.add(r);
-    capture::PacketRecord mirrored = r;
-    mirrored.direction = net::opposite(r.direction);
-    flipped.add(mirrored);
-  });
-  auto& chosen = up_payload > down_payload ? flipped : as_is;
-  chosen.set_label(path);
-  chosen.set_duration_s(any ? t_last - t_first : 0.0);
-  return chosen.finish();
+  const auto pass = [&](bool flip) {
+    analysis::StreamingReportBuilder builder{options};
+    double t_first = 0.0;
+    double t_last = 0.0;
+    bool any = false;
+    capture::for_each_pcap_record(path, [&](const capture::PacketRecord& r) {
+      if (!any) t_first = r.t_s;
+      any = true;
+      t_last = r.t_s;
+      (r.direction == net::Direction::kDown ? down_payload : up_payload) += r.payload_bytes;
+      capture::PacketRecord fed = r;
+      if (flip) fed.direction = net::opposite(r.direction);
+      builder.add(fed);
+    });
+    builder.set_label(path);
+    builder.set_duration_s(any ? t_last - t_first : 0.0);
+    return builder.finish();
+  };
+  const analysis::SessionReport as_written = pass(false);
+  return up_payload > down_payload ? pass(true) : as_written;
 }
 
 }  // namespace

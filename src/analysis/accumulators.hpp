@@ -173,14 +173,12 @@ class FirstRttAccumulator {
 /// linear in the records however far apart their timestamps lie.
 class PeriodicityAccumulator {
  public:
-  /// Bins allowed per binned record, on top of a fixed allowance that
-  /// covers short captures (27 min at the default 50 ms bins). The bound
-  /// sits more than 10x above every series the catalog, fault and
-  /// synthetic traces produce.
-  static constexpr std::size_t kMaxBinsPerRecord = 64;
-  static constexpr std::size_t kFreeBins = 32768;
+  /// 64 bins per binned record on top of a fixed 32768 that covers short
+  /// captures (27 min at the default 50 ms bins). The bound sits more than
+  /// 10x above every series the catalog, fault, randomized and synthetic
+  /// traces produce.
   [[nodiscard]] static constexpr std::size_t max_bins(std::size_t records) {
-    return kMaxBinsPerRecord * records + kFreeBins;
+    return 64 * records + 32768;
   }
 
   explicit PeriodicityAccumulator(const PeriodicityOptions& options = {});

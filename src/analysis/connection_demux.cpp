@@ -8,7 +8,6 @@
 #include <utility>
 
 #include "analysis/streaming_report.hpp"
-#include "capture/pcap_wire.hpp"
 #include "check/contracts.hpp"
 #include "net/segment.hpp"
 
@@ -91,87 +90,63 @@ struct LaneConnection {
 
 }  // namespace
 
-CapturePartition partition_capture(const capture::MmapPcapReader& reader, std::size_t lanes) {
-  VSTREAM_PRECONDITION(lanes >= 1, "partition_capture needs at least one lane");
-  CapturePartition partition;
-  partition.lane_offsets.resize(lanes);
-  // Size the buckets for an even spread of headers-only records — saves the
-  // geometric-growth copying (~2x the final bytes) on gigabyte captures; a
-  // skewed or fatter capture just falls back to normal growth.
-  const std::uint64_t estimated_records =
-      reader.file_bytes() / (capture::wire::kRecordHeaderBytes + capture::wire::kHeadersBytes);
-  for (auto& lane : partition.lane_offsets) {
-    lane.reserve(static_cast<std::size_t>(estimated_records / lanes + 16));
-  }
-  capture::PartitionProbe probe;
-  reader.for_each([&](const capture::PcapRecordView& view) {
-    ++partition.records;
-    if (!capture::probe_frame(view, probe)) {
-      ++partition.frames_skipped;
-      return;
-    }
-    (probe.down ? partition.down_payload_bytes : partition.up_payload_bytes) +=
-        probe.payload_bytes;
-    partition.lane_offsets[probe.connection_id % lanes].push_back(view.offset);
-  });
-  return partition;
-}
-
-std::vector<ConnectionLabel> classify_lane(const capture::MmapPcapReader& reader,
-                                           const CapturePartition& partition, std::size_t lane,
-                                           const ClassifyOptions& options) {
-  VSTREAM_PRECONDITION(lane < partition.lane_offsets.size(), "lane out of range");
-  const bool flip = options.auto_flip && partition.flipped();
-
+LaneResult classify_lane(const capture::MmapPcapReader& reader, std::size_t lanes,
+                         std::size_t lane, bool flip, const ReportOptions& options) {
+  VSTREAM_PRECONDITION(lane < lanes, "lane out of range");
+  LaneResult result;
   // std::map keeps connections in ascending-id order, which is both the
   // output order and what makes the merge a splice instead of a sort.
   std::map<std::uint64_t, LaneConnection> connections;
-  capture::WirePacket w;
-  for (const std::uint64_t offset : partition.lane_offsets[lane]) {
-    const capture::PcapRecordView view = reader.record_at(offset);
-    if (!capture::parse_frame(view, w)) continue;  // partition already vetted these
+  capture::FrameProbe probe;
+  capture::PacketRecord record;
+  reader.for_each([&](const capture::PcapRecordView& view) {
+    ++result.records;
+    if (!capture::probe_frame(view, probe) || probe.connection_id % lanes != lane) return;
+    (probe.down ? result.down_payload_bytes : result.up_payload_bytes) += probe.payload_bytes;
 
-    auto [it, inserted] =
-        connections.try_emplace(w.record.connection_id, options.report);
+    auto [it, inserted] = connections.try_emplace(probe.connection_id, options);
     LaneConnection& state = it->second;
-
-    // Unwrap against the connection's own per-direction streams — exactly
-    // what the serial reader's SeqUnwrapMap does, keyed the same way, so
-    // the 64-bit sequence numbers match the serial path bit-for-bit.
-    w.record.seq = state.unwrap.unwrap(w.dir_index, w.wire_seq);
-    w.record.ack = state.unwrap.unwrap(1 - w.dir_index, w.wire_ack);
-    if (flip) w.record.direction = net::opposite(w.record.direction);
+    // The shared decode step of every reader path, unwrapping against this
+    // connection's own streams exactly as the serial reader does. A probed
+    // record always decodes.
+    const auto unwrap_for = [&state](std::uint64_t) -> capture::ConnectionUnwrap& {
+      return state.unwrap;
+    };
+    (void)capture::decode_record(view, unwrap_for, record);
+    if (flip) record.direction = net::opposite(record.direction);
 
     if (inserted) {
-      state.host = w.record.host;
-      state.first_s = w.record.t_s;
+      state.host = record.host;
+      state.first_s = record.t_s;
     }
-    state.last_s = w.record.t_s;
+    state.last_s = record.t_s;
     ++state.packets;
-    state.builder.add(w.record);
-  }
+    state.builder.add(record);
+  });
 
-  std::vector<ConnectionLabel> rows;
-  rows.reserve(connections.size());
-  for (auto& [id, state] : connections) rows.push_back(finish_connection(id, state));
-  return rows;
+  result.rows.reserve(connections.size());
+  for (auto& [id, state] : connections) result.rows.push_back(finish_connection(id, state));
+  return result;
 }
 
-CaptureClassification merge_lanes(const CapturePartition& partition,
-                                  std::vector<std::vector<ConnectionLabel>> lanes,
-                                  const ClassifyOptions& options) {
+CaptureClassification merge_lanes(std::vector<LaneResult> lanes, const ClassifyOptions& options) {
   CaptureClassification merged;
-  merged.records = partition.records;
-  merged.direction_flipped = options.auto_flip && partition.flipped();
-  const std::uint64_t down_bytes =
-      merged.direction_flipped ? partition.up_payload_bytes : partition.down_payload_bytes;
-  merged.down_payload_mb = static_cast<double>(down_bytes) / 1048576.0;
-
+  std::uint64_t down_bytes = 0;
+  std::uint64_t up_bytes = 0;
   std::size_t total_rows = 0;
-  for (const auto& lane : lanes) total_rows += lane.size();
+  for (const LaneResult& lane : lanes) {
+    down_bytes += lane.down_payload_bytes;
+    up_bytes += lane.up_payload_bytes;
+    total_rows += lane.rows.size();
+  }
+  merged.records = lanes.empty() ? 0 : lanes.front().records;
+  merged.direction_flipped = options.auto_flip && up_bytes > down_bytes;
+  merged.down_payload_mb =
+      static_cast<double>(merged.direction_flipped ? up_bytes : down_bytes) / 1048576.0;
+
   merged.connections.reserve(total_rows);
-  for (auto& lane : lanes) {
-    for (auto& row : lane) merged.connections.push_back(std::move(row));
+  for (LaneResult& lane : lanes) {
+    for (ConnectionLabel& row : lane.rows) merged.connections.push_back(std::move(row));
   }
   // Each connection lives in exactly one lane, so ids are unique and the
   // sort is a deterministic splice regardless of lane count or order.
@@ -195,10 +170,11 @@ CaptureClassification merge_lanes(const CapturePartition& partition,
 
 CaptureClassification classify_capture_serial(const capture::MmapPcapReader& reader,
                                               const ClassifyOptions& options) {
-  const CapturePartition partition = partition_capture(reader, 1);
-  std::vector<std::vector<ConnectionLabel>> lanes;
-  lanes.push_back(classify_lane(reader, partition, 0, options));
-  return merge_lanes(partition, std::move(lanes), options);
+  const auto classify = [&](bool flip) {
+    return merge_lanes({classify_lane(reader, 1, 0, flip, options.report)}, options);
+  };
+  const CaptureClassification as_written = classify(false);
+  return as_written.direction_flipped ? classify(true) : as_written;
 }
 
 std::string CaptureClassification::to_json() const {

@@ -6,22 +6,25 @@
 // records, in file order. That makes the demux embarrassingly parallel in
 // exactly the way the sweep engine already exploits for session worlds:
 //
-//   1. `partition_capture` — one serial pass over the mmapped file that
-//      parses only as far as the connection id, buckets each record's file
-//      offset into `connection_id % lanes`, and accumulates the global
-//      payload totals the direction heuristic needs (which peer sends the
-//      bulk of the payload is a whole-file question, so it is answered here,
-//      before any lane runs).
-//   2. `classify_lane` — each lane revisits its own offsets through the
-//      shared reader (read-only, zero-copy), keeps per-connection sequence
-//      unwrap state and a per-connection `StreamingReportBuilder`, and
-//      finishes them into `ConnectionLabel` rows. Lanes share nothing but
-//      the immutable mapping.
-//   3. `merge_lanes` — rows are spliced in ascending connection order, so
-//      the merged `CaptureClassification` is a pure function of the file:
+//   1. `classify_lane` — each lane walks the whole mmapped file with the
+//      reader's cursor (read-only, zero-copy, the same per-record
+//      validation everywhere), probes each record's connection id, skips
+//      the records of other lanes (`connection_id % lanes != lane`), and
+//      runs its own through per-connection sequence unwrap and a
+//      `StreamingReportBuilder`. It also totals its connections' payload
+//      per direction. Lanes share nothing but the immutable mapping.
+//   2. `merge_lanes` — rows are spliced in ascending connection order and
+//      the lanes' payload totals are summed, so the merged
+//      `CaptureClassification` is a pure function of the file:
 //      byte-identical whether one lane ran or sixteen.
 //
-// The parallel driver over these three steps lives in
+// Which peer sends the bulk of the payload is a whole-file question, so the
+// direction heuristic is settled by the merged totals: lanes classify the
+// capture as written, and run again with directions flipped only when the
+// merge says the capture is mirrored (foreign captures taken from the
+// server side; never our own writer's).
+//
+// The parallel driver over these steps lives in
 // analysis/parallel_classify.hpp (header-only, templated on the pool, so
 // this library never links the runner).
 #pragma once
@@ -43,20 +46,6 @@ struct ClassifyOptions {
   /// with the viewer as the "source"). Our own writer encodes direction in
   /// the addresses, making this a no-op.
   bool auto_flip{true};
-};
-
-/// Result of the partition pass: per-lane record offsets plus the
-/// whole-file totals the direction heuristic and the summary need.
-struct CapturePartition {
-  std::vector<std::vector<std::uint64_t>> lane_offsets;
-  std::uint64_t records{0};           ///< pcap records in the file
-  std::uint64_t frames_skipped{0};    ///< non-IPv4/TCP or short captures
-  std::uint64_t down_payload_bytes{0};
-  std::uint64_t up_payload_bytes{0};
-
-  /// True when the capture's "up" direction carries the bulk of the payload
-  /// — i.e. the trace was taken with directions mirrored.
-  [[nodiscard]] bool flipped() const { return up_payload_bytes > down_payload_bytes; }
 };
 
 /// One classified connection — a row of the paper's Table 1 plus the
@@ -111,30 +100,36 @@ struct CaptureClassification {
   friend bool operator==(const CaptureClassification&, const CaptureClassification&) = default;
 };
 
-/// Pass 1 (serial): bucket record offsets by `connection_id % lanes` and
-/// total the per-direction payload. `lanes >= 1`. Throws what the reader
-/// throws on a corrupt file.
-[[nodiscard]] CapturePartition partition_capture(const capture::MmapPcapReader& reader,
-                                                 std::size_t lanes);
+/// One lane's walk of the capture: the rows of its own connections, in
+/// ascending connection-id order, and the totals the merge needs.
+struct LaneResult {
+  std::vector<ConnectionLabel> rows;
+  std::uint64_t records{0};  ///< pcap records in the file: every lane walks them all
+  /// Payload of this lane's connections per direction as written, whether
+  /// or not the lane flipped directions.
+  std::uint64_t down_payload_bytes{0};
+  std::uint64_t up_payload_bytes{0};
+};
 
-/// Pass 2 (parallel-safe): classify every connection of one lane. Distinct
-/// lanes touch disjoint connections and only read the shared mapping, so
-/// calls for distinct lanes are safe to run concurrently. Rows come back in
-/// ascending connection-id order.
-[[nodiscard]] std::vector<ConnectionLabel> classify_lane(const capture::MmapPcapReader& reader,
-                                                         const CapturePartition& partition,
-                                                         std::size_t lane,
-                                                         const ClassifyOptions& options);
+/// Classify the connections of one lane (`connection_id % lanes == lane`),
+/// directions mirrored when `flip` is set. Distinct lanes touch disjoint
+/// connections and only read the shared mapping, so calls for distinct
+/// lanes are safe to run concurrently. Throws what the reader throws on a
+/// corrupt file; every lane walks every record, so every lane throws it.
+[[nodiscard]] LaneResult classify_lane(const capture::MmapPcapReader& reader, std::size_t lanes,
+                                       std::size_t lane, bool flip,
+                                       const ReportOptions& options);
 
-/// Pass 3 (serial): splice per-lane rows into one classification. `lanes`
-/// must hold one entry per partition lane; rows merge in ascending
-/// connection order, so the result is independent of lane count.
-[[nodiscard]] CaptureClassification merge_lanes(const CapturePartition& partition,
-                                                std::vector<std::vector<ConnectionLabel>> lanes,
+/// Splice per-lane rows into one classification, one entry per lane. Rows
+/// merge in ascending connection order, so the result is independent of
+/// lane count. `direction_flipped` is set when `options.auto_flip` is and
+/// the summed totals say the capture is mirrored; the caller then runs the
+/// lanes again with `flip` and merges those.
+[[nodiscard]] CaptureClassification merge_lanes(std::vector<LaneResult> lanes,
                                                 const ClassifyOptions& options);
 
-/// Serial reference: the three passes back-to-back with one lane. The
-/// parallel driver (parallel_classify.hpp) is tested byte-identical to this.
+/// Serial reference: the same lanes and merge with one lane. The parallel
+/// driver (parallel_classify.hpp) is tested byte-identical to this.
 [[nodiscard]] CaptureClassification classify_capture_serial(const capture::MmapPcapReader& reader,
                                                             const ClassifyOptions& options = {});
 

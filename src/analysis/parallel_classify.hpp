@@ -1,11 +1,12 @@
-// Parallel capture classification: the demux passes on a worker pool.
+// Parallel capture classification: the demux lanes on a worker pool.
 //
-// `classify_capture` drives the three connection_demux passes — serial
-// partition, per-lane classification fanned across the pool, serial merge —
-// and is byte-identical to `classify_capture_serial` for every pool width:
-// lane membership is `connection_id % lanes` with `lanes` fixed by the
-// *request* (not the pool's scheduling), each lane only reads the shared
-// immutable mapping, and the merge splices rows in connection order.
+// `classify_capture` fans the connection_demux lanes across the pool and
+// merges them, and is byte-identical to `classify_capture_serial` for every
+// pool width: lane membership is `connection_id % lanes` with `lanes` fixed
+// by the *request* (not the pool's scheduling), each lane only reads the
+// shared immutable mapping, and the merge splices rows in connection order.
+// A capture the merge finds mirrored is classified again with directions
+// flipped, exactly as the serial path does.
 //
 // The pool is a template parameter rather than a `runner::ParallelSweep`
 // so this header can live in the analysis layer without the analysis
@@ -14,14 +15,14 @@
 // static `current_worker()` fits; `ParallelSweep` is the intended one and
 // the only one the tools instantiate.
 //
-// Profiling: pass a `SweepProfiler` sized for the pool and the three passes
-// land in its phases — partition as kBuild on worker 0, lanes as kRun on
-// the worker that ran them, merge as kMerge on worker 0 — giving the
-// classifier CLI the same per-worker utilization table the sweep harness
-// publishes.
+// Profiling: pass a `SweepProfiler` sized for the pool and the lanes land
+// as kRun on the worker that ran them and the merge as kMerge on worker 0,
+// giving the classifier CLI the same per-worker utilization table the sweep
+// harness publishes.
 #pragma once
 
 #include <cstddef>
+#include <exception>
 #include <utility>
 #include <vector>
 
@@ -36,22 +37,29 @@ template <typename Pool>
                                                      const ClassifyOptions& options = {},
                                                      runner::SweepProfiler* profiler = nullptr) {
   const std::size_t lanes = pool.jobs() >= 1 ? pool.jobs() : 1;
-
-  CapturePartition partition;
-  {
-    const runner::SweepProfiler::Scope scope{profiler, 0, runner::SweepPhase::kBuild};
-    partition = partition_capture(reader, lanes);
-  }
-
-  std::vector<std::vector<ConnectionLabel>> lane_rows(lanes);
-  pool.for_each_index(lanes, [&](std::size_t lane) {
-    const runner::SweepProfiler::Scope scope{profiler, Pool::current_worker(),
-                                             runner::SweepPhase::kRun};
-    lane_rows[lane] = classify_lane(reader, partition, lane, options);
-  });
-
-  const runner::SweepProfiler::Scope scope{profiler, 0, runner::SweepPhase::kMerge};
-  return merge_lanes(partition, std::move(lane_rows), options);
+  const auto classify = [&](bool flip) {
+    std::vector<LaneResult> results(lanes);
+    std::vector<std::exception_ptr> errors(lanes);
+    pool.for_each_index(lanes, [&](std::size_t lane) {
+      const runner::SweepProfiler::Scope scope{profiler, Pool::current_worker(),
+                                               runner::SweepPhase::kRun};
+      try {
+        results[lane] = classify_lane(reader, lanes, lane, flip, options.report);
+      } catch (...) {
+        errors[lane] = std::current_exception();
+      }
+    });
+    // Every lane walks the whole file, so a corrupt record fails every lane
+    // alike: rethrow one lane's error untouched, the serial path's message,
+    // rather than the pool's aggregate of all of them.
+    for (const std::exception_ptr& error : errors) {
+      if (error) std::rethrow_exception(error);
+    }
+    const runner::SweepProfiler::Scope scope{profiler, 0, runner::SweepPhase::kMerge};
+    return merge_lanes(std::move(results), options);
+  };
+  const CaptureClassification as_written = classify(false);
+  return as_written.direction_flipped ? classify(true) : as_written;
 }
 
 }  // namespace vstream::analysis

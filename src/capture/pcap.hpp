@@ -19,6 +19,8 @@
 // caller holding a `std::function` passes it straight through.
 #pragma once
 
+#include <cstdint>
+#include <map>
 #include <memory>
 #include <string>
 #include <utility>
@@ -76,17 +78,11 @@ void write_pcap(const PacketTrace& trace, const std::string& path);
 template <typename Fn>
 void for_each_pcap_record(const std::string& path, Fn&& fn) {
   const MmapPcapReader reader{path};
-  SeqUnwrapMap unwrap;
+  std::map<std::uint64_t, ConnectionUnwrap> unwrap;
   PacketRecord record;
   reader.for_each([&](const PcapRecordView& view) {
-    if (decode_record(
-            view,
-            [&unwrap](std::uint64_t conn, int dir, tcp::WireSeq w) {
-              return unwrap.unwrap(conn, dir, w);
-            },
-            record)) {
-      fn(std::as_const(record));
-    }
+    const auto unwrap_for = [&unwrap](std::uint64_t id) -> ConnectionUnwrap& { return unwrap[id]; };
+    if (decode_record(view, unwrap_for, record)) fn(std::as_const(record));
   });
 }
 

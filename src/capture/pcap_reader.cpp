@@ -96,17 +96,6 @@ MmapPcapReader::Cursor MmapPcapReader::cursor() const {
   return Cursor{this, wire::kGlobalHeaderBytes};
 }
 
-MmapPcapReader::Cursor MmapPcapReader::cursor_at(std::uint64_t offset) const {
-  return Cursor{this, offset};
-}
-
-PcapRecordView MmapPcapReader::record_at(std::uint64_t offset) const {
-  PcapRecordView view;
-  Cursor c{this, offset};
-  if (!c.next(view)) fail(offset, "no record at offset");
-  return view;
-}
-
 bool MmapPcapReader::Cursor::next(PcapRecordView& out) {
   const MmapPcapReader& r = *reader_;
   if (offset_ >= r.size_) return false;  // clean EOF
@@ -175,7 +164,7 @@ bool parse_frame(const PcapRecordView& view, WirePacket& out) {
   return true;
 }
 
-bool probe_frame(const PcapRecordView& view, PartitionProbe& out) {
+bool probe_frame(const PcapRecordView& view, FrameProbe& out) {
   using namespace wire;
   if (view.incl_len < kHeadersBytes) return false;  // not one of ours; skip
   const std::uint8_t* ip = view.frame + kEthernetBytes;

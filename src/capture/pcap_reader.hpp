@@ -25,7 +25,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -86,13 +85,6 @@ class MmapPcapReader {
 
   /// Cursor over the whole file, positioned at the first record.
   [[nodiscard]] Cursor cursor() const;
-  /// Cursor at a record-header offset previously reported by a view — the
-  /// demux lanes use this to revisit their records without re-scanning.
-  [[nodiscard]] Cursor cursor_at(std::uint64_t offset) const;
-
-  /// Parse the single record whose header sits at `offset`. Throws if the
-  /// offset does not hold a valid record.
-  [[nodiscard]] PcapRecordView record_at(std::uint64_t offset) const;
 
   /// Visit every record in file order. `fn` is a template parameter, so the
   /// hot loop inlines the visitor — no `std::function` dispatch.
@@ -137,20 +129,20 @@ struct WirePacket {
 /// original buffered reader, unchanged.
 [[nodiscard]] bool parse_frame(const PcapRecordView& view, WirePacket& out);
 
-/// The minimum the demux partition pass needs from a frame: which
-/// connection, which direction, how much payload. Skip conditions match
-/// `parse_frame` exactly, so a record the probe accepts always decodes.
-struct PartitionProbe {
+/// The minimum the demux lanes need from every record: which connection
+/// (and so which lane), which direction, how much payload. Skip conditions
+/// match `parse_frame` exactly, so a record the probe accepts always decodes.
+struct FrameProbe {
   std::uint64_t connection_id{0};
   std::uint32_t payload_bytes{0};
   bool down{false};
 };
 
-/// Cheap partial decode for the partition pass: reads only the IP
-/// version/protocol, source address and ports — about a third of the field
-/// work of `parse_frame` — because the partition pass is the serial fraction
-/// of the parallel classify pipeline and runs once per record in the file.
-[[nodiscard]] bool probe_frame(const PcapRecordView& view, PartitionProbe& out);
+/// Cheap partial decode: reads only the IP version/protocol, source address
+/// and ports — about a third of the field work of `parse_frame` — because
+/// every demux lane probes every record of the file and fully decodes only
+/// its own.
+[[nodiscard]] bool probe_frame(const PcapRecordView& view, FrameProbe& out);
 
 /// Per-connection sequence unwrap state: wire values are 32-bit and wrap
 /// every 4 GiB per direction; unwrap against the highest absolute value seen
@@ -182,29 +174,18 @@ class ConnectionUnwrap {
   bool seen_[2]{false, false};
 };
 
-/// Whole-capture unwrap map for serial readers: one `ConnectionUnwrap` per
-/// connection id, created on first sight.
-class SeqUnwrapMap {
- public:
-  std::uint64_t unwrap(std::uint64_t connection_id, int dir, tcp::WireSeq wire) {
-    return by_connection_[connection_id].unwrap(dir, wire);
-  }
-
- private:
-  std::map<std::uint64_t, ConnectionUnwrap> by_connection_;
-};
-
-/// Decode + unwrap one record against `unwrap`. Returns false for skipped
-/// frames. This is the shared per-record step of every reader path —
-/// `for_each_pcap_record` and the demux lanes both produce their
-/// `PacketRecord`s through it.
-template <typename Unwrap>
-[[nodiscard]] bool decode_record(const PcapRecordView& view, Unwrap&& unwrap,
+/// Decode + unwrap one record against `unwrap_for(connection_id)`, a
+/// `ConnectionUnwrap&`. Returns false for skipped frames. This is the shared
+/// per-record step of every reader path — `for_each_pcap_record` and the
+/// demux lanes both produce their `PacketRecord`s through it.
+template <typename UnwrapFor>
+[[nodiscard]] bool decode_record(const PcapRecordView& view, UnwrapFor&& unwrap_for,
                                  PacketRecord& out) {
   WirePacket w;
   if (!parse_frame(view, w)) return false;
-  w.record.seq = unwrap(w.record.connection_id, w.dir_index, w.wire_seq);
-  w.record.ack = unwrap(w.record.connection_id, 1 - w.dir_index, w.wire_ack);
+  ConnectionUnwrap& unwrap = unwrap_for(w.record.connection_id);
+  w.record.seq = unwrap.unwrap(w.dir_index, w.wire_seq);
+  w.record.ack = unwrap.unwrap(1 - w.dir_index, w.wire_ack);
   out = w.record;
   return true;
 }

@@ -149,7 +149,6 @@ TEST_F(ClassifierTest, MirroredCaptureIsFlippedBackToTheSameRows) {
 
   const MmapPcapReader reader{mirrored};
   const CaptureClassification got = classify_capture_serial(reader, {});
-  (void)std::remove(mirrored.c_str());
 
   EXPECT_TRUE(got.direction_flipped);
   const CaptureClassification reference = serial();
@@ -166,6 +165,14 @@ TEST_F(ClassifierTest, MirroredCaptureIsFlippedBackToTheSameRows) {
     EXPECT_DOUBLE_EQ(a.median_block_kb, b.median_block_kb);
     EXPECT_EQ(a.zero_window_episodes, b.zero_window_episodes);
   }
+
+  // The parallel flip rerun lands on the same rows as the serial one.
+  for (const std::size_t jobs : {1U, 2U, 4U}) {
+    SCOPED_TRACE(jobs);
+    const runner::ParallelSweep pool{jobs};
+    EXPECT_EQ(classify_capture(reader, pool, {}), got);
+  }
+  (void)std::remove(mirrored.c_str());
 }
 
 TEST_F(ClassifierTest, EmptyCaptureClassifiesToNothingAtEveryJobCount) {
@@ -207,7 +214,7 @@ TEST_F(ClassifierTest, HostileTimestampOnlyDropsItsConnectionsCycle) {
   {
     const MmapPcapReader reader{path_};
     ASSERT_FALSE(reader.header().swapped);
-    capture::PartitionProbe probe;
+    capture::FrameProbe probe;
     reader.for_each([&](const capture::PcapRecordView& view) {
       if (capture::probe_frame(view, probe) && probe.connection_id == target && probe.down &&
           probe.payload_bytes > 0) {
@@ -259,24 +266,76 @@ TEST_F(ClassifierTest, CsvHasStableShape) {
   }
 }
 
-TEST_F(ClassifierTest, PartitionCoversEveryRecordExactlyOnce) {
+TEST_F(ClassifierTest, LanesCoverEveryConnectionExactlyOnce) {
   const MmapPcapReader reader{path_};
-  const CapturePartition partition = partition_capture(reader, 3);
-  ASSERT_EQ(partition.lane_offsets.size(), 3U);
-  std::uint64_t bucketed = 0;
-  for (const auto& lane : partition.lane_offsets) bucketed += lane.size();
-  EXPECT_EQ(bucketed + partition.frames_skipped, partition.records);
-  EXPECT_EQ(partition.records, summary_.records);
-  EXPECT_FALSE(partition.flipped());
+  const LaneResult whole = classify_lane(reader, 1, 0, false, {});
+  EXPECT_EQ(whole.records, summary_.records);
+  EXPECT_EQ(whole.down_payload_bytes, summary_.down_payload_bytes);
+  EXPECT_LT(whole.up_payload_bytes, whole.down_payload_bytes);
 
-  // Lane membership is a pure function of the connection id.
-  const ClassifyOptions options;
-  for (std::size_t lane = 0; lane < 3; ++lane) {
-    SCOPED_TRACE(lane);
-    for (const ConnectionLabel& row : classify_lane(reader, partition, lane, options)) {
-      EXPECT_EQ(row.connection_id % 3, lane);
+  for (std::size_t lanes = 1; lanes <= 5; ++lanes) {
+    SCOPED_TRACE(lanes);
+    std::map<std::uint64_t, std::size_t> lane_of;
+    std::uint64_t down = 0;
+    std::uint64_t up = 0;
+    for (std::size_t lane = 0; lane < lanes; ++lane) {
+      SCOPED_TRACE(lane);
+      const LaneResult got = classify_lane(reader, lanes, lane, false, {});
+      // Every lane walks every record, and owns the connections of its
+      // residue class only.
+      EXPECT_EQ(got.records, summary_.records);
+      for (const ConnectionLabel& row : got.rows) {
+        EXPECT_EQ(row.connection_id % lanes, lane);
+        EXPECT_TRUE(lane_of.emplace(row.connection_id, lane).second);
+      }
+      down += got.down_payload_bytes;
+      up += got.up_payload_bytes;
+    }
+    EXPECT_EQ(lane_of.size(), whole.rows.size());
+    EXPECT_EQ(down, whole.down_payload_bytes);
+    EXPECT_EQ(up, whole.up_payload_bytes);
+  }
+}
+
+TEST_F(ClassifierTest, CorruptCaptureThrowsTheSerialDiagnosticAtEveryJobCount) {
+  // Cut the capture inside a record header, then make the first record
+  // promise more bytes than its snaplen: the reader's two rejections.
+  std::ifstream in{path_, std::ios::binary};
+  const std::vector<char> bytes{std::istreambuf_iterator<char>{in},
+                                std::istreambuf_iterator<char>{}};
+  const std::string corrupt =
+      "/tmp/vstream_classifier_test_corrupt_" + std::to_string(::getpid()) + ".pcap";
+  std::vector<char> truncated{bytes.begin(), bytes.begin() + (bytes.size() / 2 / 70) * 70 + 30};
+  std::vector<char> absurd = bytes;
+  capture::wire::put_u32le(reinterpret_cast<std::uint8_t*>(absurd.data()) +
+                               capture::wire::kGlobalHeaderBytes + 8,
+                           70000U);
+
+  for (const std::vector<char>* file : {&truncated, &absurd}) {
+    std::ofstream{corrupt, std::ios::binary | std::ios::trunc}.write(
+        file->data(), static_cast<std::streamsize>(file->size()));
+    const MmapPcapReader reader{corrupt};
+    std::string serial_error;
+    try {
+      (void)classify_capture_serial(reader, {});
+    } catch (const std::runtime_error& e) {
+      serial_error = e.what();
+    }
+    SCOPED_TRACE(serial_error);
+    EXPECT_EQ(serial_error.rfind("pcap: " + corrupt + " @", 0), 0U);
+    for (const std::size_t jobs : {1U, 2U, 4U}) {
+      SCOPED_TRACE(jobs);
+      const runner::ParallelSweep pool{jobs};
+      std::string error;
+      try {
+        (void)classify_capture(reader, pool, {});
+      } catch (const std::runtime_error& e) {
+        error = e.what();
+      }
+      EXPECT_EQ(error, serial_error);
     }
   }
+  (void)std::remove(corrupt.c_str());
 }
 
 }  // namespace

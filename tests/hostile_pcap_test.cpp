@@ -19,6 +19,7 @@
 #include <fstream>
 #include <iterator>
 #include <optional>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -68,6 +69,10 @@ const char* name_of(Mutation m) {
   }
   return "Unknown";
 }
+
+// Listed test names and parameter values print the class name, never raw
+// bytes.
+void PrintTo(Mutation m, std::ostream* os) { *os << name_of(m); }
 
 constexpr int kMutantsPerClass = 40;
 

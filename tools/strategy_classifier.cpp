@@ -1,17 +1,17 @@
 // strategy_classifier — label every TCP connection in a pcap capture with
 // its streaming strategy (Table 1) and pacing parameters (§4), at line rate.
 //
-// The classifier is the parallel ingestion path end to end: the mmapped
-// zero-copy reader partitions the capture by connection, per-connection
-// lanes fan out across a ParallelSweep pool, and the merged table is
-// byte-identical for every worker count (the lane layout is a function of
-// the request, never of thread scheduling).
+// The classifier is the parallel ingestion path end to end: per-connection
+// lanes fan out across a ParallelSweep pool, each walking the mmapped
+// zero-copy capture and classifying the connections it owns, and the merged
+// table is byte-identical for every worker count (the lane layout is a
+// function of the request, never of thread scheduling). `--jobs 1` is the
+// one-lane serial reference.
 //
 //   ./build/tools/strategy_classifier capture.pcap           # human table
 //   ./build/tools/strategy_classifier --json capture.pcap    # one JSON object
 //   ./build/tools/strategy_classifier --csv capture.pcap     # header + rows
 //   ./build/tools/strategy_classifier --jobs 8 capture.pcap  # pool width
-//   ./build/tools/strategy_classifier --serial capture.pcap  # reference path
 //   ./build/tools/strategy_classifier --out table.csv --csv capture.pcap
 //   ./build/tools/strategy_classifier --profile-out prof.json capture.pcap
 //   ./build/tools/strategy_classifier --gen big.pcap --mb 1024 --connections 24
@@ -22,11 +22,13 @@
 // reproduced anywhere. --selftest generates a small capture and proves the
 // parallel/serial invariant on it (run under tsan in CI); exit 1 on any
 // mismatch. --profile-out writes the SweepProfiler per-worker phase table
-// (partition = build, lanes = run, merge = merge) as JSON.
+// (lanes = run, merge = merge) as JSON.
 //
 // Exit status: 0 on success, 1 on I/O or classification failure (corrupt
 // captures are rejected with the reader's offset-bearing diagnostic), 2 on
-// usage errors.
+// usage errors, including a --jobs or --connections that is not a
+// non-negative integer.
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -48,12 +50,23 @@ using vstream::analysis::ClassifyOptions;
 
 int usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s [--jobs N] [--serial] [--json|--csv] [--out file]\n"
+               "usage: %s [--jobs N] [--json|--csv] [--out file]\n"
                "       %*s [--profile-out file] <capture.pcap>\n"
                "       %s --gen <file.pcap> [--mb N] [--connections K]\n"
                "       %s --selftest [scratch.pcap]\n",
                argv0, static_cast<int>(std::strlen(argv0)), "", argv0, argv0);
   return 2;
+}
+
+/// Parse a whole `flag` argument as a count. std::from_chars takes no sign
+/// for an unsigned type and stops at the first non-digit, so "-1", "x" and
+/// "4x" are rejected (and reported) rather than wrapped or truncated.
+bool parse_count(const char* flag, const char* text, std::size_t& out) {
+  const char* end = text + std::strlen(text);
+  const auto [ptr, ec] = std::from_chars(text, end, out);
+  if (ec == std::errc{} && ptr == end) return true;
+  std::fprintf(stderr, "%s needs a non-negative integer, got '%s'\n", flag, text);
+  return false;
 }
 
 /// Emit `text` to `out_path` (or stdout when empty). Returns false on I/O
@@ -86,7 +99,7 @@ int run_generate(const std::string& path, double mb, std::size_t connections) {
 
 /// --selftest: the parallel==serial invariant on a generated capture. The
 /// tsan CI job runs exactly this, so every cross-thread edge of the
-/// partition/lanes/merge pipeline gets exercised under the race detector.
+/// lanes/merge pipeline gets exercised under the race detector.
 int run_selftest(const std::string& scratch) {
   vstream::capture::SyntheticCaptureOptions gen;
   gen.target_file_bytes = 4ULL << 20U;
@@ -126,7 +139,6 @@ int run_selftest(const std::string& scratch) {
 int main(int argc, char** argv) {
   using namespace vstream;
   std::size_t jobs = 0;
-  bool serial = false;
   bool as_json = false;
   bool as_csv = false;
   std::string out_path;
@@ -139,9 +151,7 @@ int main(int argc, char** argv) {
 
   for (int arg = 1; arg < argc; ++arg) {
     if (std::strcmp(argv[arg], "--jobs") == 0 && arg + 1 < argc) {
-      jobs = static_cast<std::size_t>(std::atoll(argv[++arg]));
-    } else if (std::strcmp(argv[arg], "--serial") == 0) {
-      serial = true;
+      if (!parse_count("--jobs", argv[++arg], jobs)) return usage(argv[0]);
     } else if (std::strcmp(argv[arg], "--json") == 0) {
       as_json = true;
     } else if (std::strcmp(argv[arg], "--csv") == 0) {
@@ -155,7 +165,7 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[arg], "--mb") == 0 && arg + 1 < argc) {
       gen_mb = std::atof(argv[++arg]);
     } else if (std::strcmp(argv[arg], "--connections") == 0 && arg + 1 < argc) {
-      gen_connections = static_cast<std::size_t>(std::atoll(argv[++arg]));
+      if (!parse_count("--connections", argv[++arg], gen_connections)) return usage(argv[0]);
     } else if (std::strcmp(argv[arg], "--selftest") == 0) {
       selftest = true;
     } else if (argv[arg][0] == '-') {
@@ -186,11 +196,10 @@ int main(int argc, char** argv) {
 
     const capture::MmapPcapReader reader{positional.front()};
     const ClassifyOptions options;
-    const runner::ParallelSweep pool{serial ? 1 : jobs};
+    const runner::ParallelSweep pool{jobs};
     runner::SweepProfiler profiler{pool.jobs()};
-    CaptureClassification result =
-        serial ? analysis::classify_capture_serial(reader, options)
-               : analysis::classify_capture(reader, pool, options, &profiler);
+    const CaptureClassification result =
+        analysis::classify_capture(reader, pool, options, &profiler);
 
     const std::string text =
         as_json ? result.to_json() + "\n" : as_csv ? result.to_csv() : result.render();
