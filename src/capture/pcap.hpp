@@ -79,9 +79,9 @@ template <typename Fn>
 void for_each_pcap_record(const std::string& path, Fn&& fn) {
   const MmapPcapReader reader{path};
   std::map<std::uint64_t, ConnectionUnwrap> unwrap;
+  const auto unwrap_for = [&unwrap](std::uint64_t id) -> ConnectionUnwrap& { return unwrap[id]; };
   PacketRecord record;
   reader.for_each([&](const PcapRecordView& view) {
-    const auto unwrap_for = [&unwrap](std::uint64_t id) -> ConnectionUnwrap& { return unwrap[id]; };
     if (decode_record(view, unwrap_for, record)) fn(std::as_const(record));
   });
 }

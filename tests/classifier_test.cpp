@@ -305,11 +305,15 @@ TEST_F(ClassifierTest, CorruptCaptureThrowsTheSerialDiagnosticAtEveryJobCount) {
                                 std::istreambuf_iterator<char>{}};
   const std::string corrupt =
       "/tmp/vstream_classifier_test_corrupt_" + std::to_string(::getpid()) + ".pcap";
-  std::vector<char> truncated{bytes.begin(), bytes.begin() + (bytes.size() / 2 / 70) * 70 + 30};
+  namespace wire = capture::wire;
+  const std::size_t record_bytes = wire::kRecordHeaderBytes + wire::kHeadersBytes;
+  const std::size_t mid_header = wire::kGlobalHeaderBytes +
+                                 (bytes.size() / 2 / record_bytes) * record_bytes + 6;
+  std::vector<char> truncated{bytes.begin(),
+                              bytes.begin() + static_cast<std::ptrdiff_t>(mid_header)};
   std::vector<char> absurd = bytes;
-  capture::wire::put_u32le(reinterpret_cast<std::uint8_t*>(absurd.data()) +
-                               capture::wire::kGlobalHeaderBytes + 8,
-                           70000U);
+  wire::put_u32le(reinterpret_cast<std::uint8_t*>(absurd.data()) + wire::kGlobalHeaderBytes + 8,
+                  70000U);  // incl_len past the 65535 snaplen
 
   for (const std::vector<char>* file : {&truncated, &absurd}) {
     std::ofstream{corrupt, std::ios::binary | std::ios::trunc}.write(
