@@ -2,6 +2,8 @@
 // CSV export.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -145,7 +147,9 @@ TEST(RecorderTest, TakeResetsState) {
 class PcapRoundTrip : public ::testing::Test {
  protected:
   void TearDown() override { std::remove(path_.c_str()); }
-  std::string path_ = "/tmp/vstream_pcap_test.pcap";
+  // gtest_discover_tests runs every test case as its own process, and ctest
+  // may run several concurrently — the scratch path must be per-process.
+  std::string path_ = "/tmp/vstream_pcap_test_" + std::to_string(::getpid()) + ".pcap";
 };
 
 TEST_F(PcapRoundTrip, PreservesAnalysisFields) {
