@@ -21,6 +21,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -140,9 +141,7 @@ vstream::analysis::SessionReport stream_report(const std::string& path,
   return up_payload > down_payload ? pass(true) : as_written;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace vstream;
   bool as_json = false;
   bool with_flows = false;
@@ -188,27 +187,16 @@ int main(int argc, char** argv) {
     }
     analysis::ReportOptions options;
     if (argc > 2) options.encoding_bps = std::atof(argv[2]) * 1e6;
-    try {
-      const auto report = stream_report(argv[1], options);
-      if (as_json) {
-        std::printf("{\"report\":%s}\n", analysis::to_json(report).c_str());
-      } else {
-        std::fputs(report.render().c_str(), stdout);
-      }
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "error: %s\n", e.what());
-      return 1;
+    const auto report = stream_report(argv[1], options);
+    if (as_json) {
+      std::printf("{\"report\":%s}\n", analysis::to_json(report).c_str());
+    } else {
+      std::fputs(report.render().c_str(), stdout);
     }
     return 0;
   }
 
-  capture::PacketTrace trace;
-  try {
-    trace = capture::read_pcap(argv[1]);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 1;
-  }
+  capture::PacketTrace trace = capture::read_pcap(argv[1]);
   trace.label = argv[1];
 
   // Heuristic direction fix-up for foreign captures: the video flows in the
@@ -263,4 +251,16 @@ int main(int argc, char** argv) {
     std::printf("\nper-connection flows:\n%s", analysis::build_flow_table(trace).render().c_str());
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // Both paths report a read or analysis failure the same way.
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
+  }
 }

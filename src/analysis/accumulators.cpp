@@ -118,10 +118,12 @@ bool HandshakeRttTracker::add(const capture::PacketRecord& p) {
     return false;
   }
   if (p.direction != net::Direction::kDown || !ack) return false;
-  // The earliest SYN-ACK at or after each pending SYN resolves it; a SYN
+  // The earliest SYN-ACK strictly after each pending SYN resolves it; a SYN
   // resolved once keeps its value (first match wins, as in the batch scan).
+  // A SYN-ACK stamped with its SYN's own time carries no RTT: it leaves the
+  // SYN pending rather than resolve it to a zero RTT.
   for (auto& s : syns_) {
-    if (!s.rtt_s.has_value() && s.connection_id == p.connection_id && s.t_s <= p.t_s) {
+    if (!s.rtt_s.has_value() && s.connection_id == p.connection_id && s.t_s < p.t_s) {
       s.rtt_s = p.t_s - s.t_s;
     }
   }

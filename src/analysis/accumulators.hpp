@@ -91,7 +91,8 @@ class RetransmissionAccumulator {
 
 /// Online handshake-RTT estimate: client SYNs (up, SYN without ACK) are
 /// queued in arrival order; each down SYN-ACK resolves every still-pending
-/// SYN of its connection. The answer is the first SYN in arrival order that
+/// SYN of its connection that it strictly follows (a SYN-ACK stamped with
+/// its SYN's time resolves nothing, so no estimate is ever zero). The answer is the first SYN in arrival order that
 /// found a match — exactly what the batch scan returns, in O(packets x
 /// connections) instead of the seed's O(packets^2).
 class HandshakeRttTracker {

@@ -28,7 +28,8 @@ struct AckClockOptions {
 };
 
 /// Estimate the RTT from the first SYN/SYN-ACK pair in the trace. Returns
-/// nullopt when the trace holds no complete handshake. Implemented over the
+/// nullopt when the trace holds no complete handshake; a SYN-ACK stamped
+/// with its SYN's own time completes none. Implemented over the
 /// online `HandshakeRttTracker` — one pass, not the seed's quadratic scan.
 [[nodiscard]] std::optional<double> estimate_handshake_rtt(capture::TraceView trace);
 

@@ -1,7 +1,5 @@
 #include "analysis/streaming_report.hpp"
 
-#include <stdexcept>
-
 #include "stats/descriptive.hpp"
 
 namespace vstream::analysis {
@@ -61,7 +59,6 @@ SessionReport StreamingReportBuilder::finish() const {
   if (const auto rtt = handshake_.rtt_s()) {
     report.rtt_ms = *rtt * 1000.0;
     if (options_.estimate_ack_clock && onoff.has_steady_state()) {
-      if (*rtt <= 0.0) throw std::invalid_argument{"first_rtt_bytes: non-positive RTT"};
       const auto samples = first_rtt_.samples(*rtt);
       if (!samples.empty()) report.median_first_rtt_kb = stats::median(samples) / 1024.0;
     }

@@ -23,6 +23,7 @@
 #include "capture/pcap_reader.hpp"
 #include "capture/pcap_wire.hpp"
 #include "capture/synthetic.hpp"
+#include "net/segment.hpp"
 #include "runner/parallel_sweep.hpp"
 
 namespace {
@@ -244,6 +245,65 @@ TEST_F(ClassifierTest, HostileTimestampOnlyDropsItsConnectionsCycle) {
       EXPECT_EQ(got.connections[i], reference.connections[i]);
     }
   }
+}
+
+TEST_F(ClassifierTest, TiedHandshakeOnlyDropsItsConnectionsRttFields) {
+  // Stamp one connection's SYN-ACK with its SYN's own time. A zero RTT is no
+  // estimate: that connection loses its RTT-derived fields, and every other
+  // row and the capture-wide totals stay as they were, at every job count.
+  const CaptureClassification reference = serial();
+  const auto paced = std::find_if(
+      reference.connections.begin(), reference.connections.end(),
+      [](const ConnectionLabel& row) { return row.median_first_rtt_kb.has_value(); });
+  ASSERT_NE(paced, reference.connections.end());
+  const std::uint64_t target = paced->connection_id;
+
+  std::uint64_t syn = 0;
+  std::uint64_t syn_ack = 0;
+  {
+    const MmapPcapReader reader{path_};
+    reader.for_each([&](const capture::PcapRecordView& view) {
+      capture::WirePacket w;
+      if (!capture::parse_frame(view, w) || w.record.connection_id != target ||
+          !net::has_flag(w.record.flags, net::TcpFlag::kSyn)) {
+        return;
+      }
+      const bool ack = net::has_flag(w.record.flags, net::TcpFlag::kAck);
+      if (w.record.direction == net::Direction::kUp && !ack && syn == 0) syn = view.offset;
+      if (w.record.direction == net::Direction::kDown && ack && syn_ack == 0) {
+        syn_ack = view.offset;
+      }
+    });
+  }
+  ASSERT_GT(syn, 0U);
+  ASSERT_GT(syn_ack, syn);
+  std::ifstream in{path_, std::ios::binary};
+  std::vector<char> bytes{std::istreambuf_iterator<char>{in}, std::istreambuf_iterator<char>{}};
+  // The first 8 bytes of a record header are its seconds and microseconds.
+  std::copy_n(bytes.begin() + static_cast<std::ptrdiff_t>(syn), 8,
+              bytes.begin() + static_cast<std::ptrdiff_t>(syn_ack));
+  const std::string tied =
+      "/tmp/vstream_classifier_test_tied_" + std::to_string(::getpid()) + ".pcap";
+  std::ofstream{tied, std::ios::binary}.write(bytes.data(),
+                                              static_cast<std::streamsize>(bytes.size()));
+
+  CaptureClassification expected = reference;
+  for (ConnectionLabel& row : expected.connections) {
+    if (row.connection_id != target) continue;
+    row.rtt_ms.reset();
+    row.median_first_rtt_kb.reset();
+    row.ack_clocked.reset();
+  }
+  const MmapPcapReader reader{tied};
+  EXPECT_EQ(classify_capture_serial(reader, {}), expected);
+  for (const std::size_t jobs : {1U, 2U, 4U}) {
+    SCOPED_TRACE(jobs);
+    const runner::ParallelSweep pool{jobs};
+    const CaptureClassification got = classify_capture(reader, pool, {});
+    EXPECT_EQ(got, expected);
+    EXPECT_EQ(got.to_json(), expected.to_json());
+  }
+  (void)std::remove(tied.c_str());
 }
 
 TEST_F(ClassifierTest, CsvHasStableShape) {

@@ -385,6 +385,30 @@ TEST(StreamingReportTest, HeadSynNeverAnsweredUsesLastEstimate) {
   }
 }
 
+TEST(StreamingReportTest, SynAckTiedWithItsSynCarriesNoRtt) {
+  // A SYN-ACK stamped with its SYN's own time gives a zero RTT, which is no
+  // estimate: alone, the report has no RTT fields; with a second, real
+  // handshake, the RTT is that one's. Either way the builder equals the
+  // reference and nothing throws.
+  for (const bool second : {false, true}) {
+    for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+      const std::string what = "seed " + std::to_string(seed) + (second ? " (second)" : "");
+      auto trace = data_only_trace(seed, 0, 20.0);
+      insert_syn(trace, 0, 0.0);
+      insert_syn_ack(trace, 0, 0.0);
+      if (second) {
+        insert_syn(trace, 1, 0.01);
+        insert_syn_ack(trace, 1, 0.03);
+      }
+      const auto report = analysis::build_report(trace);
+      EXPECT_EQ(report.rtt_ms.has_value(), second) << what;
+      EXPECT_EQ(report.median_first_rtt_kb.has_value(), second) << what;
+      EXPECT_EQ(stream_over(trace), reference_report(trace)) << what;
+      expect_matches_reference(trace, {}, what);
+    }
+  }
+}
+
 TEST(StreamingReportTest, ProbeTiedWithOnStartCountsInItsWindow) {
   // A zero-window probe at the exact time of the record that opens an ON
   // period, but before it: [start, start + rtt) includes the probe. Checked
