@@ -8,6 +8,7 @@
 #include <cstring>
 #include <fstream>
 
+#include "obs/json.hpp"
 #include "streaming/session_builder.hpp"
 
 namespace vstream::bench {
@@ -219,15 +220,8 @@ double median_of(std::vector<double> v) {
   return v[mid];
 }
 
-void append_json_number(std::string& out, double v) {
-  if (!std::isfinite(v)) {
-    out += "null";
-    return;
-  }
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.10g", v);
-  out += buf;
-}
+/// Telemetry numbers print ten significant digits.
+constexpr obs::json::Format kDigits{10};
 
 }  // namespace
 
@@ -297,22 +291,6 @@ void RunTelemetry::finalize() {
   const double wall_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start_).count();
 
-  std::string out;
-  out += "{\"bench\":\"" + name_ + "\"";
-  out += ",\"wall_time_s\":";
-  append_json_number(out, wall_s);
-  out += ",\"sessions\":" + std::to_string(sessions_);
-  out += ",\"sim_time_s\":";
-  append_json_number(out, sim_time_s_);
-  out += ",\"sim_events\":" + std::to_string(sim_events_);
-  out += ",\"events_per_sec\":";
-  append_json_number(out, wall_s > 0.0 ? static_cast<double>(sim_events_) / wall_s
-                                       : std::nan(""));
-  out += ",\"sim_max_events_pending\":" + std::to_string(sim_max_events_pending_);
-  out += ",\"median_block_kb\":";
-  append_json_number(out, median_of(block_sizes_bytes_) / 1024.0);
-  out += ",\"median_accumulation_ratio\":";
-  append_json_number(out, median_of(accumulation_ratios_));
   if (sweep_capacity_s_ > 0.0) {
     extra_["sweep_wall_s"] = sweep_wall_s_;
     extra_["sweep_busy_s"] = sweep_busy_s_;
@@ -320,17 +298,25 @@ void RunTelemetry::finalize() {
     extra_["sweep_workers"] = static_cast<double>(sweep_workers_);
     extra_["sweep_utilization"] = sweep_busy_s_ / sweep_capacity_s_;
   }
-  out += ",\"extra\":{";
-  bool first = true;
-  for (const auto& [k, v] : extra_) {
-    if (!first) out += ",";
-    first = false;
-    out += "\"" + k + "\":";
-    append_json_number(out, v);
-  }
-  out += "}";
-  out += ",\"metrics\":" + merged_.to_json();
-  out += "}\n";
+  obs::json::Object extra;
+  for (const auto& [k, v] : extra_) extra.number(k, v, kDigits);
+  const std::string out =
+      obs::json::Object{}
+          .string("bench", name_)
+          .number("wall_time_s", wall_s, kDigits)
+          .integer("sessions", sessions_)
+          .number("sim_time_s", sim_time_s_, kDigits)
+          .integer("sim_events", sim_events_)
+          .number("events_per_sec",
+                  wall_s > 0.0 ? static_cast<double>(sim_events_) / wall_s : std::nan(""),
+                  kDigits)
+          .integer("sim_max_events_pending", sim_max_events_pending_)
+          .number("median_block_kb", median_of(block_sizes_bytes_) / 1024.0, kDigits)
+          .number("median_accumulation_ratio", median_of(accumulation_ratios_), kDigits)
+          .raw("extra", extra.close())
+          .raw("metrics", merged_.to_json())
+          .close() +
+      "\n";
 
   std::ofstream file{out_path_};
   if (!file) {

@@ -178,11 +178,11 @@ int run_capacity(std::size_t capacity, double seconds, std::size_t shards, std::
   }
 
   if (!shard_out.empty()) {
-    // Graft the RSS bound into the payload so the merge report can show the
+    // Add the RSS bound to the payload so the merge report can show the
     // worst shard without re-running anything.
-    std::string json = acc.to_json("capacity", shard, shards, first, count);
-    json.pop_back();  // trailing '}'
-    json += ",\"peak_rss_kb\":" + std::to_string(rss_kb) + "}";
+    const std::string json = acc.json_object("capacity", shard, shards, first, count)
+                                 .integer("peak_rss_kb", rss_kb)
+                                 .close();
     std::ofstream out{shard_out, std::ios::trunc};
     if (!out) {
       std::fprintf(stderr, "capacity_planner: cannot write %s\n", shard_out.c_str());

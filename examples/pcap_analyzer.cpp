@@ -34,6 +34,7 @@
 #include "capture/dump.hpp"
 #include "capture/pcap.hpp"
 #include "obs/chrome_trace.hpp"
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -61,8 +62,11 @@ bool write_metrics(const std::string& path, const vstream::capture::PacketTrace&
       .inc(analysis::count_zero_window_episodes(trace));
   std::ofstream out{path};
   if (!out) return false;
-  out << "{\"flows\":" << analysis::to_json(table)
-      << ",\"metrics\":" << reg.snapshot().to_json() << "}\n";
+  out << obs::json::Object{}
+             .raw("flows", analysis::to_json(table))
+             .raw("metrics", reg.snapshot().to_json())
+             .close()
+      << "\n";
   return true;
 }
 
@@ -189,7 +193,7 @@ int run(int argc, char** argv) {
     if (argc > 2) options.encoding_bps = std::atof(argv[2]) * 1e6;
     const auto report = stream_report(argv[1], options);
     if (as_json) {
-      std::printf("{\"report\":%s}\n", analysis::to_json(report).c_str());
+      std::puts(obs::json::Object{}.raw("report", analysis::to_json(report)).close().c_str());
     } else {
       std::fputs(report.render().c_str(), stdout);
     }
@@ -231,11 +235,10 @@ int run(int argc, char** argv) {
                  trace_path.c_str());
   }
   if (as_json) {
-    std::printf("{\"report\":%s", analysis::to_json(report).c_str());
-    if (with_flows) {
-      std::printf(",\"flows\":%s", analysis::to_json(analysis::build_flow_table(trace)).c_str());
-    }
-    std::printf("}\n");
+    obs::json::Object out;
+    out.raw("report", analysis::to_json(report));
+    if (with_flows) out.raw("flows", analysis::to_json(analysis::build_flow_table(trace)));
+    std::puts(out.close().c_str());
     return 0;
   }
   std::fputs(report.render().c_str(), stdout);

@@ -1,7 +1,6 @@
 #include "analysis/connection_demux.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <map>
 #include <sstream>
@@ -10,28 +9,15 @@
 #include "analysis/streaming_report.hpp"
 #include "check/contracts.hpp"
 #include "net/segment.hpp"
+#include "obs/json.hpp"
 
 namespace vstream::analysis {
 namespace {
 
-void append_number(std::ostringstream& out, double v) {
-  if (!std::isfinite(v)) {
-    out << "null";
-    return;
-  }
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.6g", v);
-  out << buf;
-}
+namespace json = obs::json;
 
-template <typename T>
-void append_optional_json(std::ostringstream& out, const std::optional<T>& v) {
-  if (v.has_value()) {
-    append_number(out, static_cast<double>(*v));
-  } else {
-    out << "null";
-  }
-}
+/// Classifier rows print six significant digits, as session reports do.
+constexpr json::Format kDigits{6};
 
 void append_csv_number(std::ostringstream& out, double v) {
   char buf[64];
@@ -178,55 +164,36 @@ CaptureClassification classify_capture_serial(const capture::MmapPcapReader& rea
 }
 
 std::string CaptureClassification::to_json() const {
-  std::ostringstream out;
-  out << "{\"records\":" << records;
-  out << ",\"packets\":" << packets;
-  out << ",\"duration_s\":";
-  append_number(out, duration_s);
-  out << ",\"down_payload_mb\":";
-  append_number(out, down_payload_mb);
-  out << ",\"direction_flipped\":" << (direction_flipped ? "true" : "false");
-  out << ",\"connections\":[";
-  bool first = true;
+  json::Array rows;
   for (const auto& c : connections) {
-    if (!first) out << ",";
-    first = false;
-    out << "{\"connection\":" << c.connection_id;
-    out << ",\"host\":" << static_cast<unsigned>(c.host);
-    out << ",\"packets\":" << c.packets;
-    out << ",\"first_packet_s\":";
-    append_number(out, c.first_packet_s);
-    out << ",\"last_packet_s\":";
-    append_number(out, c.last_packet_s);
-    out << ",\"down_payload_mb\":";
-    append_number(out, c.down_payload_mb);
-    out << ",\"strategy\":\"" << to_string(c.strategy) << "\"";
-    out << ",\"has_steady_state\":" << (c.has_steady_state ? "true" : "false");
-    out << ",\"median_block_kb\":";
-    append_number(out, c.median_block_kb);
-    out << ",\"median_off_s\":";
-    append_number(out, c.median_off_s);
-    out << ",\"cycle_period_s\":";
-    append_optional_json(out, c.cycle_period_s);
-    out << ",\"steady_rate_mbps\":";
-    append_number(out, c.steady_rate_mbps);
-    out << ",\"rtt_ms\":";
-    append_optional_json(out, c.rtt_ms);
-    out << ",\"median_first_rtt_kb\":";
-    append_optional_json(out, c.median_first_rtt_kb);
-    out << ",\"ack_clocked\":";
-    if (c.ack_clocked.has_value()) {
-      out << (*c.ack_clocked ? "true" : "false");
-    } else {
-      out << "null";
-    }
-    out << ",\"retransmission_pct\":";
-    append_number(out, c.retransmission_pct);
-    out << ",\"zero_window_episodes\":" << c.zero_window_episodes;
-    out << "}";
+    rows.raw(json::Object{}
+                 .integer("connection", c.connection_id)
+                 .integer("host", c.host)
+                 .integer("packets", c.packets)
+                 .number("first_packet_s", c.first_packet_s, kDigits)
+                 .number("last_packet_s", c.last_packet_s, kDigits)
+                 .number("down_payload_mb", c.down_payload_mb, kDigits)
+                 .string("strategy", to_string(c.strategy))
+                 .boolean("has_steady_state", c.has_steady_state)
+                 .number("median_block_kb", c.median_block_kb, kDigits)
+                 .number("median_off_s", c.median_off_s, kDigits)
+                 .number("cycle_period_s", c.cycle_period_s, kDigits)
+                 .number("steady_rate_mbps", c.steady_rate_mbps, kDigits)
+                 .number("rtt_ms", c.rtt_ms, kDigits)
+                 .number("median_first_rtt_kb", c.median_first_rtt_kb, kDigits)
+                 .boolean("ack_clocked", c.ack_clocked)
+                 .number("retransmission_pct", c.retransmission_pct, kDigits)
+                 .integer("zero_window_episodes", c.zero_window_episodes)
+                 .close());
   }
-  out << "]}";
-  return out.str();
+  return json::Object{}
+      .integer("records", records)
+      .integer("packets", packets)
+      .number("duration_s", duration_s, kDigits)
+      .number("down_payload_mb", down_payload_mb, kDigits)
+      .boolean("direction_flipped", direction_flipped)
+      .raw("connections", rows.close())
+      .close();
 }
 
 std::string CaptureClassification::to_csv() const {

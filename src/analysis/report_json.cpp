@@ -1,151 +1,79 @@
 #include "analysis/report_json.hpp"
 
-#include <cmath>
-#include <cstdio>
-#include <sstream>
+#include "obs/json.hpp"
 
 namespace vstream::analysis {
 namespace {
 
-void append_number(std::ostringstream& out, double v) {
-  if (!std::isfinite(v)) {
-    out << "null";
-    return;
-  }
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.6g", v);
-  out << buf;
-}
+namespace json = obs::json;
 
-template <typename T>
-void append_optional(std::ostringstream& out, const std::optional<T>& v) {
-  if (v.has_value()) {
-    append_number(out, static_cast<double>(*v));
-  } else {
-    out << "null";
-  }
+/// Reports and flow tables print six significant digits.
+constexpr json::Format kDigits{6};
+
+/// The report's fields, left open so a caller can append more.
+json::Object report_object(const SessionReport& report) {
+  const ResilienceStats& res = report.resilience;
+  json::Object out;
+  out.string("label", report.label)
+      .string("strategy", to_string(report.strategy))
+      .string("rationale", report.rationale)
+      .number("buffering_end_s", report.buffering_end_s, kDigits)
+      .number("buffering_mb", report.buffering_mb, kDigits)
+      .number("buffered_playback_s", report.buffered_playback_s, kDigits)
+      .boolean("has_steady_state", report.has_steady_state)
+      .number("steady_rate_mbps", report.steady_rate_mbps, kDigits)
+      .number("median_block_kb", report.median_block_kb, kDigits)
+      .number("median_off_s", report.median_off_s, kDigits)
+      .number("accumulation_ratio", report.accumulation_ratio, kDigits)
+      .number("cycle_period_s", report.cycle_period_s, kDigits)
+      .integer("connections", report.connections)
+      .integer("packets", report.packets)
+      .number("retransmission_pct", report.retransmission_pct, kDigits)
+      .integer("zero_window_episodes", report.zero_window_episodes)
+      .number("rtt_ms", report.rtt_ms, kDigits)
+      .number("median_first_rtt_kb", report.median_first_rtt_kb, kDigits)
+      .number("total_mb", report.total_mb, kDigits)
+      .number("duration_s", report.duration_s, kDigits)
+      .raw("resilience", json::Object{}
+                             .integer("fetch_retries", res.fetch_retries)
+                             .integer("fetch_timeouts", res.fetch_timeouts)
+                             .integer("fetch_abandoned", res.fetch_abandoned)
+                             .integer("rebuffer_count", res.rebuffer_count)
+                             .integer("stall_count", res.stall_count)
+                             .number("stall_time_s", res.stall_time_s, kDigits)
+                             .number("longest_stall_s", res.longest_stall_s, kDigits)
+                             .integer("fault_drops", res.fault_drops)
+                             .integer("fault_windows", res.fault_windows)
+                             .integer("rate_switches", res.rate_switches)
+                             .close());
+  return out;
 }
 
 }  // namespace
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-std::string to_json(const SessionReport& report) {
-  std::ostringstream out;
-  out << "{";
-  out << "\"label\":\"" << json_escape(report.label) << "\",";
-  out << "\"strategy\":\"" << to_string(report.strategy) << "\",";
-  out << "\"rationale\":\"" << json_escape(report.rationale) << "\",";
-  out << "\"buffering_end_s\":";
-  append_number(out, report.buffering_end_s);
-  out << ",\"buffering_mb\":";
-  append_number(out, report.buffering_mb);
-  out << ",\"buffered_playback_s\":";
-  append_optional(out, report.buffered_playback_s);
-  out << ",\"has_steady_state\":" << (report.has_steady_state ? "true" : "false");
-  out << ",\"steady_rate_mbps\":";
-  append_number(out, report.steady_rate_mbps);
-  out << ",\"median_block_kb\":";
-  append_number(out, report.median_block_kb);
-  out << ",\"median_off_s\":";
-  append_number(out, report.median_off_s);
-  out << ",\"accumulation_ratio\":";
-  append_optional(out, report.accumulation_ratio);
-  out << ",\"cycle_period_s\":";
-  append_optional(out, report.cycle_period_s);
-  out << ",\"connections\":" << report.connections;
-  out << ",\"packets\":" << report.packets;
-  out << ",\"retransmission_pct\":";
-  append_number(out, report.retransmission_pct);
-  out << ",\"zero_window_episodes\":" << report.zero_window_episodes;
-  out << ",\"rtt_ms\":";
-  append_optional(out, report.rtt_ms);
-  out << ",\"median_first_rtt_kb\":";
-  append_optional(out, report.median_first_rtt_kb);
-  out << ",\"total_mb\":";
-  append_number(out, report.total_mb);
-  out << ",\"duration_s\":";
-  append_number(out, report.duration_s);
-  const ResilienceStats& res = report.resilience;
-  out << ",\"resilience\":{";
-  out << "\"fetch_retries\":" << res.fetch_retries;
-  out << ",\"fetch_timeouts\":" << res.fetch_timeouts;
-  out << ",\"fetch_abandoned\":" << res.fetch_abandoned;
-  out << ",\"rebuffer_count\":" << res.rebuffer_count;
-  out << ",\"stall_count\":" << res.stall_count;
-  out << ",\"stall_time_s\":";
-  append_number(out, res.stall_time_s);
-  out << ",\"longest_stall_s\":";
-  append_number(out, res.longest_stall_s);
-  out << ",\"fault_drops\":" << res.fault_drops;
-  out << ",\"fault_windows\":" << res.fault_windows;
-  out << ",\"rate_switches\":" << res.rate_switches;
-  out << "}}";
-  return out.str();
-}
+std::string to_json(const SessionReport& report) { return report_object(report).close(); }
 
 std::string to_json(const SessionReport& report, const obs::MetricsSnapshot& metrics) {
-  std::string base = to_json(report);
-  if (metrics.empty()) return base;
-  base.pop_back();  // trailing '}'
-  base += ",\"metrics\":";
-  base += metrics.to_json();
-  base += "}";
-  return base;
+  json::Object out = report_object(report);
+  if (!metrics.empty()) out.raw("metrics", metrics.to_json());
+  return out.close();
 }
 
 std::string to_json(const FlowTable& table) {
-  std::ostringstream out;
-  out << "[";
-  bool first = true;
+  json::Array out;
   for (const auto& f : table.flows) {
-    if (!first) out << ",";
-    first = false;
-    out << "{\"connection\":" << f.connection_id;
-    out << ",\"first_packet_s\":";
-    append_number(out, f.first_packet_s);
-    out << ",\"last_packet_s\":";
-    append_number(out, f.last_packet_s);
-    out << ",\"down_bytes\":" << f.down_payload_bytes;
-    out << ",\"up_bytes\":" << f.up_payload_bytes;
-    out << ",\"retransmitted_bytes\":" << f.retransmitted_bytes;
-    out << ",\"handshake_rtt_s\":";
-    append_optional(out, f.handshake_rtt_s);
-    out << ",\"saw_fin\":" << (f.saw_fin ? "true" : "false") << "}";
+    out.raw(json::Object{}
+                .integer("connection", f.connection_id)
+                .number("first_packet_s", f.first_packet_s, kDigits)
+                .number("last_packet_s", f.last_packet_s, kDigits)
+                .integer("down_bytes", f.down_payload_bytes)
+                .integer("up_bytes", f.up_payload_bytes)
+                .integer("retransmitted_bytes", f.retransmitted_bytes)
+                .number("handshake_rtt_s", f.handshake_rtt_s, kDigits)
+                .boolean("saw_fin", f.saw_fin)
+                .close());
   }
-  out << "]";
-  return out.str();
+  return out.close();
 }
 
 }  // namespace vstream::analysis

@@ -1,6 +1,6 @@
 // JSON rendering of SessionReport and FlowTable — the machine-readable
-// counterpart of the text reports, for downstream tooling. No external
-// dependencies: the writer emits a small, well-formed JSON subset.
+// counterpart of the text reports, for downstream tooling. Written through
+// the obs/json codec, which owns number, null and escaping rules.
 #pragma once
 
 #include <string>
@@ -21,8 +21,5 @@ namespace vstream::analysis {
 
 /// Render a flow table as a JSON array of flow objects.
 [[nodiscard]] std::string to_json(const FlowTable& table);
-
-/// Escape a string for inclusion in JSON output.
-[[nodiscard]] std::string json_escape(const std::string& s);
 
 }  // namespace vstream::analysis

@@ -1,9 +1,10 @@
 #include "obs/chrome_trace.hpp"
 
-#include <cstdio>
 #include <fstream>
 #include <ostream>
 #include <sstream>
+
+#include "obs/json.hpp"
 
 namespace vstream::obs {
 
@@ -40,29 +41,10 @@ const char* tid_name(std::uint32_t tid) {
   }
 }
 
-std::string escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  return out;
-}
-
-/// Sim-time seconds -> trace microseconds, fixed formatting so golden-file
-/// tests are byte-stable across platforms.
-std::string us(double seconds) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.3f", seconds * 1e6);
-  return buf;
-}
-
-std::string number(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.9g", v);
-  return buf;
-}
+/// Trace timestamps are sim-time microseconds with three fixed decimals, so
+/// golden-file tests are byte-stable across platforms.
+constexpr json::Format kMicros{3, true};
+constexpr json::Format kDigits{9};
 
 }  // namespace
 
@@ -72,65 +54,85 @@ void ChromeTraceWriter::push(const std::string& row, std::uint32_t tid) {
 }
 
 void ChromeTraceWriter::add(const TraceEvent& event) {
-  std::ostringstream o;
-  const std::string pid = std::to_string(pid_);
   struct Renderer {
     ChromeTraceWriter& w;
-    const std::string& pid;
 
+    [[nodiscard]] json::Object row(const char* ph, std::uint32_t tid) const {
+      json::Object o;
+      o.string("ph", ph).integer("pid", w.pid_).integer("tid", tid);
+      return o;
+    }
     void instant(std::uint32_t tid, const std::string& name, const std::string& args,
                  double t_s) const {
-      w.push("{\"ph\":\"i\",\"pid\":" + pid + ",\"tid\":" + std::to_string(tid) + ",\"ts\":" +
-                 us(t_s) + ",\"s\":\"t\",\"name\":\"" + escape(name) + "\",\"args\":{" + args +
-                 "}}",
+      w.push(row("i", tid)
+                 .number("ts", t_s * 1e6, kMicros)
+                 .string("s", "t")
+                 .string("name", name)
+                 .raw("args", args)
+                 .close(),
              tid);
     }
     void counter(std::uint32_t tid, const std::string& name, const std::string& args,
                  double t_s) const {
-      w.push("{\"ph\":\"C\",\"pid\":" + pid + ",\"tid\":" + std::to_string(tid) + ",\"ts\":" +
-                 us(t_s) + ",\"name\":\"" + escape(name) + "\",\"args\":{" + args + "}}",
+      w.push(row("C", tid)
+                 .number("ts", t_s * 1e6, kMicros)
+                 .string("name", name)
+                 .raw("args", args)
+                 .close(),
              tid);
     }
 
     void operator()(const SpanRecord& e) const {
       const std::uint32_t tid = tid_for(e.category);
-      const std::string id = std::to_string(e.span_id);
-      const std::string head = ",\"pid\":" + pid + ",\"tid\":" + std::to_string(tid) +
-                               ",\"cat\":\"" + escape(e.category) + "\",\"id\":" + id +
-                               ",\"name\":\"" + escape(e.name) + "\"";
-      w.push("{\"ph\":\"b\"" + head + ",\"ts\":" + us(e.t_begin_s) + ",\"args\":{\"detail\":\"" +
-                 escape(e.detail) + "\",\"domain_id\":" + std::to_string(e.id) +
-                 ",\"depth\":" + std::to_string(e.depth) + "}}",
+      const auto span = [&](const char* ph) {
+        json::Object o = row(ph, tid);
+        o.string("cat", e.category).integer("id", e.span_id).string("name", e.name);
+        return o;
+      };
+      w.push(span("b")
+                 .number("ts", e.t_begin_s * 1e6, kMicros)
+                 .raw("args", json::Object{}
+                                  .string("detail", e.detail)
+                                  .integer("domain_id", e.id)
+                                  .integer("depth", e.depth)
+                                  .close())
+                 .close(),
              tid);
       if (e.t_mark_s >= 0.0) {
-        instant(tid, e.name + ".mark", "\"span_id\":" + id, e.t_mark_s);
+        instant(tid, e.name + ".mark", json::Object{}.integer("span_id", e.span_id).close(),
+                e.t_mark_s);
       }
-      w.push("{\"ph\":\"e\"" + head + ",\"ts\":" + us(e.t_end_s) + "}", tid);
+      w.push(span("e").number("ts", e.t_end_s * 1e6, kMicros).close(), tid);
     }
     void operator()(const TcpCwndSample& e) const {
       counter(kTidTcp, "cwnd conn" + std::to_string(e.connection_id),
-              "\"cwnd\":" + std::to_string(e.cwnd) + ",\"ssthresh\":" +
-                  std::to_string(e.ssthresh) + ",\"in_flight\":" +
-                  std::to_string(e.bytes_in_flight),
+              json::Object{}
+                  .integer("cwnd", e.cwnd)
+                  .integer("ssthresh", e.ssthresh)
+                  .integer("in_flight", e.bytes_in_flight)
+                  .close(),
               e.t_s);
     }
     void operator()(const SimLoopSample& e) const {
       counter(kTidSim, "sim_loop",
-              "\"pending\":" + std::to_string(e.events_pending) + ",\"sim_wall_ratio\":" +
-                  number(e.sim_wall_ratio),
+              json::Object{}
+                  .integer("pending", e.events_pending)
+                  .number("sim_wall_ratio", e.sim_wall_ratio, kDigits)
+                  .close(),
               e.t_s);
     }
     void operator()(const PacingBlockEmitted& e) const {
       instant(kTidPacing, e.initial_burst ? "initial_burst" : "pacing_block",
-              "\"conn\":" + std::to_string(e.connection_id) + ",\"bytes\":" +
-                  std::to_string(e.bytes),
+              json::Object{}.integer("conn", e.connection_id).integer("bytes", e.bytes).close(),
               e.t_s);
     }
     void operator()(const PlayerStall& e) const {
-      instant(kTidPlayer, "stall", "\"stalls\":" + std::to_string(e.stall_count), e.t_s);
+      instant(kTidPlayer, "stall", json::Object{}.integer("stalls", e.stall_count).close(),
+              e.t_s);
     }
     void operator()(const PlayerInterrupt& e) const {
-      instant(kTidPlayer, "interrupt", "\"watched_s\":" + number(e.watched_s), e.t_s);
+      instant(kTidPlayer, "interrupt",
+              json::Object{}.number("watched_s", e.watched_s, kDigits).close(), e.t_s);
     }
     void operator()(const ZeroWindowEpisode&) const {
       // Rendered by the retro-emitted "zero_window" span instead; keeping
@@ -138,17 +140,19 @@ void ChromeTraceWriter::add(const TraceEvent& event) {
     }
     void operator()(const LinkFault& e) const {
       instant(kTidLink, "fault_" + e.kind + (e.begin ? "_begin" : "_end"),
-              "\"rate_factor\":" + number(e.rate_factor), e.t_s);
+              json::Object{}.number("rate_factor", e.rate_factor, kDigits).close(), e.t_s);
     }
     void operator()(const FetchRetry& e) const {
       instant(kTidFetch, e.gave_up ? "fetch_abandoned" : "fetch_retry",
-              "\"attempt\":" + std::to_string(e.attempt) + ",\"backoff_s\":" +
-                  number(e.backoff_s) + ",\"remaining_bytes\":" +
-                  std::to_string(e.remaining_bytes),
+              json::Object{}
+                  .integer("attempt", e.attempt)
+                  .number("backoff_s", e.backoff_s, kDigits)
+                  .integer("remaining_bytes", e.remaining_bytes)
+                  .close(),
               e.t_s);
     }
   };
-  std::visit(Renderer{*this, pid}, event);
+  std::visit(Renderer{*this}, event);
 }
 
 void ChromeTraceWriter::write(std::ostream& out) const {
@@ -157,8 +161,13 @@ void ChromeTraceWriter::write(std::ostream& out) const {
   for (const std::uint32_t tid : tids_) {
     if (!first) out << ",\n";
     first = false;
-    out << "{\"ph\":\"M\",\"pid\":" << pid_ << ",\"tid\":" << tid
-        << ",\"name\":\"thread_name\",\"args\":{\"name\":\"" << tid_name(tid) << "\"}}";
+    out << json::Object{}
+               .string("ph", "M")
+               .integer("pid", pid_)
+               .integer("tid", tid)
+               .string("name", "thread_name")
+               .raw("args", json::Object{}.string("name", tid_name(tid)).close())
+               .close();
   }
   for (const std::string& row : rows_) {
     if (!first) out << ",\n";

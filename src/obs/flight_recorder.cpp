@@ -5,6 +5,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "obs/json.hpp"
+
 namespace vstream::obs {
 
 FlightRecorder::FlightRecorder(Options options) : options_{std::move(options)} {
@@ -32,16 +34,11 @@ void FlightRecorder::on_event(const TraceEvent& event) {
 
 void FlightRecorder::dump(const std::string& reason) {
   ++dumps_;
-  std::string header = "{\"type\":\"flight_dump\",\"reason\":\"";
-  for (const char c : reason) {
-    if (c == '"' || c == '\\') header += '\\';
-    if (c == '\n') {
-      header += ' ';
-      continue;
-    }
-    header += c;
-  }
-  header += "\",\"events\":" + std::to_string(ring_.size()) + "}";
+  const std::string header = json::Object{}
+                                 .string("type", "flight_dump")
+                                 .string("reason", reason)
+                                 .integer("events", ring_.size())
+                                 .close();
 
   if (options_.dump_path.empty()) {
     std::fprintf(stderr, "%s\n", header.c_str());

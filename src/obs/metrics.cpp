@@ -1,11 +1,9 @@
 #include "obs/metrics.hpp"
 
 #include <algorithm>
-#include <cctype>
-#include <cmath>
-#include <cstdio>
-#include <sstream>
 #include <stdexcept>
+
+#include "obs/json.hpp"
 
 namespace vstream::obs {
 
@@ -98,208 +96,37 @@ double MetricsSnapshot::HistogramData::percentile(double q) const {
 
 namespace {
 
-void append_double(std::ostringstream& out, double v) {
-  if (!std::isfinite(v)) {
-    out << "null";
-    return;
-  }
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  out << buf;
-}
-
-void append_quoted(std::ostringstream& out, const std::string& s) {
-  out << '"';
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out << '\\';
-    out << c;
-  }
-  out << '"';
-}
+/// Gauges, bounds, sums and percentiles print with every bit of the double.
+constexpr json::Format kDigits{17};
 
 }  // namespace
 
 std::string MetricsSnapshot::to_json() const {
-  std::ostringstream out;
-  out << "{\"counters\":{";
-  bool first = true;
-  for (const auto& [name, v] : counters) {
-    if (!first) out << ',';
-    first = false;
-    append_quoted(out, name);
-    out << ':' << v;
-  }
-  out << "},\"gauges\":{";
-  first = true;
-  for (const auto& [name, v] : gauges) {
-    if (!first) out << ',';
-    first = false;
-    append_quoted(out, name);
-    out << ':';
-    append_double(out, v);
-  }
-  out << "},\"histograms\":{";
-  first = true;
+  json::Object counters_json;
+  for (const auto& [name, v] : counters) counters_json.integer(name, v);
+  json::Object gauges_json;
+  for (const auto& [name, v] : gauges) gauges_json.number(name, v, kDigits);
+  json::Object histograms_json;
   for (const auto& [name, h] : histograms) {
-    if (!first) out << ',';
-    first = false;
-    append_quoted(out, name);
-    out << ":{\"bounds\":[";
-    for (std::size_t i = 0; i < h.bounds.size(); ++i) {
-      if (i != 0) out << ',';
-      append_double(out, h.bounds[i]);
-    }
-    out << "],\"counts\":[";
-    for (std::size_t i = 0; i < h.counts.size(); ++i) {
-      if (i != 0) out << ',';
-      out << h.counts[i];
-    }
-    out << "],\"count\":" << h.count << ",\"sum\":";
-    append_double(out, h.sum);
-    out << ",\"p50\":";
-    append_double(out, h.percentile(0.50));
-    out << ",\"p90\":";
-    append_double(out, h.percentile(0.90));
-    out << ",\"p99\":";
-    append_double(out, h.percentile(0.99));
-    out << '}';
+    json::Array bounds;
+    for (const double b : h.bounds) bounds.number(b, kDigits);
+    json::Array counts;
+    for (const std::uint64_t c : h.counts) counts.integer(c);
+    histograms_json.raw(name, json::Object{}
+                                  .raw("bounds", bounds.close())
+                                  .raw("counts", counts.close())
+                                  .integer("count", h.count)
+                                  .number("sum", h.sum, kDigits)
+                                  .number("p50", h.percentile(0.50), kDigits)
+                                  .number("p90", h.percentile(0.90), kDigits)
+                                  .number("p99", h.percentile(0.99), kDigits)
+                                  .close());
   }
-  out << "}}";
-  return out.str();
-}
-
-// --------------------------------------------------------------- JSON parse
-//
-// A minimal recursive-descent reader for the subset `to_json` emits (string
-// keys, numbers, nested objects, flat numeric arrays). Kept here so tests
-// and tooling can round-trip snapshots without an external JSON dependency.
-
-namespace {
-
-class Reader {
- public:
-  explicit Reader(const std::string& text) : s_{text} {}
-
-  void ws() {
-    while (i_ < s_.size() && std::isspace(static_cast<unsigned char>(s_[i_])) != 0) ++i_;
-  }
-
-  void expect(char c) {
-    ws();
-    if (i_ >= s_.size() || s_[i_] != c) {
-      throw std::runtime_error{"parse_snapshot: expected '" + std::string{c} + "' at offset " +
-                               std::to_string(i_)};
-    }
-    ++i_;
-  }
-
-  [[nodiscard]] bool peek(char c) {
-    ws();
-    return i_ < s_.size() && s_[i_] == c;
-  }
-
-  bool consume(char c) {
-    if (!peek(c)) return false;
-    ++i_;
-    return true;
-  }
-
-  std::string string() {
-    expect('"');
-    std::string out;
-    while (i_ < s_.size() && s_[i_] != '"') {
-      if (s_[i_] == '\\' && i_ + 1 < s_.size()) ++i_;
-      out += s_[i_++];
-    }
-    expect('"');
-    return out;
-  }
-
-  double number() {
-    ws();
-    if (s_.compare(i_, 4, "null") == 0) {
-      i_ += 4;
-      return 0.0;
-    }
-    std::size_t used = 0;
-    double v = 0.0;
-    try {
-      v = std::stod(s_.substr(i_), &used);
-    } catch (const std::exception&) {
-      throw std::runtime_error{"parse_snapshot: bad number at offset " + std::to_string(i_)};
-    }
-    i_ += used;
-    return v;
-  }
-
-  std::vector<double> number_array() {
-    std::vector<double> out;
-    expect('[');
-    if (consume(']')) return out;
-    do {
-      out.push_back(number());
-    } while (consume(','));
-    expect(']');
-    return out;
-  }
-
- private:
-  const std::string& s_;
-  std::size_t i_{0};
-};
-
-}  // namespace
-
-MetricsSnapshot parse_snapshot(const std::string& json) {
-  MetricsSnapshot snap;
-  Reader r{json};
-  r.expect('{');
-  if (r.consume('}')) return snap;
-  do {
-    const std::string section = r.string();
-    r.expect(':');
-    r.expect('{');
-    if (r.consume('}')) continue;
-    do {
-      const std::string name = r.string();
-      r.expect(':');
-      if (section == "counters") {
-        snap.counters[name] = static_cast<std::uint64_t>(r.number());
-      } else if (section == "gauges") {
-        snap.gauges[name] = r.number();
-      } else if (section == "histograms") {
-        MetricsSnapshot::HistogramData h;
-        r.expect('{');
-        do {
-          const std::string field = r.string();
-          r.expect(':');
-          if (field == "bounds") {
-            h.bounds = r.number_array();
-          } else if (field == "counts") {
-            for (const double c : r.number_array()) {
-              h.counts.push_back(static_cast<std::uint64_t>(c));
-            }
-          } else if (field == "count") {
-            h.count = static_cast<std::uint64_t>(r.number());
-          } else if (field == "sum") {
-            h.sum = r.number();
-          } else if (field == "p50" || field == "p90" || field == "p99") {
-            // Derived tails; recomputed from the buckets on re-emission.
-            static_cast<void>(r.number());
-          } else {
-            throw std::runtime_error{"parse_snapshot: unknown histogram field " + field};
-          }
-        } while (r.consume(','));
-        r.expect('}');
-        snap.histograms.emplace(name, std::move(h));
-      } else {
-        throw std::runtime_error{"parse_snapshot: unknown section " + section};
-      }
-    } while (r.consume(','));
-    r.expect('}');
-  } while (r.consume(','));
-  r.expect('}');
-  return snap;
+  return json::Object{}
+      .raw("counters", counters_json.close())
+      .raw("gauges", gauges_json.close())
+      .raw("histograms", histograms_json.close())
+      .close();
 }
 
 }  // namespace vstream::obs

@@ -5,8 +5,8 @@
 // predictable branch plus an increment — no hashing, no allocation. A
 // registry belongs to one `Simulator`'s world, so parallel simulations
 // never share state. `snapshot()` copies everything into a plain struct
-// that can be merged across runs and rendered as (or parsed back from)
-// JSON for machine-readable run telemetry.
+// that can be merged across runs and rendered as JSON (through the
+// obs/json codec) for machine-readable run telemetry.
 #pragma once
 
 #include <cstdint>
@@ -92,10 +92,6 @@ struct MetricsSnapshot {
 
   [[nodiscard]] std::string to_json() const;
 };
-
-/// Parse a snapshot back from the JSON `MetricsSnapshot::to_json` emits.
-/// Throws std::runtime_error on malformed input.
-[[nodiscard]] MetricsSnapshot parse_snapshot(const std::string& json);
 
 class MetricsRegistry {
  public:

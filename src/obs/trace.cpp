@@ -1,102 +1,106 @@
 #include "obs/trace.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdio>
-#include <sstream>
 #include <stdexcept>
+#include <type_traits>
+
+#include "obs/json.hpp"
 
 namespace vstream::obs {
 
 namespace {
 
-void field(std::ostringstream& out, const char* key, double v) {
-  char buf[64];
-  if (std::isfinite(v)) {
-    std::snprintf(buf, sizeof buf, "%.9g", v);
+/// Trace times and rates print with nine significant digits.
+constexpr json::Format kDigits{9};
+
+/// Each event's JSONL fields in line order: the one list the writer (over a
+/// const event) and the reader (over a default event) both walk.
+template <typename Event, typename Visit>
+void visit_fields(Event& e, Visit& f) {
+  using E = std::remove_const_t<Event>;
+  if constexpr (std::is_same_v<E, TcpCwndSample>) {
+    f("t", e.t_s);
+    f("conn", e.connection_id);
+    f("endpoint", e.endpoint);
+    f("cwnd", e.cwnd);
+    f("ssthresh", e.ssthresh);
+    f("rwnd", e.rwnd);
+    f("adv_wnd", e.adv_wnd);
+    f("rto_s", e.rto_s);
+    f("in_flight", e.bytes_in_flight);
+  } else if constexpr (std::is_same_v<E, SimLoopSample>) {
+    f("t", e.t_s);
+    f("events", e.events_processed);
+    f("pending", e.events_pending);
+    f("max_pending", e.max_events_pending);
+    f("sim_wall_ratio", e.sim_wall_ratio);
+  } else if constexpr (std::is_same_v<E, PacingBlockEmitted>) {
+    f("t", e.t_s);
+    f("conn", e.connection_id);
+    f("bytes", e.bytes);
+    f("initial_burst", e.initial_burst);
+  } else if constexpr (std::is_same_v<E, PlayerStall>) {
+    f("t", e.t_s);
+    f("stalls", e.stall_count);
+  } else if constexpr (std::is_same_v<E, PlayerInterrupt>) {
+    f("t", e.t_s);
+    f("watched_s", e.watched_s);
+  } else if constexpr (std::is_same_v<E, ZeroWindowEpisode>) {
+    f("t", e.t_s);
+    f("conn", e.connection_id);
+    f("endpoint", e.endpoint);
+    f("duration_s", e.duration_s);
+  } else if constexpr (std::is_same_v<E, LinkFault>) {
+    f("t", e.t_s);
+    f("kind", e.kind);
+    f("begin", e.begin);
+    f("rate_factor", e.rate_factor);
+  } else if constexpr (std::is_same_v<E, FetchRetry>) {
+    f("t", e.t_s);
+    f("attempt", e.attempt);
+    f("backoff_s", e.backoff_s);
+    f("remaining_bytes", e.remaining_bytes);
+    f("gave_up", e.gave_up);
   } else {
-    std::snprintf(buf, sizeof buf, "null");
+    static_assert(std::is_same_v<E, SpanRecord>);
+    f("t", e.t_end_s);
+    f("begin_s", e.t_begin_s);
+    f("mark_s", e.t_mark_s);
+    f("span_id", e.span_id);
+    f("id", e.id);
+    f("depth", e.depth);
+    f("cat", e.category);
+    f("name", e.name);
+    f("detail", e.detail);
   }
-  out << ",\"" << key << "\":" << buf;
 }
 
-void field(std::ostringstream& out, const char* key, std::uint64_t v) {
-  out << ",\"" << key << "\":" << v;
-}
-
-void field(std::ostringstream& out, const char* key, const std::string& v) {
-  out << ",\"" << key << "\":\"";
-  for (const char c : v) {
-    if (c == '"' || c == '\\') out << '\\';
-    out << c;
-  }
-  out << '"';
-}
-
+/// Writes each field in its type's form; a flag is written as 0 or 1.
 struct JsonlWriter {
-  std::ostringstream& out;
+  json::Object& out;
 
-  void operator()(const TcpCwndSample& e) const {
-    field(out, "t", e.t_s);
-    field(out, "conn", e.connection_id);
-    field(out, "endpoint", e.endpoint);
-    field(out, "cwnd", e.cwnd);
-    field(out, "ssthresh", e.ssthresh);
-    field(out, "rwnd", e.rwnd);
-    field(out, "adv_wnd", e.adv_wnd);
-    field(out, "rto_s", e.rto_s);
-    field(out, "in_flight", e.bytes_in_flight);
+  void operator()(const char* key, double v) const { out.number(key, v, kDigits); }
+  void operator()(const char* key, std::uint64_t v) const { out.integer(key, v); }
+  void operator()(const char* key, std::uint32_t v) const { out.integer(key, v); }
+  void operator()(const char* key, bool v) const { out.integer(key, v ? 1 : 0); }
+  void operator()(const char* key, const std::string& v) const { out.string(key, v); }
+};
+
+/// Reads one line's fields into an event. A missing field keeps the
+/// event's default; a present field that is not a valid value of its type
+/// and width marks the whole line bad.
+struct JsonlReader {
+  std::string_view line;
+  bool ok{true};
+
+  template <typename T>
+  void operator()(const char* key, T& value) {
+    if (json::read(line, key, value) == json::Field::kInvalid) ok = false;
   }
-  void operator()(const SimLoopSample& e) const {
-    field(out, "t", e.t_s);
-    field(out, "events", e.events_processed);
-    field(out, "pending", e.events_pending);
-    field(out, "max_pending", e.max_events_pending);
-    field(out, "sim_wall_ratio", e.sim_wall_ratio);
-  }
-  void operator()(const PacingBlockEmitted& e) const {
-    field(out, "t", e.t_s);
-    field(out, "conn", e.connection_id);
-    field(out, "bytes", e.bytes);
-    field(out, "initial_burst", static_cast<std::uint64_t>(e.initial_burst ? 1 : 0));
-  }
-  void operator()(const PlayerStall& e) const {
-    field(out, "t", e.t_s);
-    field(out, "stalls", static_cast<std::uint64_t>(e.stall_count));
-  }
-  void operator()(const PlayerInterrupt& e) const {
-    field(out, "t", e.t_s);
-    field(out, "watched_s", e.watched_s);
-  }
-  void operator()(const ZeroWindowEpisode& e) const {
-    field(out, "t", e.t_s);
-    field(out, "conn", e.connection_id);
-    field(out, "endpoint", e.endpoint);
-    field(out, "duration_s", e.duration_s);
-  }
-  void operator()(const LinkFault& e) const {
-    field(out, "t", e.t_s);
-    field(out, "kind", e.kind);
-    field(out, "begin", static_cast<std::uint64_t>(e.begin ? 1 : 0));
-    field(out, "rate_factor", e.rate_factor);
-  }
-  void operator()(const FetchRetry& e) const {
-    field(out, "t", e.t_s);
-    field(out, "attempt", static_cast<std::uint64_t>(e.attempt));
-    field(out, "backoff_s", e.backoff_s);
-    field(out, "remaining_bytes", e.remaining_bytes);
-    field(out, "gave_up", static_cast<std::uint64_t>(e.gave_up ? 1 : 0));
-  }
-  void operator()(const SpanRecord& e) const {
-    field(out, "t", e.t_end_s);
-    field(out, "begin_s", e.t_begin_s);
-    field(out, "mark_s", e.t_mark_s);
-    field(out, "span_id", e.span_id);
-    field(out, "id", e.id);
-    field(out, "depth", static_cast<std::uint64_t>(e.depth));
-    field(out, "cat", e.category);
-    field(out, "name", e.name);
-    field(out, "detail", e.detail);
+  void operator()(const char* key, bool& value) {
+    std::uint64_t v = value ? 1 : 0;
+    (*this)(key, v);
+    value = v != 0;
   }
 };
 
@@ -118,145 +122,39 @@ const char* event_type(const TraceEvent& event) {
 }
 
 std::string to_jsonl(const TraceEvent& event) {
-  std::ostringstream out;
-  out << "{\"type\":\"" << event_type(event) << '"';
-  std::visit(JsonlWriter{out}, event);
-  out << '}';
-  return out.str();
+  json::Object out;
+  out.string("type", event_type(event));
+  JsonlWriter writer{out};
+  std::visit([&writer](const auto& e) { visit_fields(e, writer); }, event);
+  return out.close();
 }
-
-namespace {
-
-/// Locate the value text after `"key":`, or npos.
-std::size_t value_offset(const std::string& line, const std::string& key) {
-  const std::string needle = "\"" + key + "\":";
-  const std::size_t at = line.find(needle);
-  if (at == std::string::npos) return std::string::npos;
-  return at + needle.size();
-}
-
-}  // namespace
 
 std::optional<double> jsonl_number(const std::string& line, const std::string& key) {
-  const std::size_t at = value_offset(line, key);
-  if (at == std::string::npos) return std::nullopt;
-  try {
-    return std::stod(line.substr(at));
-  } catch (const std::exception&) {
-    return std::nullopt;
-  }
+  double v = 0.0;
+  if (json::read(line, key, v) != json::Field::kOk) return std::nullopt;
+  return v;
 }
 
 std::optional<std::string> jsonl_string(const std::string& line, const std::string& key) {
-  std::size_t at = value_offset(line, key);
-  if (at == std::string::npos || at >= line.size() || line[at] != '"') return std::nullopt;
-  ++at;
-  std::string out;
-  while (at < line.size() && line[at] != '"') {
-    if (line[at] == '\\' && at + 1 < line.size()) ++at;
-    out += line[at++];
-  }
-  return out;
+  std::string v;
+  if (json::read(line, key, v) != json::Field::kOk) return std::nullopt;
+  return v;
 }
-
-namespace {
-
-double num(const std::string& line, const char* key, double fallback = 0.0) {
-  return jsonl_number(line, key).value_or(fallback);
-}
-
-std::uint64_t unum(const std::string& line, const char* key) {
-  return static_cast<std::uint64_t>(jsonl_number(line, key).value_or(0.0));
-}
-
-std::string str(const std::string& line, const char* key) {
-  return jsonl_string(line, key).value_or(std::string{});
-}
-
-}  // namespace
 
 std::optional<TraceEvent> from_jsonl(const std::string& line) {
   const auto type = jsonl_string(line, "type");
   if (!type) return std::nullopt;
-  if (*type == "tcp_cwnd") {
-    TcpCwndSample e;
-    e.t_s = num(line, "t");
-    e.connection_id = unum(line, "conn");
-    e.endpoint = str(line, "endpoint");
-    e.cwnd = unum(line, "cwnd");
-    e.ssthresh = unum(line, "ssthresh");
-    e.rwnd = unum(line, "rwnd");
-    e.adv_wnd = unum(line, "adv_wnd");
-    e.rto_s = num(line, "rto_s");
-    e.bytes_in_flight = unum(line, "in_flight");
-    return TraceEvent{e};
-  }
-  if (*type == "sim_loop") {
-    SimLoopSample e;
-    e.t_s = num(line, "t");
-    e.events_processed = unum(line, "events");
-    e.events_pending = unum(line, "pending");
-    e.max_events_pending = unum(line, "max_pending");
-    e.sim_wall_ratio = num(line, "sim_wall_ratio");
-    return TraceEvent{e};
-  }
-  if (*type == "pacing_block") {
-    PacingBlockEmitted e;
-    e.t_s = num(line, "t");
-    e.connection_id = unum(line, "conn");
-    e.bytes = unum(line, "bytes");
-    e.initial_burst = unum(line, "initial_burst") != 0;
-    return TraceEvent{e};
-  }
-  if (*type == "player_stall") {
-    PlayerStall e;
-    e.t_s = num(line, "t");
-    e.stall_count = static_cast<std::uint32_t>(unum(line, "stalls"));
-    return TraceEvent{e};
-  }
-  if (*type == "player_interrupt") {
-    PlayerInterrupt e;
-    e.t_s = num(line, "t");
-    e.watched_s = num(line, "watched_s");
-    return TraceEvent{e};
-  }
-  if (*type == "zero_window") {
-    ZeroWindowEpisode e;
-    e.t_s = num(line, "t");
-    e.connection_id = unum(line, "conn");
-    e.endpoint = str(line, "endpoint");
-    e.duration_s = num(line, "duration_s");
-    return TraceEvent{e};
-  }
-  if (*type == "link_fault") {
-    LinkFault e;
-    e.t_s = num(line, "t");
-    e.kind = str(line, "kind");
-    e.begin = unum(line, "begin") != 0;
-    e.rate_factor = num(line, "rate_factor", 1.0);
-    return TraceEvent{e};
-  }
-  if (*type == "fetch_retry") {
-    FetchRetry e;
-    e.t_s = num(line, "t");
-    e.attempt = static_cast<std::uint32_t>(unum(line, "attempt"));
-    e.backoff_s = num(line, "backoff_s");
-    e.remaining_bytes = unum(line, "remaining_bytes");
-    e.gave_up = unum(line, "gave_up") != 0;
-    return TraceEvent{e};
-  }
-  if (*type == "span") {
-    SpanRecord e;
-    e.t_end_s = num(line, "t");
-    e.t_begin_s = num(line, "begin_s");
-    e.t_mark_s = num(line, "mark_s", -1.0);
-    e.span_id = unum(line, "span_id");
-    e.id = unum(line, "id");
-    e.depth = static_cast<std::uint32_t>(unum(line, "depth"));
-    e.category = str(line, "cat");
-    e.name = str(line, "name");
-    e.detail = str(line, "detail");
-    return TraceEvent{e};
+  // Every alternative starts from its defaults; the one whose tag matches
+  // reads its fields over them.
+  for (TraceEvent event :
+       {TraceEvent{TcpCwndSample{}}, TraceEvent{SimLoopSample{}}, TraceEvent{PacingBlockEmitted{}},
+        TraceEvent{PlayerStall{}}, TraceEvent{PlayerInterrupt{}}, TraceEvent{ZeroWindowEpisode{}},
+        TraceEvent{LinkFault{}}, TraceEvent{FetchRetry{}}, TraceEvent{SpanRecord{}}}) {
+    if (*type != event_type(event)) continue;
+    JsonlReader reader{line};
+    std::visit([&reader](auto& e) { visit_fields(e, reader); }, event);
+    if (!reader.ok) return std::nullopt;
+    return event;
   }
   return std::nullopt;
 }

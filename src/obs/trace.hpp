@@ -116,15 +116,18 @@ using TraceEvent = std::variant<TcpCwndSample, SimLoopSample, PacingBlockEmitted
 [[nodiscard]] std::string to_jsonl(const TraceEvent& event);
 
 /// Parse one `to_jsonl` line back into a typed event; nullopt when the line
-/// is not one of ours. Powers the offline JSONL → Chrome-trace converter
-/// (tools/trace_export).
+/// is not one of ours, or when a field it carries is not a valid value of
+/// its type and width (a negative or fractional count, a u32 field above
+/// 2^32-1, a non-finite time). A missing field keeps the event's default.
+/// Powers the offline JSONL → Chrome-trace converter (tools/trace_export).
 [[nodiscard]] std::optional<TraceEvent> from_jsonl(const std::string& line);
 
-/// Pull one numeric field out of a JSONL event line; nullopt when absent.
-/// Cheap string scan sufficient for the flat objects `to_jsonl` writes.
+/// Pull one numeric field out of a JSONL event line; nullopt when absent,
+/// null or not a finite number. A field lookup of the obs/json codec.
 [[nodiscard]] std::optional<double> jsonl_number(const std::string& line, const std::string& key);
 
-/// Pull one string field out of a JSONL event line.
+/// Pull one string field out of a JSONL event line, unescaped; nullopt when
+/// absent, null or not a string. A field lookup of the obs/json codec.
 [[nodiscard]] std::optional<std::string> jsonl_string(const std::string& line,
                                                       const std::string& key);
 

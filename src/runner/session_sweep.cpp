@@ -1,12 +1,10 @@
 #include "runner/session_sweep.hpp"
 
 #include <algorithm>
-#include <charconv>
-#include <cmath>
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 #include "streaming/scenarios.hpp"
 
@@ -14,70 +12,50 @@ namespace vstream::runner {
 
 namespace {
 
-/// Round-tripping double formatter for the shard-out payload: %.17g is the
-/// shortest printf precision guaranteed to reproduce the exact binary64.
-void append_double(std::string& out, double value) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  out += buf;
-}
+namespace json = obs::json;
 
-void append_u64(std::string& out, const char* key, std::uint64_t value) {
-  out += ",\"";
-  out += key;
-  out += "\":" + std::to_string(value);
-}
+/// %.17g is the shortest printf precision guaranteed to reproduce the exact
+/// binary64, so the FP sums survive a shard round trip.
+constexpr json::Format kDigits{17};
 
-void append_f64(std::string& out, const char* key, double value) {
-  out += ",\"";
-  out += key;
-  out += "\":";
-  append_double(out, value);
-}
+/// Strict on the fields a payload owns: a missing field, a signed or
+/// overflowing count, a non-finite sum or a digest that is not a hex
+/// string names the payload and the field.
+class PayloadReader {
+ public:
+  PayloadReader(std::string text, std::string path)
+      : text_{std::move(text)}, path_{std::move(path)} {}
 
-/// Locate `"key":` in `text` and return the offset just past the colon.
-std::size_t value_offset(const std::string& text, const std::string& key, const std::string& path) {
-  const std::string needle = "\"" + key + "\":";
-  const std::size_t at = text.find(needle);
-  if (at == std::string::npos) {
-    throw std::runtime_error{"shard payload " + path + " is missing field \"" + key + "\""};
+  std::uint64_t u64(const char* key) const {
+    std::uint64_t v = 0;
+    check(json::read(text_, key, v), key, "is not an integer");
+    return v;
   }
-  return at + needle.size();
-}
-
-/// Parse the number at `text[at]` with std::from_chars, which takes no sign
-/// for an unsigned type (sscanf's %llu would wrap "-1" to 2^64-1) and no
-/// leading space. A double must also be finite.
-template <typename T, typename... Base>
-T parse_at(const std::string& text, std::size_t at, const std::string& key,
-           const std::string& path, const char* what, Base... base) {
-  T value{};
-  if (std::from_chars(text.data() + at, text.data() + text.size(), value, base...).ec !=
-          std::errc{} ||
-      !std::isfinite(static_cast<double>(value))) {
-    throw std::runtime_error{"shard payload " + path + ": field \"" + key + "\" " + what};
+  double f64(const char* key) const {
+    double v = 0.0;
+    check(json::read(text_, key, v), key, "is not a number");
+    return v;
   }
-  return value;
-}
-
-std::uint64_t parse_u64(const std::string& text, const std::string& key, const std::string& path) {
-  return parse_at<std::uint64_t>(text, value_offset(text, key, path), key, path,
-                                 "is not an integer");
-}
-
-double parse_f64(const std::string& text, const std::string& key, const std::string& path) {
-  return parse_at<double>(text, value_offset(text, key, path), key, path, "is not a number");
-}
-
-/// The digest travels as a hex string — a JSON number would silently lose
-/// bits above 2^53 in any double-based reader touching the payload.
-std::uint64_t parse_hex(const std::string& text, const std::string& key, const std::string& path) {
-  const std::size_t at = value_offset(text, key, path);
-  if (text[at] != '"') {
-    throw std::runtime_error{"shard payload " + path + ": field \"" + key + "\" is not a string"};
+  std::uint64_t digest(const char* key) const {
+    std::uint64_t v = 0;
+    check(json::read_digest(text_, key, v), key, "is not hex");
+    return v;
   }
-  return parse_at<std::uint64_t>(text, at + 1, key, path, "is not hex", 16);
-}
+  [[noreturn]] void fail(const std::string& what) const {
+    throw std::runtime_error{"shard payload " + path_ + ": " + what};
+  }
+
+ private:
+  void check(json::Field field, const char* key, const char* invalid) const {
+    if (field == json::Field::kMissing) {
+      throw std::runtime_error{"shard payload " + path_ + " is missing field \"" + key + "\""};
+    }
+    if (field == json::Field::kInvalid) fail("field \"" + std::string{key} + "\" " + invalid);
+  }
+
+  std::string text_;
+  std::string path_;
+};
 
 }  // namespace
 
@@ -125,36 +103,36 @@ void SweepAccumulator::merge(const SweepAccumulator& other) {
   digest.merge(other.digest);
 }
 
+obs::json::Object SweepAccumulator::json_object(const std::string& name, std::size_t shard,
+                                                std::size_t shards, std::size_t first,
+                                                std::size_t count) const {
+  obs::json::Object out;
+  out.string("name", name)
+      .integer("shard", shard)
+      .integer("shards", shards)
+      .integer("first", first)
+      .integer("count", count)
+      .integer("sessions", sessions)
+      .integer("bytes_downloaded", bytes_downloaded)
+      .integer("sim_events", sim_events)
+      .integer("connections", connections)
+      .integer("rebuffer_count", rebuffer_count)
+      .integer("fetch_retries", fetch_retries)
+      .integer("interrupted_sessions", interrupted_sessions)
+      .integer("max_events_pending", max_events_pending)
+      .number("download_rate_bps_sum", download_rate_bps_sum, kDigits)
+      .number("encoding_bps_estimated_sum", encoding_bps_estimated_sum, kDigits)
+      .number("stall_time_s_sum", stall_time_s_sum, kDigits)
+      .number("mean_download_rate_bps", mean_download_rate_bps(), kDigits)
+      .digest("digest", digest.combined)
+      .integer("digest_sessions", digest.sessions);
+  return out;
+}
+
 std::string SweepAccumulator::to_json(const std::string& name, std::size_t shard,
                                       std::size_t shards, std::size_t first,
                                       std::size_t count) const {
-  std::string out;
-  out += "{\"name\":\"" + name + "\"";
-  append_u64(out, "shard", shard);
-  append_u64(out, "shards", shards);
-  append_u64(out, "first", first);
-  append_u64(out, "count", count);
-  append_u64(out, "sessions", sessions);
-  append_u64(out, "bytes_downloaded", bytes_downloaded);
-  append_u64(out, "sim_events", sim_events);
-  append_u64(out, "connections", connections);
-  append_u64(out, "rebuffer_count", rebuffer_count);
-  append_u64(out, "fetch_retries", fetch_retries);
-  append_u64(out, "interrupted_sessions", interrupted_sessions);
-  append_u64(out, "max_events_pending", max_events_pending);
-  append_f64(out, "download_rate_bps_sum", download_rate_bps_sum);
-  append_f64(out, "encoding_bps_estimated_sum", encoding_bps_estimated_sum);
-  append_f64(out, "stall_time_s_sum", stall_time_s_sum);
-  append_f64(out, "mean_download_rate_bps", mean_download_rate_bps());
-  char hex[24];
-  std::snprintf(hex, sizeof(hex), "%016llx",
-                static_cast<unsigned long long>(digest.combined));
-  out += ",\"digest\":\"";
-  out += hex;
-  out += "\"";
-  append_u64(out, "digest_sessions", digest.sessions);
-  out += "}";
-  return out;
+  return json_object(name, shard, shards, first, count).close();
 }
 
 SweepAccumulator SweepAccumulator::from_json_file(const std::string& path, std::size_t& shard,
@@ -164,30 +142,28 @@ SweepAccumulator SweepAccumulator::from_json_file(const std::string& path, std::
   if (!in) throw std::runtime_error{"cannot open shard payload " + path};
   std::ostringstream buffer;
   buffer << in.rdbuf();
-  const std::string text = buffer.str();
+  const PayloadReader payload{buffer.str(), path};
 
-  shard = parse_u64(text, "shard", path);
-  shards = parse_u64(text, "shards", path);
-  first = parse_u64(text, "first", path);
-  count = parse_u64(text, "count", path);
+  shard = payload.u64("shard");
+  shards = payload.u64("shards");
+  first = payload.u64("first");
+  count = payload.u64("count");
 
   SweepAccumulator acc;
-  acc.sessions = parse_u64(text, "sessions", path);
-  acc.bytes_downloaded = parse_u64(text, "bytes_downloaded", path);
-  acc.sim_events = parse_u64(text, "sim_events", path);
-  acc.connections = parse_u64(text, "connections", path);
-  acc.rebuffer_count = parse_u64(text, "rebuffer_count", path);
-  acc.fetch_retries = parse_u64(text, "fetch_retries", path);
-  acc.interrupted_sessions = parse_u64(text, "interrupted_sessions", path);
-  acc.max_events_pending = parse_u64(text, "max_events_pending", path);
-  acc.download_rate_bps_sum = parse_f64(text, "download_rate_bps_sum", path);
-  acc.encoding_bps_estimated_sum = parse_f64(text, "encoding_bps_estimated_sum", path);
-  acc.stall_time_s_sum = parse_f64(text, "stall_time_s_sum", path);
-  acc.digest.combined = parse_hex(text, "digest", path);
-  acc.digest.sessions = parse_u64(text, "digest_sessions", path);
-  if (acc.digest.sessions != acc.sessions) {
-    throw std::runtime_error{"shard payload " + path + ": digest_sessions != sessions"};
-  }
+  acc.sessions = payload.u64("sessions");
+  acc.bytes_downloaded = payload.u64("bytes_downloaded");
+  acc.sim_events = payload.u64("sim_events");
+  acc.connections = payload.u64("connections");
+  acc.rebuffer_count = payload.u64("rebuffer_count");
+  acc.fetch_retries = payload.u64("fetch_retries");
+  acc.interrupted_sessions = payload.u64("interrupted_sessions");
+  acc.max_events_pending = payload.u64("max_events_pending");
+  acc.download_rate_bps_sum = payload.f64("download_rate_bps_sum");
+  acc.encoding_bps_estimated_sum = payload.f64("encoding_bps_estimated_sum");
+  acc.stall_time_s_sum = payload.f64("stall_time_s_sum");
+  acc.digest.combined = payload.digest("digest");
+  acc.digest.sessions = payload.u64("digest_sessions");
+  if (acc.digest.sessions != acc.sessions) payload.fail("digest_sessions != sessions");
   return acc;
 }
 

@@ -27,6 +27,7 @@
 #include <functional>
 #include <string>
 
+#include "obs/json.hpp"
 #include "runner/parallel_sweep.hpp"
 #include "sim/arena.hpp"
 #include "streaming/session.hpp"
@@ -96,6 +97,11 @@ struct SweepAccumulator {
   [[nodiscard]] std::string to_json(const std::string& name, std::size_t shard,
                                     std::size_t shards, std::size_t first,
                                     std::size_t count) const;
+  /// The same payload left open, for a caller that appends fields of its
+  /// own before closing it.
+  [[nodiscard]] obs::json::Object json_object(const std::string& name, std::size_t shard,
+                                              std::size_t shards, std::size_t first,
+                                              std::size_t count) const;
 
   /// Parse a shard-out JSON payload produced by to_json (strict on the
   /// fields it owns, tolerant of extras). Returns the parsed accumulator

@@ -6,11 +6,12 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <stdexcept>
 #include <string>
+
+#include "obs/json.hpp"
 
 namespace vstream::runner {
 
@@ -21,11 +22,8 @@ double steady_now_s() {
   return std::chrono::duration<double>(t).count();
 }
 
-void append_double(std::string& out, double value) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.6f", value);
-  out += buf;
-}
+/// Wall-clock seconds and shares print with six fixed decimals.
+constexpr obs::json::Format kDecimals{6, true};
 
 }  // namespace
 
@@ -136,46 +134,37 @@ double SweepProfiler::Summary::utilization() const {
 }
 
 std::string SweepProfiler::Summary::to_json(const std::string& name) const {
-  std::string out;
-  out += "{\"name\":\"" + name + "\"";
-  out += ",\"workers\":" + std::to_string(workers);
-  out += ",\"wall_s\":";
-  append_double(out, wall_s);
-  out += ",\"busy_s\":";
-  append_double(out, busy_s());
-  out += ",\"idle_s\":";
-  append_double(out, idle_s());
-  out += ",\"utilization\":";
-  append_double(out, utilization());
-  out += ",\"tasks\":" + std::to_string(tasks());
-  out += ",\"max_task_s\":";
-  append_double(out, max_task_s());
-  out += ",\"per_worker\":[";
+  obs::json::Array workers_json;
   for (std::size_t w = 0; w < per_worker.size(); ++w) {
     const WorkerStats& stats = per_worker[w];
-    if (w > 0) out += ",";
-    out += "{\"worker\":" + std::to_string(w);
-    out += ",\"busy_s\":";
-    append_double(out, stats.busy_s());
-    out += ",\"tasks\":" + std::to_string(stats.tasks());
-    out += ",\"max_task_s\":";
-    append_double(out, stats.max_task_s());
-    out += ",\"phases\":{";
+    obs::json::Object phases;
     for (std::size_t p = 0; p < kSweepPhaseCount; ++p) {
-      if (p > 0) out += ",";
-      out += "\"";
-      out += to_string(static_cast<SweepPhase>(p));
-      out += "\":{\"seconds\":";
-      append_double(out, stats.phase_s[p]);
-      out += ",\"tasks\":" + std::to_string(stats.phase_tasks[p]);
-      out += ",\"max_s\":";
-      append_double(out, stats.phase_max_s[p]);
-      out += "}";
+      phases.raw(to_string(static_cast<SweepPhase>(p)),
+                 obs::json::Object{}
+                     .number("seconds", stats.phase_s[p], kDecimals)
+                     .integer("tasks", stats.phase_tasks[p])
+                     .number("max_s", stats.phase_max_s[p], kDecimals)
+                     .close());
     }
-    out += "}}";
+    workers_json.raw(obs::json::Object{}
+                         .integer("worker", w)
+                         .number("busy_s", stats.busy_s(), kDecimals)
+                         .integer("tasks", stats.tasks())
+                         .number("max_task_s", stats.max_task_s(), kDecimals)
+                         .raw("phases", phases.close())
+                         .close());
   }
-  out += "]}";
-  return out;
+  return obs::json::Object{}
+      .string("name", name)
+      .integer("workers", workers)
+      .number("wall_s", wall_s, kDecimals)
+      .number("busy_s", busy_s(), kDecimals)
+      .number("idle_s", idle_s(), kDecimals)
+      .number("utilization", utilization(), kDecimals)
+      .integer("tasks", tasks())
+      .number("max_task_s", max_task_s(), kDecimals)
+      .raw("per_worker", workers_json.close())
+      .close();
 }
 
 SweepProfiler::Summary SweepProfiler::summary() const {

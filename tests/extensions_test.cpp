@@ -17,12 +17,6 @@
 namespace vstream {
 namespace {
 
-TEST(JsonTest, EscapesSpecials) {
-  EXPECT_EQ(analysis::json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-  EXPECT_EQ(analysis::json_escape("plain"), "plain");
-  EXPECT_EQ(analysis::json_escape(std::string{"x\x01y"}), "x\\u0001y");
-}
-
 TEST(JsonTest, ReportRoundTripStructure) {
   analysis::SessionReport report;
   report.label = "test \"quoted\"";

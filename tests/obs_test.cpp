@@ -5,6 +5,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -94,10 +95,11 @@ TEST(ObsMetricsTest, SnapshotJsonCarriesPercentiles) {
   EXPECT_NE(json.find("\"p50\":12.5"), std::string::npos) << json;
   EXPECT_NE(json.find("\"p90\":20"), std::string::npos) << json;
   EXPECT_NE(json.find("\"p99\":20"), std::string::npos) << json;
-  // The percentile fields are derived, not state: parsing the document back
-  // reconstructs the same buckets and therefore the same percentiles.
-  const MetricsSnapshot back = parse_snapshot(json);
-  EXPECT_DOUBLE_EQ(back.histograms.at("lat").percentile(0.5), 12.5);
+  // The percentiles sit next to the buckets they derive from.
+  EXPECT_EQ(json,
+            "{\"counters\":{},\"gauges\":{},\"histograms\":{\"lat\":{\"bounds\":[10,20],"
+            "\"counts\":[4,4,2],\"count\":10,\"sum\":130,\"p50\":12.5,\"p90\":20,"
+            "\"p99\":20}}}");
 }
 
 TEST(ObsMetricsTest, MergeRejectsMismatchedHistogramBounds) {
@@ -116,32 +118,31 @@ TEST(ObsMetricsTest, MergeRejectsMismatchedHistogramBounds) {
   EXPECT_EQ(merged.histograms.at("h").count, 2u);
 }
 
-TEST(ObsMetricsTest, SnapshotJsonRoundTrip) {
+TEST(ObsMetricsTest, SnapshotJsonIsExact) {
   MetricsRegistry reg;
   reg.counter("tcp.segments_sent").inc(1234);
   reg.counter("net.drops_queue").inc(7);
   reg.gauge("net.queue_high_water_bytes").set(65536.0);
+  reg.gauge("sim.sim_wall_ratio").set(0.1);
   auto& h = reg.histogram("server.block_bytes", {1024.0, 65536.0});
   h.observe(800.0);
   h.observe(65536.0);
   h.observe(1e6);
 
-  const MetricsSnapshot snap = reg.snapshot();
-  const MetricsSnapshot back = parse_snapshot(snap.to_json());
+  // Names in order, gauges and sums with every bit of the double (0.1 is
+  // not exact), buckets with the inclusive upper edge and the overflow.
+  EXPECT_EQ(reg.snapshot().to_json(),
+            "{\"counters\":{\"net.drops_queue\":7,\"tcp.segments_sent\":1234},"
+            "\"gauges\":{\"net.queue_high_water_bytes\":65536,"
+            "\"sim.sim_wall_ratio\":0.10000000000000001},"
+            "\"histograms\":{\"server.block_bytes\":{\"bounds\":[1024,65536],"
+            "\"counts\":[1,1,1],\"count\":3,\"sum\":1066336,\"p50\":33280,"
+            "\"p90\":65536,\"p99\":65536}}}");
 
-  EXPECT_EQ(back.counters, snap.counters);
-  EXPECT_EQ(back.gauges, snap.gauges);
-  ASSERT_EQ(back.histograms.size(), 1u);
-  const auto& hb = back.histograms.at("server.block_bytes");
-  EXPECT_EQ(hb.bounds, snap.histograms.at("server.block_bytes").bounds);
-  EXPECT_EQ(hb.counts, snap.histograms.at("server.block_bytes").counts);
-  EXPECT_EQ(hb.count, 3u);
-  EXPECT_DOUBLE_EQ(hb.sum, 800.0 + 65536.0 + 1e6);
-}
-
-TEST(ObsMetricsTest, ParseSnapshotRejectsGarbage) {
-  EXPECT_THROW(parse_snapshot("not json"), std::runtime_error);
-  EXPECT_THROW(parse_snapshot("{\"counters\":[]}"), std::runtime_error);
+  // A gauge that is not finite is written as null, not as a bare token.
+  MetricsSnapshot odd;
+  odd.gauges["g"] = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(odd.to_json(), "{\"counters\":{},\"gauges\":{\"g\":null},\"histograms\":{}}");
 }
 
 TEST(ObsMetricsTest, MergeAddsCountersAndKeepsGaugeMaxima) {
@@ -252,6 +253,80 @@ TEST(ObsTraceTest, JsonlSinkLinesParseBackFieldByField) {
   EXPECT_EQ(jsonl_number(lines[2], "duration_s"), 0.75);
   EXPECT_EQ(jsonl_number(lines[2], "missing_key"), std::nullopt);
   std::remove(path.c_str());
+}
+
+TEST(ObsTraceTest, JsonlRoundTripsEveryU64FieldExactly) {
+  for (const std::uint64_t v :
+       {std::uint64_t{0}, std::uint64_t{9007199254740993ULL}, ~std::uint64_t{0}}) {
+    SCOPED_TRACE(v);
+    TcpCwndSample e;
+    e.t_s = 1.5;
+    e.connection_id = v;
+    e.endpoint = "server#\"1\"\n";
+    e.cwnd = v;
+    e.ssthresh = v;
+    e.rwnd = v;
+    e.adv_wnd = v;
+    e.bytes_in_flight = v;
+    const auto back = from_jsonl(to_jsonl(e));
+    ASSERT_TRUE(back.has_value());
+    const auto& got = std::get<TcpCwndSample>(*back);
+    EXPECT_EQ(got.connection_id, v);
+    EXPECT_EQ(got.endpoint, e.endpoint);
+    EXPECT_EQ(got.cwnd, v);
+    EXPECT_EQ(got.ssthresh, v);
+    EXPECT_EQ(got.rwnd, v);
+    EXPECT_EQ(got.adv_wnd, v);
+    EXPECT_EQ(got.bytes_in_flight, v);
+  }
+  const auto span = from_jsonl(to_jsonl(SpanRecord{0.5, 1.0, -1.0, ~std::uint64_t{0},
+                                                   ~std::uint64_t{0}, 4294967295U, "tcp", "rto",
+                                                   "complete"}));
+  ASSERT_TRUE(span.has_value());
+  EXPECT_EQ(std::get<SpanRecord>(*span).span_id, ~std::uint64_t{0});
+  EXPECT_EQ(std::get<SpanRecord>(*span).depth, 4294967295U);
+}
+
+TEST(ObsTraceTest, FromJsonlRejectsFieldsOutsideTheirType) {
+  // A count that is signed, fractional, in exponent form or too wide for
+  // its field makes the whole line unreadable rather than wrap or round.
+  for (const char* line : {
+           R"({"type":"tcp_cwnd","t":1,"conn":7,"cwnd":-1})",
+           R"({"type":"tcp_cwnd","t":1,"conn":1e30})",
+           R"({"type":"tcp_cwnd","t":1,"conn":7.5})",
+           R"({"type":"tcp_cwnd","t":1,"conn":18446744073709551616})",
+           R"({"type":"tcp_cwnd","t":1,"conn":"7"})",
+           R"({"type":"tcp_cwnd","t":nan,"conn":7})",
+           R"({"type":"tcp_cwnd","t":1e999,"conn":7})",
+           R"({"type":"tcp_cwnd","t":1,"endpoint":7})",
+           R"({"type":"tcp_cwnd","t":1,"endpoint":"unterminated})",
+           R"({"type":"player_stall","t":1,"stalls":4294967296})",
+           R"({"type":"fetch_retry","t":1,"attempt":-3})",
+           R"({"type":"span","t":1,"depth":4294967296})",
+           R"({"type":"pacing_block","t":1,"initial_burst":-1})",
+       }) {
+    EXPECT_FALSE(from_jsonl(line).has_value()) << line;
+  }
+  // The widest valid values still read.
+  const auto stall = from_jsonl(R"({"type":"player_stall","t":1,"stalls":4294967295})");
+  ASSERT_TRUE(stall.has_value());
+  EXPECT_EQ(std::get<PlayerStall>(*stall).stall_count, 4294967295U);
+}
+
+TEST(ObsTraceTest, FromJsonlKeepsDefaultsForMissingFields) {
+  const auto fault = from_jsonl(R"({"type":"link_fault","t":2})");
+  ASSERT_TRUE(fault.has_value());
+  const auto& f = std::get<LinkFault>(*fault);
+  EXPECT_EQ(f.t_s, 2.0);
+  EXPECT_EQ(f.kind, "");
+  EXPECT_TRUE(f.begin);
+  EXPECT_EQ(f.rate_factor, 1.0);
+  // null is how the writer spells a value it does not have.
+  const auto span = from_jsonl(R"({"type":"span","t":3,"mark_s":null})");
+  ASSERT_TRUE(span.has_value());
+  EXPECT_EQ(std::get<SpanRecord>(*span).t_mark_s, -1.0);
+  EXPECT_FALSE(from_jsonl(R"({"t":1})").has_value());
+  EXPECT_FALSE(from_jsonl(R"({"type":"no_such_event","t":1})").has_value());
 }
 
 // ---- live instrumentation vs. offline analysis ---------------------------
