@@ -63,6 +63,12 @@ Rules (all scoped to C++ sources):
                shell: library worlds are assembled by streaming::World, one
                way. Scope: src/; src/sim/, src/obs/ and
                src/streaming/world.* exempt (tests and benches are out).
+  json-codec   no "null" string literal outside the JSON codec: every JSON
+               writer goes through src/obs/json.*, which owns the number,
+               null and escaping rules, so a hand-written "null" is a second
+               copy of them. Matched on the raw line, string literals
+               included. Scope: src/, tools/, examples/; src/obs/json.*
+               exempt.
 
 Waivers: append `// vstream-lint: allow(<rule>): <reason>` to the offending
 line, or put `// vstream-lint-file: allow(<rule>): <reason>` anywhere in the
@@ -161,6 +167,11 @@ RULES = {
         "world assembly outside the shell; build the world on streaming::World",
         ("src",),
     ),
+    "json-codec": (
+        re.compile(r'"null"'),
+        "JSON written by hand; write it through the obs/json codec, which owns null",
+        ("src", "tools", "examples"),
+    ),
     "run-session": (
         re.compile(r"\brun_session\s*\("),
         "direct run_session in examples/; use TopologyBuilder / SessionBuilder — the documented "
@@ -188,6 +199,11 @@ RULE_EXEMPT_PREFIXES = {
         ("src", "obs"),
         ("src", "streaming", "world.hpp"),
         ("src", "streaming", "world.cpp"),
+    ),
+    # The codec is the one place JSON's null is spelled.
+    "json-codec": (
+        ("src", "obs", "json.hpp"),
+        ("src", "obs", "json.cpp"),
     ),
     # The two documented legacy single-session entry points (DESIGN.md §15):
     # quickstart is the canonical smallest private-world example, and
@@ -230,7 +246,7 @@ RULE_ONLY_PREFIXES = {
 }
 
 # Rules matched against the raw line instead of the string-stripped code.
-RAW_LINE_RULES = {"runner-layering"}
+RAW_LINE_RULES = {"runner-layering", "json-codec"}
 
 COMMENT_ONLY = re.compile(r"^\s*(//|\*|/\*)")
 STRING_LITERAL = re.compile(r'"(?:[^"\\]|\\.)*"')
