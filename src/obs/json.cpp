@@ -4,20 +4,34 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <stdexcept>
 #include <type_traits>
 
 namespace vstream::obs::json {
+namespace {
 
+/// Append `value` in `format`, or `null` when it is absent or not finite.
 void append_number(std::string& out, std::optional<double> value, Format format) {
   if (!value.has_value() || !std::isfinite(*value)) {
     out += "null";
     return;
   }
+  const char* spec = format.fixed ? "%.*f" : "%.*g";
   char buf[64];
-  std::snprintf(buf, sizeof buf, format.fixed ? "%.*f" : "%.*g", format.digits, *value);
-  out += buf;
+  const int n = std::snprintf(buf, sizeof buf, spec, format.digits, *value);
+  if (n < 0) throw std::runtime_error{"json: cannot format a number"};
+  if (static_cast<std::size_t>(n) < sizeof buf) {
+    out.append(buf, static_cast<std::size_t>(n));
+    return;
+  }
+  // A fixed-decimal form of a large value: up to ~310 integer digits.
+  const std::size_t at = out.size();
+  out.resize(at + static_cast<std::size_t>(n) + 1);
+  std::snprintf(out.data() + at, static_cast<std::size_t>(n) + 1, spec, format.digits, *value);
+  out.resize(at + static_cast<std::size_t>(n));
 }
 
+/// Append `s` quoted and escaped.
 void append_string(std::string& out, std::string_view s) {
   out += '"';
   for (const char c : s) {
@@ -49,8 +63,6 @@ void append_string(std::string& out, std::string_view s) {
   }
   out += '"';
 }
-
-namespace {
 
 void append_integer(std::string& out, std::uint64_t value) {
   char buf[24];

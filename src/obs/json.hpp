@@ -31,12 +31,6 @@ struct Format {
   bool fixed{false};
 };
 
-/// Append `value` in `format`, or `null` when it is absent or not finite.
-void append_number(std::string& out, std::optional<double> value, Format format);
-
-/// Append `s` quoted and escaped.
-void append_string(std::string& out, std::string_view s);
-
 /// An object written field by field, in call order. A key is escaped like
 /// any string.
 class Object {

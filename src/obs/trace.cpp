@@ -145,11 +145,12 @@ std::optional<TraceEvent> from_jsonl(const std::string& line) {
   const auto type = jsonl_string(line, "type");
   if (!type) return std::nullopt;
   // Every alternative starts from its defaults; the one whose tag matches
-  // reads its fields over them.
+  // reads its fields over them. A link fault without `begin` has always
+  // read as an end.
   for (TraceEvent event :
        {TraceEvent{TcpCwndSample{}}, TraceEvent{SimLoopSample{}}, TraceEvent{PacingBlockEmitted{}},
         TraceEvent{PlayerStall{}}, TraceEvent{PlayerInterrupt{}}, TraceEvent{ZeroWindowEpisode{}},
-        TraceEvent{LinkFault{}}, TraceEvent{FetchRetry{}}, TraceEvent{SpanRecord{}}}) {
+        TraceEvent{LinkFault{0.0, {}, false}}, TraceEvent{FetchRetry{}}, TraceEvent{SpanRecord{}}}) {
     if (*type != event_type(event)) continue;
     JsonlReader reader{line};
     std::visit([&reader](auto& e) { visit_fields(e, reader); }, event);

@@ -14,16 +14,13 @@
 namespace vstream::obs::json {
 namespace {
 
-std::string escaped(std::string_view s) {
-  std::string out;
-  append_string(out, s);
-  return out;
-}
+/// The text of one value, cut out of the `{"v":...}` object it is written in.
+std::string value_text(const std::string& object) { return object.substr(5, object.size() - 6); }
+
+std::string escaped(std::string_view s) { return value_text(Object{}.string("v", s).close()); }
 
 std::string printed(std::optional<double> v, Format format) {
-  std::string out;
-  append_number(out, v, format);
-  return out;
+  return value_text(Object{}.number("v", v, format).close());
 }
 
 TEST(JsonCodecTest, EscapesSpecials) {
@@ -65,6 +62,11 @@ TEST(JsonCodecTest, NumbersKeepTheirCallSitePrecision) {
   EXPECT_EQ(printed(1234567.0, Format{6}), "1.23457e+06");
   EXPECT_EQ(printed(2.5, Format{3, true}), "2.500");
   EXPECT_EQ(printed(-0.25, Format{6, true}), "-0.250000");
+  // A fixed form wider than any short buffer is written whole.
+  const std::string wide = printed(1e300, Format{3, true});
+  EXPECT_EQ(wide.size(), 305U);
+  EXPECT_EQ(wide.substr(0, 4), "1000");
+  EXPECT_EQ(wide.substr(301), ".000");
 }
 
 TEST(JsonCodecTest, ObjectsAndArraysWriteInCallOrder) {

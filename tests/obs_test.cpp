@@ -319,7 +319,7 @@ TEST(ObsTraceTest, FromJsonlKeepsDefaultsForMissingFields) {
   const auto& f = std::get<LinkFault>(*fault);
   EXPECT_EQ(f.t_s, 2.0);
   EXPECT_EQ(f.kind, "");
-  EXPECT_TRUE(f.begin);
+  EXPECT_FALSE(f.begin);
   EXPECT_EQ(f.rate_factor, 1.0);
   // null is how the writer spells a value it does not have.
   const auto span = from_jsonl(R"({"type":"span","t":3,"mark_s":null})");
