@@ -5,7 +5,7 @@
 // The codec owns the format rules, so no caller restates them:
 //   - numbers print `%.{digits}g` or, as `Format::fixed`, `%.{digits}f`;
 //     a non-finite value prints `null`. Each call site keeps its own
-//     precision as a constant, so its output bytes do not move;
+//     precision as a constant;
 //   - strings are quoted, with `"`, `\`, `\n`, `\r` and `\t` escaped and
 //     any other byte below 0x20 written as `\u00XX`;
 //   - a field is found in a flat object by its `"key":` text, and parsed
