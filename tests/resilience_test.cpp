@@ -143,6 +143,17 @@ TEST(ResilienceTest, BuilderValidatesUpFront) {
   EXPECT_THROW(valid().impairments(overlapping).build(), std::invalid_argument);
 }
 
+TEST(RetryPolicyTest, BackoffDoublesFromInitialAndCapsAtMax) {
+  const RetryPolicy policy;
+  const Duration expected[] = {Duration::millis(500), Duration::seconds(1.0),
+                               Duration::seconds(2.0), Duration::seconds(4.0),
+                               Duration::seconds(8.0), Duration::seconds(8.0),
+                               Duration::seconds(8.0)};
+  for (std::uint32_t retry = 1; retry <= 7; ++retry) {
+    EXPECT_EQ(policy.backoff_for(retry), expected[retry - 1]) << "retry " << retry;
+  }
+}
+
 TEST(ResilienceTest, FaultFreeSessionsReportZeroResilience) {
   // The canonical catalog must stay clean: an unfaulted run records no
   // retries, no rebuffers, no fault drops — so the resilience block stays

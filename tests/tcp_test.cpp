@@ -229,6 +229,42 @@ TEST(TcpFlowControlTest, WindowUpdateResumesTransfer) {
   EXPECT_EQ(conn.client().total_read(), kBytes);
 }
 
+TEST(TcpFlowControlTest, PersistProbeIntervalDoublesToSixtySeconds) {
+  TcpOptions client_opts;
+  client_opts.recv_buffer_bytes = 64 * 1024;
+  Harness h{lossless_profile()};
+  auto& conn = h.fabric.create_connection(client_opts, {});
+  conn.client().set_on_established([&] { conn.server().send(10'000'000); });
+  // Client never reads, so the window stays shut and every one-byte
+  // segment the server sends is a persist probe.
+  // The ACK that empties the server's flight arms the persist timer; it is
+  // the last segment the server hears before its first probe.
+  std::vector<SimTime> probes;
+  SimTime last_ack_in;
+  h.path.set_tap([&](SimTime t, const TcpSegment& s, Direction d, LinkEvent e) {
+    if (d == Direction::kDown && e == LinkEvent::kEnqueue && s.payload_bytes == 1) {
+      probes.push_back(t);
+    } else if (d == Direction::kUp && e == LinkEvent::kDeliver && probes.empty()) {
+      last_ack_in = t;
+    }
+  });
+  conn.open();
+  h.sim.run_until(SimTime::from_seconds(300.0));
+
+  ASSERT_FALSE(probes.empty());
+  EXPECT_EQ(probes[0] - last_ack_in, Duration::millis(500));
+  const Duration expected[] = {Duration::seconds(1.0),  Duration::seconds(2.0),
+                               Duration::seconds(4.0),  Duration::seconds(8.0),
+                               Duration::seconds(16.0), Duration::seconds(32.0),
+                               Duration::seconds(60.0), Duration::seconds(60.0),
+                               Duration::seconds(60.0)};
+  ASSERT_GE(probes.size(), std::size(expected) + 1);
+  for (std::size_t i = 0; i < std::size(expected); ++i) {
+    EXPECT_EQ(probes[i + 1] - probes[i], expected[i]) << "gap after probe " << i;
+  }
+  EXPECT_EQ(conn.client().advertised_window(), 0U);
+}
+
 TEST(TcpFlowControlTest, ReceiveWindowReflectsUnreadData) {
   auto p = lossless_profile();
   TcpOptions client_opts;
