@@ -227,11 +227,10 @@ void print_reproduction(const std::string& scratch) {
 
   // 3. end-to-end classification at 1/2/4 workers ---------------------
   const capture::MmapPcapReader reader{scratch};
-  const analysis::ClassifyOptions options;
   const auto time_classify = [&](std::size_t jobs, analysis::CaptureClassification* out) {
     const runner::ParallelSweep pool{jobs};
     const auto t0 = std::chrono::steady_clock::now();
-    auto result = analysis::classify_capture(reader, pool, options);
+    auto result = analysis::classify_capture(reader, pool);
     const double s = wall_seconds_since(t0);
     benchmark::DoNotOptimize(result.connections.size());
     if (out != nullptr) *out = std::move(result);
@@ -243,7 +242,7 @@ void print_reproduction(const std::string& scratch) {
   const double c2 = time_classify(2, nullptr);
   const double c4 = time_classify(4, &via4);
   const analysis::CaptureClassification serial =
-      analysis::classify_capture_serial(reader, options);
+      analysis::classify_capture_serial(reader);
   const bool invariant = via1 == serial && via4 == serial &&
                          via4.to_json() == serial.to_json() &&
                          via4.to_csv() == serial.to_csv();
@@ -264,8 +263,8 @@ void print_reproduction(const std::string& scratch) {
   // serially; new end-to-end = mmap + 4-worker lanes.
   const auto t_seed_e2e = std::chrono::steady_clock::now();
   std::map<std::uint64_t, analysis::StreamingReportBuilder> seed_builders;
-  seed_for_each_record(scratch, [&seed_builders, &options](const capture::PacketRecord& r) {
-    seed_builders.try_emplace(r.connection_id, options.report).first->second.add(r);
+  seed_for_each_record(scratch, [&seed_builders](const capture::PacketRecord& r) {
+    seed_builders.try_emplace(r.connection_id).first->second.add(r);
   });
   std::vector<analysis::SessionReport> seed_reports;
   seed_reports.reserve(seed_builders.size());
@@ -317,9 +316,8 @@ void BM_Classify(benchmark::State& state) {
   ensure_small_capture();
   const capture::MmapPcapReader reader{kSmallCapture};
   const runner::ParallelSweep pool{static_cast<std::size_t>(state.range(0))};
-  const analysis::ClassifyOptions options;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(analysis::classify_capture(reader, pool, options).packets);
+    benchmark::DoNotOptimize(analysis::classify_capture(reader, pool).packets);
   }
   state.SetLabel("per-connection lanes + ordered merge");
 }

@@ -20,7 +20,7 @@ OnOffAccumulator::OnOffAccumulator(const OnOffOptions& options) : options_{optio
 std::optional<OnStartEvent> OnOffAccumulator::add(const capture::PacketRecord& p) {
   if (p.direction != net::Direction::kDown || p.payload_bytes == 0) return std::nullopt;
   acc_.total_bytes += p.payload_bytes;
-  if (p.payload_bytes < options_.min_data_payload_bytes) {  // probes
+  if (p.payload_bytes < kMinDataPayloadBytes) {  // probes
     if (p.t_s != probe_t_s_) {
       probe_t_s_ = p.t_s;
       probe_bytes_at_t_ = 0;
@@ -224,7 +224,7 @@ void PeriodicityAccumulator::add(const capture::PacketRecord& p) {
   // idle gap, plus the latest ON packet itself) so they can be replayed into
   // the bins once the anchor is fixed.
   const auto event = onoff_.add(p);
-  const bool probe = p.payload_bytes < onoff_.options().min_data_payload_bytes;
+  const bool probe = p.payload_bytes < kMinDataPayloadBytes;
   if (event.has_value() && !event->first_period) {
     // First confirmed OFF period: the steady state starts where that gap
     // began — the batch pass's `buffering_end_s`.

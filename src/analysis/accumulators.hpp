@@ -54,8 +54,6 @@ class OnOffAccumulator {
   /// summary. Idempotent (state is copied, not consumed).
   [[nodiscard]] OnOffAnalysis finish() const;
 
-  [[nodiscard]] const OnOffOptions& options() const { return options_; }
-
  private:
   OnOffOptions options_;
   OnOffAnalysis acc_;  // closed periods, off durations, running totals

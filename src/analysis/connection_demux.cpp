@@ -115,7 +115,7 @@ LaneResult classify_lane(const capture::MmapPcapReader& reader, std::size_t lane
   return result;
 }
 
-CaptureClassification merge_lanes(std::vector<LaneResult> lanes, const ClassifyOptions& options) {
+CaptureClassification merge_lanes(std::vector<LaneResult> lanes) {
   CaptureClassification merged;
   std::uint64_t down_bytes = 0;
   std::uint64_t up_bytes = 0;
@@ -126,7 +126,7 @@ CaptureClassification merge_lanes(std::vector<LaneResult> lanes, const ClassifyO
     total_rows += lane.rows.size();
   }
   merged.records = lanes.empty() ? 0 : lanes.front().records;
-  merged.direction_flipped = options.auto_flip && up_bytes > down_bytes;
+  merged.direction_flipped = up_bytes > down_bytes;
   merged.down_payload_mb =
       static_cast<double>(merged.direction_flipped ? up_bytes : down_bytes) / 1048576.0;
 
@@ -155,9 +155,9 @@ CaptureClassification merge_lanes(std::vector<LaneResult> lanes, const ClassifyO
 }
 
 CaptureClassification classify_capture_serial(const capture::MmapPcapReader& reader,
-                                              const ClassifyOptions& options) {
+                                              const ReportOptions& options) {
   const auto classify = [&](bool flip) {
-    return merge_lanes({classify_lane(reader, 1, 0, flip, options.report)}, options);
+    return merge_lanes({classify_lane(reader, 1, 0, flip, options)});
   };
   const CaptureClassification as_written = classify(false);
   return as_written.direction_flipped ? classify(true) : as_written;

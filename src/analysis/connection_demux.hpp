@@ -39,15 +39,6 @@
 
 namespace vstream::analysis {
 
-struct ClassifyOptions {
-  /// Per-connection analysis options (ON/OFF thresholds, periodicity...).
-  ReportOptions report;
-  /// Apply the majority-payload direction heuristic (foreign captures taken
-  /// with the viewer as the "source"). Our own writer encodes direction in
-  /// the addresses, making this a no-op.
-  bool auto_flip{true};
-};
-
 /// One classified connection — a row of the paper's Table 1 plus the
 /// transport-level columns (§4) that fall out of the same single pass.
 struct ConnectionLabel {
@@ -122,15 +113,14 @@ struct LaneResult {
 
 /// Splice per-lane rows into one classification, one entry per lane. Rows
 /// merge in ascending connection order, so the result is independent of
-/// lane count. `direction_flipped` is set when `options.auto_flip` is and
-/// the summed totals say the capture is mirrored; the caller then runs the
-/// lanes again with `flip` and merges those.
-[[nodiscard]] CaptureClassification merge_lanes(std::vector<LaneResult> lanes,
-                                                const ClassifyOptions& options);
+/// lane count. `direction_flipped` is set when the summed totals say the
+/// capture is mirrored (more payload up than down); the caller then runs
+/// the lanes again with `flip` and merges those.
+[[nodiscard]] CaptureClassification merge_lanes(std::vector<LaneResult> lanes);
 
 /// Serial reference: the same lanes and merge with one lane. The parallel
 /// driver (parallel_classify.hpp) is tested byte-identical to this.
 [[nodiscard]] CaptureClassification classify_capture_serial(const capture::MmapPcapReader& reader,
-                                                            const ClassifyOptions& options = {});
+                                                            const ReportOptions& options = {});
 
 }  // namespace vstream::analysis

@@ -27,16 +27,16 @@ struct OnPeriod {
   [[nodiscard]] double duration_s() const { return end_s - start_s; }
 };
 
+/// Data packets smaller than this are treated as keep-alive/zero-window
+/// probes: they do not start or extend ON periods (their bytes still count
+/// toward the total).
+inline constexpr std::uint32_t kMinDataPayloadBytes = 64;
+
 struct OnOffOptions {
   /// Minimum idle gap between down-direction data packets that counts as an
   /// OFF period. Must exceed a few RTTs yet stay below the shortest real
   /// OFF period (the paper saw OFFs from 0.2 s).
   double gap_threshold_s{0.15};
-
-  /// Data packets smaller than this are treated as keep-alive/zero-window
-  /// probes: they do not start or extend ON periods (their bytes still
-  /// count toward the total).
-  std::uint32_t min_data_payload_bytes{64};
 };
 
 struct OnOffAnalysis {

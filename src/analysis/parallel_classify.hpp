@@ -34,7 +34,7 @@ namespace vstream::analysis {
 template <typename Pool>
 [[nodiscard]] CaptureClassification classify_capture(const capture::MmapPcapReader& reader,
                                                      const Pool& pool,
-                                                     const ClassifyOptions& options = {},
+                                                     const ReportOptions& options = {},
                                                      runner::SweepProfiler* profiler = nullptr) {
   const std::size_t lanes = pool.jobs() >= 1 ? pool.jobs() : 1;
   const auto classify = [&](bool flip) {
@@ -44,7 +44,7 @@ template <typename Pool>
       const runner::SweepProfiler::Scope scope{profiler, Pool::current_worker(),
                                                runner::SweepPhase::kRun};
       try {
-        results[lane] = classify_lane(reader, lanes, lane, flip, options.report);
+        results[lane] = classify_lane(reader, lanes, lane, flip, options);
       } catch (...) {
         errors[lane] = std::current_exception();
       }
@@ -56,7 +56,7 @@ template <typename Pool>
       if (error) std::rethrow_exception(error);
     }
     const runner::SweepProfiler::Scope scope{profiler, 0, runner::SweepPhase::kMerge};
-    return merge_lanes(std::move(results), options);
+    return merge_lanes(std::move(results));
   };
   const CaptureClassification as_written = classify(false);
   return as_written.direction_flipped ? classify(true) : as_written;

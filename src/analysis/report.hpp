@@ -87,8 +87,6 @@ struct ReportOptions {
   /// Encoding rate for playback-time / accumulation-ratio entries; falls
   /// back to the trace's `encoding_bps` when absent.
   std::optional<double> encoding_bps;
-  bool estimate_periodicity{true};
-  bool estimate_ack_clock{true};
   /// Session-side recovery accounting to embed verbatim in the report (the
   /// packet trace cannot supply it). Leave defaulted for fault-free runs.
   ResilienceStats resilience;

@@ -58,13 +58,13 @@ SessionReport StreamingReportBuilder::finish() const {
 
   if (const auto rtt = handshake_.rtt_s()) {
     report.rtt_ms = *rtt * 1000.0;
-    if (options_.estimate_ack_clock && onoff.has_steady_state()) {
+    if (onoff.has_steady_state()) {
       const auto samples = first_rtt_.samples(*rtt);
       if (!samples.empty()) report.median_first_rtt_kb = stats::median(samples) / 1024.0;
     }
   }
 
-  if (options_.estimate_periodicity && onoff.has_steady_state()) {
+  if (onoff.has_steady_state()) {
     const auto periodicity = periodicity_.finish();
     if (periodicity.periodic) report.cycle_period_s = periodicity.period_s;
   }

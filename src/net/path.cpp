@@ -1,11 +1,8 @@
 #include "net/path.hpp"
 
-#include "net/cross_traffic.hpp"
-
 namespace vstream::net {
 
-Path::Path(sim::Simulator& sim, const NetworkProfile& profile, sim::Rng& rng,
-           std::unique_ptr<LossModel> down_loss)
+Path::Path(sim::Simulator& sim, const NetworkProfile& profile, sim::Rng& rng)
     : profile_{profile} {
   // Propagation split evenly across the two directions.
   const sim::Duration one_way = profile.base_rtt / 2;
@@ -17,17 +14,12 @@ Path::Path(sim::Simulator& sim, const NetworkProfile& profile, sim::Rng& rng,
                       .prop_delay = one_way,
                       .queue_limit_bytes = profile.queue_bytes};
 
-  if (!down_loss) down_loss = make_bursty_loss(profile.loss_rate, profile.loss_burst_len);
-  down_ = std::make_unique<Link>(sim, down_cfg, std::move(down_loss), rng.fork("down-loss"));
+  down_ = std::make_unique<Link>(sim, down_cfg,
+                                 make_bursty_loss(profile.loss_rate, profile.loss_burst_len),
+                                 rng.fork("down-loss"));
   // ACK/request path loss is far rarer in practice; model it as lossless so
   // retransmission statistics reflect the data direction, as in the paper.
   up_ = std::make_unique<Link>(sim, up_cfg, make_loss(0.0), rng.fork("up-loss"));
-}
-
-Path::~Path() = default;
-
-void Path::adopt_cross_traffic(std::unique_ptr<CrossTraffic> cross) {
-  cross_ = std::move(cross);
 }
 
 sim::Duration Path::unloaded_rtt() const {

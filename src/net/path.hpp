@@ -4,10 +4,6 @@
 // client->server carrying requests and ACKs) built from a NetworkProfile.
 // All parallel TCP connections of one streaming session share the path, so
 // they contend for the same bottleneck queue, as in the real measurements.
-//
-// Construction with the full set of attachments (loss override, tap,
-// cross-traffic, impairment schedule) goes through `net::PathBuilder`
-// (path_builder.hpp); the plain constructor stays for the common case.
 #pragma once
 
 #include <functional>
@@ -18,15 +14,9 @@
 
 namespace vstream::net {
 
-class CrossTraffic;
-
 class Path {
  public:
-  /// `down_loss` overrides the profile-derived loss model for the data
-  /// direction when non-null.
-  Path(sim::Simulator& sim, const NetworkProfile& profile, sim::Rng& rng,
-       std::unique_ptr<LossModel> down_loss = nullptr);
-  ~Path();
+  Path(sim::Simulator& sim, const NetworkProfile& profile, sim::Rng& rng);
 
   Path(const Path&) = delete;
   Path& operator=(const Path&) = delete;
@@ -55,17 +45,11 @@ class Path {
   /// Attach a fault-injection schedule to the data (down) link.
   void set_impairments(ImpairmentSchedule schedule) { down_->set_impairments(std::move(schedule)); }
 
-  /// Take ownership of a cross-traffic generator injecting on this path's
-  /// links (PathBuilder wires and starts it).
-  void adopt_cross_traffic(std::unique_ptr<CrossTraffic> cross);
-  [[nodiscard]] CrossTraffic* cross_traffic() { return cross_.get(); }
-
  private:
   NetworkProfile profile_;
   std::unique_ptr<Link> down_;
   std::unique_ptr<Link> up_;
   Link* down_ingress_{nullptr};
-  std::unique_ptr<CrossTraffic> cross_;
 };
 
 }  // namespace vstream::net

@@ -25,10 +25,8 @@ FlightRecorder::~FlightRecorder() {
 void FlightRecorder::on_event(const TraceEvent& event) {
   if (ring_.size() == options_.capacity) ring_.pop_front();
   ring_.push_back(event);
-  if (options_.dump_on_abandon) {
-    if (const auto* retry = std::get_if<FetchRetry>(&event); retry != nullptr && retry->gave_up) {
-      dump("fetch abandoned after attempt " + std::to_string(retry->attempt));
-    }
+  if (const auto* retry = std::get_if<FetchRetry>(&event); retry != nullptr && retry->gave_up) {
+    dump("fetch abandoned after attempt " + std::to_string(retry->attempt));
   }
 }
 

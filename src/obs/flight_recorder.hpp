@@ -25,7 +25,6 @@ class FlightRecorder final : public TraceSink {
   struct Options {
     std::size_t capacity{256};     ///< events retained; older ones fall off
     std::string dump_path;         ///< dump target; empty = stderr
-    bool dump_on_abandon{true};    ///< FetchRetry{gave_up} triggers a dump
     bool arm_contract_hook{true};  ///< dump when a VSTREAM_* contract fires
   };
 

@@ -26,16 +26,15 @@ struct RetryPolicy {
   /// pacing gaps, or healthy OFF periods would count as hangs.
   sim::Duration request_timeout{sim::Duration::seconds(8.0)};
   /// Backoff before retry k (1-based) is
-  /// min(backoff_initial * backoff_multiplier^(k-1), backoff_max).
+  /// min(backoff_initial * 2^(k-1), backoff_max).
   sim::Duration backoff_initial{sim::Duration::millis(500)};
-  double backoff_multiplier{2.0};
   sim::Duration backoff_max{sim::Duration::seconds(8.0)};
   /// Retries per fetch before giving up and completing it short.
   std::uint32_t max_retries{6};
 
   [[nodiscard]] sim::Duration backoff_for(std::uint32_t retry) const {
     sim::Duration d = backoff_initial;
-    for (std::uint32_t i = 1; i < retry && d < backoff_max; ++i) d = d * backoff_multiplier;
+    for (std::uint32_t i = 1; i < retry && d < backoff_max; ++i) d = d + d;
     return d < backoff_max ? d : backoff_max;
   }
 
@@ -45,9 +44,6 @@ struct RetryPolicy {
     }
     if (backoff_initial <= sim::Duration::zero() || backoff_max < backoff_initial) {
       throw std::invalid_argument{"RetryPolicy: backoff bounds out of order"};
-    }
-    if (backoff_multiplier < 1.0) {
-      throw std::invalid_argument{"RetryPolicy: backoff multiplier below 1"};
     }
   }
 

@@ -7,7 +7,6 @@
 #include "analysis/streaming_report.hpp"
 #include "capture/recorder.hpp"
 #include "net/path.hpp"
-#include "net/path_builder.hpp"
 #include "streaming/session_instance.hpp"
 #include "streaming/world.hpp"
 #include "tcp/connection.hpp"
@@ -97,12 +96,10 @@ SessionResult run_session(const SessionConfig& cfg) {
   // viewer-side recorder, built on the shared world shell.
   World world{cfg.seed, cfg.arena, cfg.digest, cfg.trace_sink};
   sim::Simulator& sim = world.sim();
-  const std::unique_ptr<net::Path> path =
-      net::PathBuilder{sim, jittered(cfg, world.rng()), world.rng()}
-          .impairments(cfg.impairments)
-          .build();
-  tcp::Fabric fabric{sim, *path};
-  capture::TraceRecorder recorder{sim, *path};
+  net::Path path{sim, jittered(cfg, world.rng()), world.rng()};
+  path.set_impairments(cfg.impairments);
+  tcp::Fabric fabric{sim, path};
+  capture::TraceRecorder recorder{sim, path};
   recorder.start();
 
   // Capture plumbing: size the trace for the expected capture up front
@@ -129,8 +126,8 @@ SessionResult run_session(const SessionConfig& cfg) {
   sim.run_until(sim::SimTime::from_seconds(cfg.capture_duration_s));
 
   instance.stop_auxiliary();
-  path->down().audit_conservation();
-  path->up().audit_conservation();
+  path.down().audit_conservation();
+  path.up().audit_conservation();
   const WorldStats stats = world.finish();
 
   SessionOutcome outcome = instance.finalize();

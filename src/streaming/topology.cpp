@@ -8,7 +8,6 @@
 
 #include "check/contracts.hpp"
 #include "net/path.hpp"
-#include "net/path_builder.hpp"
 #include "sim/periodic_timer.hpp"
 #include "streaming/session_instance.hpp"
 #include "streaming/world.hpp"
@@ -191,7 +190,7 @@ struct Runner {
 
     auto session = std::make_unique<LiveSession>();
     session->duration_s = cfg.video.duration_s;
-    session->leg = net::PathBuilder{sim, cfg.network, rng}.build();
+    session->leg = std::make_unique<net::Path>(sim, cfg.network, rng);
     session->client = bottleneck.attach(*session->leg);
     session->fabric = std::make_unique<tcp::Fabric>(
         sim, *session->leg, net::SharedBottleneck::first_connection_id(session->client));

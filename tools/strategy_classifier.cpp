@@ -46,7 +46,6 @@
 namespace {
 
 using vstream::analysis::CaptureClassification;
-using vstream::analysis::ClassifyOptions;
 
 int usage(const char* argv0) {
   std::fprintf(stderr,
@@ -107,9 +106,7 @@ int run_selftest(const std::string& scratch) {
   vstream::capture::write_synthetic_capture(scratch, gen);
 
   const vstream::capture::MmapPcapReader reader{scratch};
-  const ClassifyOptions options;
-  const CaptureClassification serial =
-      vstream::analysis::classify_capture_serial(reader, options);
+  const CaptureClassification serial = vstream::analysis::classify_capture_serial(reader);
   const std::string serial_json = serial.to_json();
   const std::string serial_csv = serial.to_csv();
   std::printf("selftest capture: %llu records, %zu connections\n",
@@ -119,7 +116,7 @@ int run_selftest(const std::string& scratch) {
   for (const std::size_t jobs : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
     const vstream::runner::ParallelSweep pool{jobs};
     const CaptureClassification parallel =
-        vstream::analysis::classify_capture(reader, pool, options);
+        vstream::analysis::classify_capture(reader, pool);
     const bool same = parallel == serial && parallel.to_json() == serial_json &&
                       parallel.to_csv() == serial_csv;
     std::printf("jobs=%zu: %s\n", jobs, same ? "identical to serial reference" : "DIVERGED");
@@ -195,11 +192,10 @@ int main(int argc, char** argv) {
     if (positional.size() != 1) return usage(argv[0]);
 
     const capture::MmapPcapReader reader{positional.front()};
-    const ClassifyOptions options;
     const runner::ParallelSweep pool{jobs};
     runner::SweepProfiler profiler{pool.jobs()};
     const CaptureClassification result =
-        analysis::classify_capture(reader, pool, options, &profiler);
+        analysis::classify_capture(reader, pool, {}, &profiler);
 
     const std::string text =
         as_json ? result.to_json() + "\n" : as_csv ? result.to_csv() : result.render();
