@@ -38,6 +38,7 @@ SessionInstance::~SessionInstance() = default;
 
 ByteSink SessionInstance::make_sink() {
   return [this](std::uint64_t n) {
+    bytes_downloaded_ += n;
     if (first_byte_s_ < 0.0) first_byte_s_ = sim_.now().to_seconds();
     last_byte_s_ = sim_.now().to_seconds();
     if (byte_tap_) byte_tap_(n);
@@ -205,14 +206,6 @@ bool SessionInstance::drained() const {
   return fabric_.idle() && (!fetches_ || fetches_->idle()) && (!auxiliary_ || auxiliary_->idle());
 }
 
-std::uint64_t SessionInstance::bytes_downloaded() const {
-  if (greedy_) return greedy_->bytes_read();
-  if (pull_) return pull_->bytes_read();
-  if (ipad_) return ipad_->bytes_fetched();
-  if (netflix_) return netflix_->bytes_fetched();
-  return 0;
-}
-
 SessionOutcome SessionInstance::finalize() {
   // Fault/recovery accounting, gathered from every layer that participated:
   // the fetch retry machinery, the player's rebuffer tracking, and the
@@ -232,7 +225,7 @@ SessionOutcome SessionInstance::finalize() {
   if (netflix_) outcome.resilience.rate_switches = netflix_->rate_switches();
 
   outcome.player = player_->stats();
-  outcome.bytes_downloaded = bytes_downloaded();
+  outcome.bytes_downloaded = bytes_downloaded_;
   outcome.connections = fabric_.connection_count();
   outcome.encoding_bps_true = player_rate_bps_;
   outcome.interrupted_at_s = outcome.player.interrupted ? outcome.player.interrupted_at_s : 0.0;

@@ -113,7 +113,6 @@ class SessionInstance {
 
   [[nodiscard]] Player& player() { return *player_; }
   [[nodiscard]] const Player& player() const { return *player_; }
-  [[nodiscard]] std::uint64_t bytes_downloaded() const;
 
   /// Gather the outcome. Forks "rate-estimate" as the session stream's
   /// last draw; call exactly once, after the run.
@@ -132,6 +131,7 @@ class SessionInstance {
   // Deferred player wiring: clients need a sink before the player exists
   // in some flows (Netflix selects its rate first).
   Player* sink_player_{nullptr};
+  std::uint64_t bytes_downloaded_{0};
   double first_byte_s_{-1.0};
   double last_byte_s_{-1.0};
   double started_at_s_{0.0};
