@@ -65,20 +65,12 @@ void encode_record(const PacketRecord& p, std::array<std::uint8_t, kRecordBytes>
 
 }  // namespace
 
-struct PcapWriter::Impl {
-  std::vector<char> stream_buffer;
-  std::ofstream out;
-};
-
 PcapWriter::PcapWriter(const std::string& path)
-    : impl_{std::make_unique<Impl>()}, path_{path} {
-  // A fat stream buffer keeps the per-record cost at a memcpy; the default
-  // filebuf would syscall every few records at 70 bytes each.
-  impl_->stream_buffer.resize(std::size_t{1} << 20U);
-  impl_->out.rdbuf()->pubsetbuf(impl_->stream_buffer.data(),
-                                static_cast<std::streamsize>(impl_->stream_buffer.size()));
-  impl_->out.open(path, std::ios::binary | std::ios::trunc);
-  if (!impl_->out) throw std::runtime_error{"write_pcap: cannot open " + path};
+    : stream_buffer_(std::size_t{1} << 20U), path_{path} {
+  out_.rdbuf()->pubsetbuf(stream_buffer_.data(),
+                          static_cast<std::streamsize>(stream_buffer_.size()));
+  out_.open(path, std::ios::binary | std::ios::trunc);
+  if (!out_) throw std::runtime_error{"write_pcap: cannot open " + path};
 
   std::array<std::uint8_t, kGlobalHeaderBytes> header{};
   put_u32le(header.data() + 0, kMagicMicros);
@@ -88,24 +80,22 @@ PcapWriter::PcapWriter(const std::string& path)
   put_u32le(header.data() + 12, 0);      // sigfigs
   put_u32le(header.data() + 16, 65535);  // snaplen
   put_u32le(header.data() + 20, kLinkTypeEthernet);
-  impl_->out.write(reinterpret_cast<const char*>(header.data()),
-                   static_cast<std::streamsize>(header.size()));
+  out_.write(reinterpret_cast<const char*>(header.data()),
+             static_cast<std::streamsize>(header.size()));
 }
-
-PcapWriter::~PcapWriter() = default;
 
 void PcapWriter::add(const PacketRecord& record) {
   std::array<std::uint8_t, kRecordBytes> bytes{};
   encode_record(record, bytes);
-  impl_->out.write(reinterpret_cast<const char*>(bytes.data()),
-                   static_cast<std::streamsize>(bytes.size()));
+  out_.write(reinterpret_cast<const char*>(bytes.data()),
+             static_cast<std::streamsize>(bytes.size()));
   ++records_;
 }
 
 void PcapWriter::close() {
-  impl_->out.flush();
-  if (!impl_->out) throw std::runtime_error{"write_pcap: write failed for " + path_};
-  impl_->out.close();
+  out_.flush();
+  if (!out_) throw std::runtime_error{"write_pcap: write failed for " + path_};
+  out_.close();
 }
 
 void write_pcap(const PacketTrace& trace, const std::string& path) {

@@ -20,10 +20,11 @@
 #pragma once
 
 #include <cstdint>
+#include <fstream>
 #include <map>
-#include <memory>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "capture/pcap_reader.hpp"
 #include "capture/pcap_wire.hpp"
@@ -40,7 +41,6 @@ inline constexpr unsigned kPcapWindowShift = wire::kWindowShift;
 class PcapWriter {
  public:
   explicit PcapWriter(const std::string& path);
-  ~PcapWriter();
 
   PcapWriter(const PcapWriter&) = delete;
   PcapWriter& operator=(const PcapWriter&) = delete;
@@ -56,8 +56,11 @@ class PcapWriter {
   [[nodiscard]] std::uint64_t records_written() const { return records_; }
 
  private:
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
+  // 1 MiB, so a record costs a memcpy; the default filebuf would syscall
+  // every few 70-byte records. Declared before `out_` so it outlives the
+  // stream's final flush.
+  std::vector<char> stream_buffer_;
+  std::ofstream out_;
   std::string path_;
   std::uint64_t records_{0};
 };
