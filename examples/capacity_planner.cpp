@@ -14,6 +14,10 @@
 //                         [--shard-out PATH]
 //        capacity_planner --merge [--expect-digest HEX] shard.json...
 //
+// A value that does not parse whole (a negative or non-numeric count, a
+// non-hex digest, a duration or rate that is not positive) exits 2 with the
+// usage text.
+//
 // The empirical cross-check simulates shared-bottleneck topologies
 // (streaming/topology_builder.hpp): Poisson churn onto one link, per-window
 // R(t) measured against Eq 3/4 on the run's own measured inputs. Worlds
@@ -41,13 +45,14 @@
 // session, so one representative world's span timeline lands beside the
 // capacity numbers.
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -194,7 +199,8 @@ int run_capacity(std::size_t capacity, double seconds, std::size_t shards, std::
   return 0;
 }
 
-int run_merge(const std::vector<std::string>& paths, const std::string& expect_digest) {
+int run_merge(const std::vector<std::string>& paths,
+              const std::optional<std::uint64_t>& expect_digest) {
   if (paths.empty()) {
     std::fprintf(stderr, "capacity_planner: --merge needs at least one shard payload\n");
     return 2;
@@ -256,16 +262,15 @@ int run_merge(const std::vector<std::string>& paths, const std::string& expect_d
                  static_cast<unsigned long long>(merged.digest.sessions), covered_end);
     return 2;
   }
-  if (!expect_digest.empty()) {
-    const auto expected =
-        static_cast<std::uint64_t>(std::strtoull(expect_digest.c_str(), nullptr, 16));
-    if (merged.digest.combined != expected) {
+  if (expect_digest.has_value()) {
+    if (merged.digest.combined != *expect_digest) {
       std::fprintf(stderr, "capacity_planner: digest mismatch: merged %016llx != expected %016llx\n",
                    static_cast<unsigned long long>(merged.digest.combined),
-                   static_cast<unsigned long long>(expected));
+                   static_cast<unsigned long long>(*expect_digest));
       return 1;
     }
-    std::printf("  digest matches --expect-digest %s\n", expect_digest.c_str());
+    std::printf("  digest matches --expect-digest %016llx\n",
+                static_cast<unsigned long long>(*expect_digest));
   }
   return 0;
 }
@@ -286,6 +291,38 @@ void print_dimensioning(const model::AggregateParams& p) {
   }
 }
 
+int usage() {
+  std::fprintf(stderr,
+               "usage: capacity_planner [--profile-out [path]] [--trace-out path]\n"
+               "                        [lambda_per_s] [mean_rate_mbps] [mean_duration_s]\n"
+               "       capacity_planner --capacity N [--seconds S]\n"
+               "                        [--shards K --shard I] [--shard-out PATH]\n"
+               "       capacity_planner --merge [--expect-digest HEX] shard.json...\n"
+               "       capacity_planner --flash-crowd N [--gbps G]\n");
+  return 2;
+}
+
+/// Parse all of `text` with std::from_chars (`base...` for integers only).
+/// An unsigned type takes no sign and parsing stops at the first bad
+/// character, so "-1", "x" and "4x" are rejected rather than wrapped or
+/// read as 0.
+template <typename T, typename... Base>
+bool parse_whole(const char* text, T& out, Base... base) {
+  const char* end = text + std::strlen(text);
+  const auto [ptr, ec] = std::from_chars(text, end, out, base...);
+  return ec == std::errc{} && ptr == end;
+}
+
+/// A duration or rate: finite and positive.
+bool parse_positive(const char* text, double& out) {
+  return parse_whole(text, out) && std::isfinite(out) && out > 0.0;
+}
+
+int bad_value(const char* what, const char* text) {
+  std::fprintf(stderr, "capacity_planner: bad value '%s' for %s\n", text, what);
+  return usage();
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -296,33 +333,34 @@ int main(int argc, char** argv) {
   std::size_t shards = 1;
   std::size_t shard = 0;
   std::string shard_out;
-  std::string expect_digest;
+  std::optional<std::uint64_t> expect_digest;
   bool merge = false;
   std::size_t crowd = 0;
   double crowd_gbps = 1.0;
   while (argc > 1 && std::strncmp(argv[1], "--", 2) == 0) {
+    bool ok = true;
     if (std::strcmp(argv[1], "--capacity") == 0 && argc > 2) {
-      capacity = static_cast<std::size_t>(std::atoll(argv[2]));
+      ok = parse_whole(argv[2], capacity);
       --argc;
       ++argv;
     } else if (std::strcmp(argv[1], "--flash-crowd") == 0 && argc > 2) {
-      crowd = static_cast<std::size_t>(std::atoll(argv[2]));
+      ok = parse_whole(argv[2], crowd);
       --argc;
       ++argv;
     } else if (std::strcmp(argv[1], "--gbps") == 0 && argc > 2) {
-      crowd_gbps = std::atof(argv[2]);
+      ok = parse_positive(argv[2], crowd_gbps);
       --argc;
       ++argv;
     } else if (std::strcmp(argv[1], "--seconds") == 0 && argc > 2) {
-      capacity_seconds = std::atof(argv[2]);
+      ok = parse_positive(argv[2], capacity_seconds);
       --argc;
       ++argv;
     } else if (std::strcmp(argv[1], "--shards") == 0 && argc > 2) {
-      shards = static_cast<std::size_t>(std::atoll(argv[2]));
+      ok = parse_whole(argv[2], shards);
       --argc;
       ++argv;
     } else if (std::strcmp(argv[1], "--shard") == 0 && argc > 2) {
-      shard = static_cast<std::size_t>(std::atoll(argv[2]));
+      ok = parse_whole(argv[2], shard);
       --argc;
       ++argv;
     } else if (std::strcmp(argv[1], "--shard-out") == 0 && argc > 2) {
@@ -330,7 +368,9 @@ int main(int argc, char** argv) {
       --argc;
       ++argv;
     } else if (std::strcmp(argv[1], "--expect-digest") == 0 && argc > 2) {
-      expect_digest = argv[2];
+      std::uint64_t digest = 0;
+      ok = parse_whole(argv[2], digest, 16);
+      expect_digest = digest;
       --argc;
       ++argv;
     } else if (std::strcmp(argv[1], "--merge") == 0) {
@@ -350,15 +390,10 @@ int main(int argc, char** argv) {
       --argc;
       ++argv;
     } else {
-      std::fprintf(stderr,
-                   "usage: capacity_planner [--profile-out [path]] [--trace-out path]\n"
-                   "                        [lambda_per_s] [mean_rate_mbps] [mean_duration_s]\n"
-                   "       capacity_planner --capacity N [--seconds S]\n"
-                   "                        [--shards K --shard I] [--shard-out PATH]\n"
-                   "       capacity_planner --merge [--expect-digest HEX] shard.json...\n"
-                   "       capacity_planner --flash-crowd N [--gbps G]\n");
-      return 2;
+      return usage();
     }
+    // Each value branch stepped argv on by one: argv[0] is its flag, argv[1] the value.
+    if (!ok) return bad_value(argv[0], argv[1]);
     --argc;
     ++argv;
   }
@@ -375,10 +410,16 @@ int main(int argc, char** argv) {
     return run_capacity(capacity, capacity_seconds, shards, shard, shard_out);
   }
 
+  double positional[] = {0.5, 1.0, 300.0};  // lambda_per_s, mean_rate_mbps, mean_duration_s
+  for (int i = 1; i < argc && i <= 3; ++i) {
+    if (!parse_positive(argv[i], positional[i - 1])) {
+      return bad_value("a positional argument", argv[i]);
+    }
+  }
   model::AggregateParams p;
-  p.lambda_per_s = argc > 1 ? std::atof(argv[1]) : 0.5;
-  p.mean_encoding_bps = (argc > 2 ? std::atof(argv[2]) : 1.0) * 1e6;
-  p.mean_duration_s = argc > 3 ? std::atof(argv[3]) : 300.0;
+  p.lambda_per_s = positional[0];
+  p.mean_encoding_bps = positional[1] * 1e6;
+  p.mean_duration_s = positional[2];
   p.mean_download_rate_bps = 5e6;
 
   std::printf("== capacity planning (Section 6.1) ==\n");
