@@ -2,11 +2,13 @@
 //
 // `SessionConfig` stays a plain aggregate (brace-init keeps working and the
 // scenario catalog uses it), but sessions assembled in examples, benches,
-// and sweeps read better — and fail earlier — through the builder. Every
-// chainable knob lives in `SessionConfigurator` (streaming/
-// topology_builder.hpp), shared verbatim with `TopologyBuilder`: this class
-// only decides what `build()` means — a validated private-world config —
-// so there is exactly one copy of the setters and one validate() path.
+// and sweeps read better — and fail earlier — through the builder. The
+// knobs both worlds honour live in `SessionConfigurator`
+// (streaming/topology_builder.hpp), shared with `TopologyBuilder`; this
+// class adds the ones only a private world honours — capture length,
+// session seed, bandwidth jitter, auxiliary traffic, trace sink,
+// per-session capture and report, and access-link impairments — and
+// decides what `build()` means: a validated private-world config.
 //
 //   auto result = streaming::SessionBuilder{}
 //                     .service(streaming::Service::kNetflix)
@@ -27,6 +29,40 @@ class SessionBuilder : public SessionConfigurator<SessionBuilder> {
   SessionBuilder() = default;
   /// Start from an existing config (e.g. a catalog scenario) and override.
   explicit SessionBuilder(SessionConfig base) : SessionConfigurator{std::move(base)} {}
+
+  SessionBuilder& capture_duration_s(double s) {
+    cfg_.capture_duration_s = s;
+    return *this;
+  }
+  SessionBuilder& seed(std::uint64_t s) {
+    cfg_.seed = s;
+    return *this;
+  }
+  SessionBuilder& bandwidth_jitter(double j) {
+    cfg_.bandwidth_jitter = j;
+    return *this;
+  }
+  SessionBuilder& auxiliary_traffic(bool on = true) {
+    cfg_.auxiliary_traffic = on;
+    return *this;
+  }
+  SessionBuilder& trace_sink(obs::TraceSink* sink) {
+    cfg_.trace_sink = sink;
+    return *this;
+  }
+  SessionBuilder& store_trace(bool on = true) {
+    cfg_.store_trace = on;
+    return *this;
+  }
+  SessionBuilder& streaming_report(bool on = true) {
+    cfg_.streaming_report = on;
+    return *this;
+  }
+  /// Fault injection on the downstream access link (net/dynamics.hpp).
+  SessionBuilder& impairments(net::ImpairmentSchedule schedule) {
+    cfg_.impairments = std::move(schedule);
+    return *this;
+  }
 
   /// Validate and hand out the config. Throws std::invalid_argument on an
   /// impossible configuration (negative duration, watch fraction outside

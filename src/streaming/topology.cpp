@@ -96,27 +96,30 @@ namespace {
 
 /// SessionConfig::validate, then reject the private-path-only knobs of a
 /// session inside a topology world, naming the topology-level equivalent.
-/// Run on the template and on every customized session.
+/// Run on the template and on every customized session: TopologyBuilder
+/// offers none of these knobs, but a customize hook or a hand-edited
+/// TopologyConfig::session can still set the fields.
 void validate_topology_session(const SessionConfig& cfg) {
   cfg.validate();
   if (cfg.bandwidth_jitter > 0.0) {
     throw std::invalid_argument{
         "SessionConfig: bandwidth_jitter is the private-path stand-in for shared-link "
         "contention and cannot compose with a topology attachment — the shared bottleneck "
-        "produces the contention for real; set bandwidth_jitter(0) on the session template "
-        "(TopologyBuilder's default)"};
+        "produces the contention for real; leave bandwidth_jitter at 0 in a topology "
+        "session (TopologyBuilder's default)"};
   }
   if (cfg.store_trace || cfg.keep_full_trace || cfg.streaming_report) {
     throw std::invalid_argument{
         "SessionConfig: per-session capture and report machinery is private-path only — a "
-        "topology world samples its shared bottleneck instead of recording per-session "
-        "packets; disable store_trace/keep_full_trace/streaming_report on the session "
-        "template (TopologyBuilder's default)"};
+        "topology world samples its shared bottleneck (TopologyResult::aggregate) instead "
+        "of recording per-session packets; leave store_trace, keep_full_trace and "
+        "streaming_report off in a topology session (TopologyBuilder's default)"};
   }
   if (cfg.trace_sink != nullptr || cfg.digest != nullptr || cfg.arena != nullptr) {
     throw std::invalid_argument{
         "SessionConfig: trace sinks, digests and arenas are per-world attachments — in a "
-        "topology they belong on TopologyConfig, not on the session template"};
+        "topology the digest and arena belong on TopologyConfig::digest and "
+        "TopologyConfig::arena, and a session takes no trace sink"};
   }
   if (!cfg.impairments.empty()) {
     throw std::invalid_argument{
@@ -185,7 +188,7 @@ struct Runner {
     sim::Rng rng = session_parent.fork("session");
     SessionConfig cfg = config.session;
     cfg.seed = rng.seed();
-    if (config.customize) config.customize(k, rng, cfg);
+    if (config.workload.customize) config.workload.customize(k, rng, cfg);
     validate_topology_session(cfg);
 
     auto session = std::make_unique<LiveSession>();
@@ -283,7 +286,7 @@ void TopologyConfig::validate() const {
     throw std::invalid_argument{"TopologyConfig: warmup must lie inside [0, horizon)"};
   }
   validate_topology_session(session);
-  arrivals.validate();
+  workload.arrivals.validate();
   bottleneck.validate();
   bottleneck_impairments.validate();
 }
@@ -317,7 +320,7 @@ TopologyResult run_topology(const TopologyConfig& config) {
   // parent in arrival order, when it arrives (Runner::start_session).
   sim::Rng arrival_rng = root.fork("arrivals");
   const std::vector<double> arrivals =
-      generate_arrivals(config.arrivals, config.sessions, config.horizon_s, arrival_rng);
+      generate_arrivals(config.workload.arrivals, config.sessions, config.horizon_s, arrival_rng);
   sim::Rng session_parent = root.fork("sessions");
   std::vector<Slot> slots(arrivals.size());
 

@@ -84,9 +84,8 @@ struct TopologyConfig {
   /// Maximum sessions to admit (arrival processes may produce fewer within
   /// the horizon).
   std::size_t sessions{1};
-  ArrivalSchedule arrivals;
-  /// Per-session variation hook; see Workload::customize.
-  std::function<void(std::size_t, sim::Rng&, SessionConfig&)> customize;
+  /// How sessions arrive and how each one varies from the template.
+  Workload workload;
   net::SharedBottleneck::Config bottleneck;
   /// Fault injection on the shared link (absolute world times).
   net::ImpairmentSchedule bottleneck_impairments;
@@ -104,11 +103,11 @@ struct TopologyConfig {
 
   void validate() const;
 
-  /// Span of the arrival process, [arrivals.start_s, horizon_s] (0 when the
-  /// process starts after the horizon): the basis of the realized arrival
-  /// rate.
+  /// Span of the arrival process, [workload.arrivals.start_s, horizon_s]
+  /// (0 when the process starts after the horizon): the basis of the
+  /// realized arrival rate.
   [[nodiscard]] double arrival_window_s() const {
-    return std::max(horizon_s - arrivals.start_s, 0.0);
+    return std::max(horizon_s - workload.arrivals.start_s, 0.0);
   }
 };
 

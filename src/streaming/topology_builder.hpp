@@ -1,17 +1,20 @@
-// Fluent construction of multi-session topologies — and the shared
-// session-knob mixin that SessionBuilder (the N=1 case) rebases on.
+// Fluent construction of multi-session topologies — and the session-knob
+// mixin that SessionBuilder (the N=1 case) shares with it.
 //
-// `SessionConfigurator<Derived>` owns the one authoritative set of
-// chainable SessionConfig setters. `SessionBuilder` inherits them to
-// configure a private-world run; `TopologyBuilder` inherits the same
-// setters to configure the *session template* of an N-session world, then
-// adds the topology-level knobs (population size, arrival process, shared
-// bottleneck, sampling grid). Both funnel through the same
-// `SessionConfig::validate()`; `TopologyConfig::validate()` then adds the
-// one topology-only check, so a knob that is private-path-only
-// (bandwidth_jitter, per-session capture, per-session impairments) fails
-// `TopologyBuilder::build()` with a diagnostic explaining the
-// topology-level replacement.
+// Each builder offers only the knobs its world honours.
+// `SessionConfigurator<Derived>` holds the session knobs both worlds
+// honour: service, container, application, network/vantage, video,
+// watch_fraction and fetch_retry. `SessionBuilder`
+// (streaming/session_builder.hpp) adds the private-world knobs (capture
+// length, session seed, jitter, auxiliary traffic, trace sink, per-session
+// capture and impairments). `TopologyBuilder` adds the world knobs:
+// population size, the `Workload` (arrival process plus per-session
+// customize hook, built by `WorkloadBuilder`), the shared bottleneck and
+// its faults, cross traffic, the horizon and sampling grid, and the world
+// seed. Nothing is shadowed, and no builder offers a knob its `build()`
+// must reject. A customize hook still receives a full `SessionConfig&`, so
+// `TopologyConfig::validate()` and `run_topology` keep rejecting a
+// private-path-only field set there, naming its topology replacement.
 //
 //   auto result = streaming::TopologyBuilder{}
 //                     .service(streaming::Service::kYouTube)
@@ -34,9 +37,9 @@
 
 namespace vstream::streaming {
 
-/// CRTP mixin: every chainable SessionConfig knob, stated once. `Derived`
-/// decides what "build" means (a validated SessionConfig, or the session
-/// template of a TopologyConfig).
+/// CRTP mixin: the session knobs both worlds honour, stated once.
+/// `Derived` adds its own world's knobs and decides what "build" means (a
+/// validated SessionConfig, or the session template of a TopologyConfig).
 template <typename Derived>
 class SessionConfigurator {
  public:
@@ -65,72 +68,13 @@ class SessionConfigurator {
     cfg_.video = std::move(v);
     return self();
   }
-  Derived& capture_duration_s(double s) {
-    cfg_.capture_duration_s = s;
-    return self();
-  }
   /// Viewer abandons after this fraction of the video (beta, §6.2).
   Derived& watch_fraction(double f) {
     cfg_.watch_fraction = f;
     return self();
   }
-  Derived& watch_to_end() {
-    cfg_.watch_fraction.reset();
-    return self();
-  }
-  Derived& seed(std::uint64_t s) {
-    cfg_.seed = s;
-    return self();
-  }
-  Derived& server_idle_cwnd_reset(bool on = true) {
-    cfg_.server_idle_cwnd_reset = on;
-    return self();
-  }
-  Derived& bandwidth_jitter(double j) {
-    cfg_.bandwidth_jitter = j;
-    return self();
-  }
-  Derived& auxiliary_traffic(bool on = true) {
-    cfg_.auxiliary_traffic = on;
-    return self();
-  }
-  Derived& trace_sink(obs::TraceSink* sink) {
-    cfg_.trace_sink = sink;
-    return self();
-  }
-  Derived& digest(check::StateDigest* d) {
-    cfg_.digest = d;
-    return self();
-  }
-  /// Per-world allocator for the simulator's event machinery (non-owning;
-  /// single-threaded — never share between concurrent sessions).
-  Derived& arena(sim::ArenaResource* a) {
-    cfg_.arena = a;
-    return self();
-  }
-  Derived& keep_full_trace(bool on = true) {
-    cfg_.keep_full_trace = on;
-    return self();
-  }
-  Derived& store_trace(bool on = true) {
-    cfg_.store_trace = on;
-    return self();
-  }
-  Derived& streaming_report(bool on = true) {
-    cfg_.streaming_report = on;
-    return self();
-  }
-  /// Fault injection on the downstream access link (net/dynamics.hpp).
-  Derived& impairments(net::ImpairmentSchedule schedule) {
-    cfg_.impairments = std::move(schedule);
-    return self();
-  }
   Derived& fetch_retry(RetryPolicy policy) {
     cfg_.fetch_retry = policy;
-    return self();
-  }
-  Derived& adaptive_bitrate(bool on = true) {
-    cfg_.adaptive_bitrate = on;
     return self();
   }
 
@@ -172,10 +116,6 @@ class WorkloadBuilder {
     w_.arrivals.depth = depth;
     return *this;
   }
-  WorkloadBuilder& arrivals(ArrivalSchedule schedule) {
-    w_.arrivals = schedule;
-    return *this;
-  }
   /// Per-session variation (encoding rate, duration, watch fraction…),
   /// drawn only from the passed session rng.
   WorkloadBuilder& customize(std::function<void(std::size_t, sim::Rng&, SessionConfig&)> fn) {
@@ -194,14 +134,9 @@ class WorkloadBuilder {
 
 /// Fluent construction of an N-session shared-bottleneck world. The mixin's
 /// setters shape the session *template*; the methods here shape the world.
-/// `seed`/`digest`/`arena` are shadowed deliberately: in a topology those
-/// are world-level attachments (TopologyConfig), and leaving them on the
-/// session template is exactly what `TopologyConfig::validate()` rejects.
 class TopologyBuilder : public SessionConfigurator<TopologyBuilder> {
  public:
-  TopologyBuilder() : TopologyBuilder{SessionConfig{}} {}
-  /// Start from an existing session template (e.g. a catalog scenario).
-  explicit TopologyBuilder(SessionConfig base) : SessionConfigurator{std::move(base)} {
+  TopologyBuilder() {
     // Topology-mode defaults: the shared link produces contention for real
     // (no jitter stand-in), and per-session capture/auxiliary machinery
     // stays off — an N=10k world samples its bottleneck instead.
@@ -215,28 +150,11 @@ class TopologyBuilder : public SessionConfigurator<TopologyBuilder> {
     return *this;
   }
   TopologyBuilder& workload(Workload w) {
-    topo_.arrivals = w.arrivals;
-    topo_.customize = std::move(w.customize);
-    return *this;
-  }
-  TopologyBuilder& arrivals(ArrivalSchedule schedule) {
-    topo_.arrivals = schedule;
-    return *this;
-  }
-  TopologyBuilder& customize(std::function<void(std::size_t, sim::Rng&, SessionConfig&)> fn) {
-    topo_.customize = std::move(fn);
-    return *this;
-  }
-  TopologyBuilder& bottleneck(net::SharedBottleneck::Config c) {
-    topo_.bottleneck = c;
+    topo_.workload = std::move(w);
     return *this;
   }
   TopologyBuilder& bottleneck_rate_bps(double bps) {
     topo_.bottleneck.rate_bps = bps;
-    return *this;
-  }
-  TopologyBuilder& bottleneck_queue_bytes(std::uint64_t bytes) {
-    topo_.bottleneck.queue_limit_bytes = bytes;
     return *this;
   }
   TopologyBuilder& bottleneck_loss(double rate, double burst_len = 1.0) {
@@ -267,26 +185,15 @@ class TopologyBuilder : public SessionConfigurator<TopologyBuilder> {
     topo_.warmup_s = s;
     return *this;
   }
-  /// World seed — every arrival and session stream forks from this
-  /// (shadows the mixin's per-session seed, which a topology overwrites).
+  /// World seed — every arrival and session stream forks from this.
   TopologyBuilder& seed(std::uint64_t s) {
     topo_.seed = s;
     return *this;
   }
-  /// World digest (shadows the mixin's per-session digest).
-  TopologyBuilder& digest(check::StateDigest* d) {
-    topo_.digest = d;
-    return *this;
-  }
-  /// World arena (shadows the mixin's per-session arena).
-  TopologyBuilder& arena(sim::ArenaResource* a) {
-    topo_.arena = a;
-    return *this;
-  }
 
   /// Validate and hand out the config. Throws std::invalid_argument on an
-  /// impossible configuration — including private-path-only session knobs
-  /// left on the template.
+  /// impossible configuration; a session that a customize hook breaks
+  /// fails `run_topology` instead, when it arrives.
   [[nodiscard]] TopologyConfig build() const {
     TopologyConfig out = topo_;
     out.session = cfg_;

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 #include <stdexcept>
 #include <string>
 
@@ -47,35 +48,86 @@ TopologyBuilder small_world() {
 
 // ---------------------------------------------------------------- validation
 
-TEST(TopologyValidationTest, BandwidthJitterExcludedFromTopologies) {
+/// The same world with `fn` as every session's customize hook.
+TopologyBuilder customized_world(std::function<void(std::size_t, sim::Rng&, SessionConfig&)> fn) {
   auto b = small_world();
-  b.bandwidth_jitter(0.5);
+  b.workload(WorkloadBuilder{}.customize(std::move(fn)).build());
+  return b;
+}
+
+/// The diagnostic that `run` throws, or "" when it does not throw
+/// std::invalid_argument.
+template <typename Fn>
+std::string invalid_argument_from(Fn run) {
   try {
-    (void)b.build();
-    FAIL() << "expected invalid_argument";
+    run();
   } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+// A requires-expression reads false for a missing member only inside a
+// template, hence the generic lambda.
+#define OFFERS(Builder, call) \
+  ([]<typename B>(B*) { return requires(B& b) { b.call; }; }(static_cast<Builder*>(nullptr)))
+
+// Each builder offers only the knobs its world honours. The SessionBuilder
+// lines show the probe can say yes.
+static_assert(OFFERS(SessionBuilder, store_trace(true)));
+static_assert(OFFERS(SessionBuilder, impairments(net::ImpairmentSchedule{})));
+static_assert(OFFERS(TopologyBuilder, seed(1)));
+static_assert(!OFFERS(TopologyBuilder, store_trace(true)));
+static_assert(!OFFERS(TopologyBuilder, trace_sink(nullptr)));
+static_assert(!OFFERS(TopologyBuilder, bandwidth_jitter(0.0)));
+static_assert(!OFFERS(TopologyBuilder, impairments(net::ImpairmentSchedule{})));
+static_assert(!OFFERS(TopologyBuilder, capture_duration_s(1.0)));
+static_assert(!OFFERS(TopologyBuilder, digest(nullptr)));
+static_assert(!OFFERS(TopologyBuilder, arena(nullptr)));
+static_assert(!OFFERS(TopologyBuilder, arrivals(ArrivalSchedule{})));
+#undef OFFERS
+
+// TopologyBuilder offers none of the private-path-only knobs, but the
+// fields stay on SessionConfig: a customize hook and a hand-edited
+// TopologyConfig::session can still set them, and both must be rejected
+// with a diagnostic naming the knob and its topology replacement.
+
+TEST(TopologyValidationTest, BandwidthJitterExcludedFromTopologies) {
+  const auto jittered = [](std::size_t, sim::Rng&, SessionConfig& cfg) {
+    cfg.bandwidth_jitter = 0.5;
+  };
+  TopologyConfig edited = small_world().build();
+  edited.session.bandwidth_jitter = 0.5;
+  for (const std::string& what :
+       {invalid_argument_from([&] { (void)customized_world(jittered).run(); }),
+        invalid_argument_from([&] { edited.validate(); })}) {
     // The diagnostic must name the knob and point at the replacement.
-    EXPECT_NE(std::string{e.what()}.find("bandwidth_jitter"), std::string::npos);
-    EXPECT_NE(std::string{e.what()}.find("shared"), std::string::npos);
+    EXPECT_NE(what.find("bandwidth_jitter"), std::string::npos) << what;
+    EXPECT_NE(what.find("shared"), std::string::npos) << what;
   }
 }
 
 TEST(TopologyValidationTest, PerSessionImpairmentsExcludedFromTopologies) {
-  auto b = small_world();
-  b.impairments(net::ImpairmentSchedule{}.blackout(sim::SimTime::from_seconds(5.0),
-                                                   sim::Duration::seconds(1.0)));
-  try {
-    (void)b.build();
-    FAIL() << "expected invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string{e.what()}.find("bottleneck_impairments"), std::string::npos);
+  const auto blackout = net::ImpairmentSchedule{}.blackout(sim::SimTime::from_seconds(5.0),
+                                                           sim::Duration::seconds(1.0));
+  const auto impaired = [&](std::size_t, sim::Rng&, SessionConfig& cfg) {
+    cfg.impairments = blackout;
+  };
+  TopologyConfig edited = small_world().build();
+  edited.session.impairments = blackout;
+  for (const std::string& what :
+       {invalid_argument_from([&] { (void)customized_world(impaired).run(); }),
+        invalid_argument_from([&] { edited.validate(); })}) {
+    EXPECT_NE(what.find("bottleneck_impairments"), std::string::npos) << what;
   }
 }
 
 TEST(TopologyValidationTest, PerSessionCaptureExcludedFromTopologies) {
-  auto b = small_world();
-  b.store_trace(true);
-  EXPECT_THROW((void)b.build(), std::invalid_argument);
+  const auto captured = [](std::size_t, sim::Rng&, SessionConfig& cfg) { cfg.store_trace = true; };
+  EXPECT_THROW((void)customized_world(captured).run(), std::invalid_argument);
+  TopologyConfig edited = small_world().build();
+  edited.session.store_trace = true;
+  EXPECT_THROW(edited.validate(), std::invalid_argument);
 }
 
 TEST(TopologyValidationTest, SessionBuilderStillValidatesTheOldWay) {
@@ -105,7 +157,7 @@ TEST(TopologyValidationTest, InvalidCustomizedSessionStillThrows) {
   const auto jittered = [](std::size_t, sim::Rng&, SessionConfig& cfg) {
     cfg.bandwidth_jitter = 0.3;
   };
-  EXPECT_THROW((void)small_world().customize(jittered).run(), std::invalid_argument);
+  EXPECT_THROW((void)customized_world(jittered).run(), std::invalid_argument);
 }
 
 TEST(TopologyValidationTest, ArrivalScheduleRejectsBadParameters) {
