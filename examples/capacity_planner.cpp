@@ -45,7 +45,6 @@
 // session, so one representative world's span timeline lands beside the
 // capacity numbers.
 #include <algorithm>
-#include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -53,12 +52,14 @@
 #include <fstream>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "model/aggregate.hpp"
 #include "model/interruption.hpp"
 #include "obs/chrome_trace.hpp"
+#include "runner/cli.hpp"
 #include "runner/parallel_sweep.hpp"
 #include "runner/session_sweep.hpp"
 #include "runner/sweep_profiler.hpp"
@@ -217,7 +218,14 @@ int run_merge(const std::vector<std::string>& paths,
     std::size_t shards = 0;
     std::size_t first = 0;
     std::size_t count = 0;
-    const auto acc = runner::SweepAccumulator::from_json_file(path, shard, shards, first, count);
+    runner::SweepAccumulator acc;
+    try {
+      acc = runner::SweepAccumulator::from_json_file(path, shard, shards, first, count);
+    } catch (const std::runtime_error& e) {
+      // A missing, unreadable or malformed payload is a usage error.
+      std::fprintf(stderr, "capacity_planner: %s\n", e.what());
+      return 2;
+    }
     if (shards_expected == 0) shards_expected = shards;
     if (shards != shards_expected) {
       std::fprintf(stderr, "capacity_planner: %s declares %zu shards, expected %zu\n",
@@ -302,22 +310,6 @@ int usage() {
   return 2;
 }
 
-/// Parse all of `text` with std::from_chars (`base...` for integers only).
-/// An unsigned type takes no sign and parsing stops at the first bad
-/// character, so "-1", "x" and "4x" are rejected rather than wrapped or
-/// read as 0.
-template <typename T, typename... Base>
-bool parse_whole(const char* text, T& out, Base... base) {
-  const char* end = text + std::strlen(text);
-  const auto [ptr, ec] = std::from_chars(text, end, out, base...);
-  return ec == std::errc{} && ptr == end;
-}
-
-/// A duration or rate: finite and positive.
-bool parse_positive(const char* text, double& out) {
-  return parse_whole(text, out) && std::isfinite(out) && out > 0.0;
-}
-
 int bad_value(const char* what, const char* text) {
   std::fprintf(stderr, "capacity_planner: bad value '%s' for %s\n", text, what);
   return usage();
@@ -340,27 +332,27 @@ int main(int argc, char** argv) {
   while (argc > 1 && std::strncmp(argv[1], "--", 2) == 0) {
     bool ok = true;
     if (std::strcmp(argv[1], "--capacity") == 0 && argc > 2) {
-      ok = parse_whole(argv[2], capacity);
+      ok = runner::parse_whole(argv[2], capacity);
       --argc;
       ++argv;
     } else if (std::strcmp(argv[1], "--flash-crowd") == 0 && argc > 2) {
-      ok = parse_whole(argv[2], crowd);
+      ok = runner::parse_whole(argv[2], crowd);
       --argc;
       ++argv;
     } else if (std::strcmp(argv[1], "--gbps") == 0 && argc > 2) {
-      ok = parse_positive(argv[2], crowd_gbps);
+      ok = runner::parse_positive(argv[2], crowd_gbps);
       --argc;
       ++argv;
     } else if (std::strcmp(argv[1], "--seconds") == 0 && argc > 2) {
-      ok = parse_positive(argv[2], capacity_seconds);
+      ok = runner::parse_positive(argv[2], capacity_seconds);
       --argc;
       ++argv;
     } else if (std::strcmp(argv[1], "--shards") == 0 && argc > 2) {
-      ok = parse_whole(argv[2], shards);
+      ok = runner::parse_whole(argv[2], shards);
       --argc;
       ++argv;
     } else if (std::strcmp(argv[1], "--shard") == 0 && argc > 2) {
-      ok = parse_whole(argv[2], shard);
+      ok = runner::parse_whole(argv[2], shard);
       --argc;
       ++argv;
     } else if (std::strcmp(argv[1], "--shard-out") == 0 && argc > 2) {
@@ -369,7 +361,7 @@ int main(int argc, char** argv) {
       ++argv;
     } else if (std::strcmp(argv[1], "--expect-digest") == 0 && argc > 2) {
       std::uint64_t digest = 0;
-      ok = parse_whole(argv[2], digest, 16);
+      ok = runner::parse_whole(argv[2], digest, 16);
       expect_digest = digest;
       --argc;
       ++argv;
@@ -412,7 +404,7 @@ int main(int argc, char** argv) {
 
   double positional[] = {0.5, 1.0, 300.0};  // lambda_per_s, mean_rate_mbps, mean_duration_s
   for (int i = 1; i < argc && i <= 3; ++i) {
-    if (!parse_positive(argv[i], positional[i - 1])) {
+    if (!runner::parse_positive(argv[i], positional[i - 1])) {
       return bad_value("a positional argument", argv[i]);
     }
   }

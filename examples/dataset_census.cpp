@@ -5,15 +5,18 @@
 //
 // Usage: dataset_census [videos_per_dataset]
 //
+// A count that does not parse whole (negative, non-numeric) exits 2 with
+// the usage text; 0 or no count means the paper's dataset sizes.
+//
 // The per-dataset session sampler at the end simulates one session per
 // sampled video; those fan out across cores (worker count from
 // VSTREAM_JOBS, default hardware concurrency, 1 = serial).
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <vector>
 
 #include "analysis/strategy.hpp"
+#include "runner/cli.hpp"
 #include "runner/parallel_sweep.hpp"
 #include "stats/descriptive.hpp"
 #include "streaming/session_builder.hpp"
@@ -22,7 +25,14 @@
 
 int main(int argc, char** argv) {
   using namespace vstream;
-  const std::size_t count = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 0;  // 0 = paper size
+  std::size_t count = 0;  // 0 = paper size
+  if (argc > 1 && !runner::parse_whole(argv[1], count)) {
+    std::fprintf(stderr,
+                 "dataset_census: bad value '%s' for videos_per_dataset\n"
+                 "usage: dataset_census [videos_per_dataset]\n",
+                 argv[1]);
+    return 2;
+  }
 
   std::printf("== datasets (Section 4.1) ==\n\n");
   std::printf("%-9s %7s %12s %12s %12s %12s\n", "dataset", "videos", "rate lo", "rate hi",

@@ -9,11 +9,14 @@
 // behaviour even when the abandoning sessions share one link.
 //
 // Usage: interruption_waste [sessions_per_point]
+//
+// A count that is not a whole number of at least one exits 2 with the
+// usage text.
 #include <cstdio>
-#include <cstdlib>
 
 #include "model/interruption.hpp"
 #include "net/profile.hpp"
+#include "runner/cli.hpp"
 #include "streaming/topology_builder.hpp"
 #include "video/datasets.hpp"
 
@@ -69,7 +72,14 @@ int main(int argc, char** argv) {
   // 40 viewers per point pins the per-session encoding draws close to the
   // population mean the closed forms use — one shared world per point makes
   // that population cheap (a few seconds for the whole sweep).
-  const std::size_t sessions = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 40;
+  std::size_t sessions = 40;
+  if (argc > 1 && !runner::parse_positive(argv[1], sessions)) {
+    std::fprintf(stderr,
+                 "interruption_waste: bad value '%s' for sessions_per_point\n"
+                 "usage: interruption_waste [sessions_per_point]\n",
+                 argv[1]);
+    return 2;
+  }
 
   std::printf("== unused bytes per session: model (Eq 8) vs packet-level simulation ==\n");
   std::printf("YouTube Flash, 600 s videos around 1 Mbps, Research network\n\n");

@@ -9,6 +9,9 @@
 //        [--metrics out.json] [--trace-out out.json]
 //        <file.pcap> [encoding_rate_mbps]
 //
+// An encoding rate that is not a positive number exits 2 with the usage
+// text.
+//
 // --stream runs the single-pass analysis pipeline over the file without
 // materialising the trace: memory stays O(1) in the capture length once the
 // handshake is seen, and the report is field-identical to the default
@@ -19,7 +22,6 @@
 // buffering phase — so a foreign pcap gets the same Perfetto view a live
 // --trace-out simulation run produces.
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <exception>
 #include <fstream>
@@ -37,6 +39,7 @@
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "runner/cli.hpp"
 
 namespace {
 
@@ -145,6 +148,14 @@ vstream::analysis::SessionReport stream_report(const std::string& path,
   return up_payload > down_payload ? pass(true) : as_written;
 }
 
+int usage(const char* argv0) {
+  std::fprintf(stderr,
+               "usage: %s [--json] [--flows] [--dump] [--stream] [--metrics out.json] "
+               "[--trace-out out.json] <file.pcap> [encoding_rate_mbps]\n",
+               argv0);
+  return 2;
+}
+
 int run(int argc, char** argv) {
   using namespace vstream;
   bool as_json = false;
@@ -173,12 +184,16 @@ int run(int argc, char** argv) {
     }
     ++arg;
   }
-  if (arg >= argc) {
-    std::fprintf(stderr,
-                 "usage: %s [--json] [--flows] [--dump] [--stream] [--metrics out.json] "
-                 "[--trace-out out.json] <file.pcap> [encoding_rate_mbps]\n",
-                 argv[0]);
-    return 2;
+  if (arg >= argc) return usage(argv[0]);
+  analysis::ReportOptions options;
+  if (arg + 1 < argc) {
+    double rate_mbps = 0.0;
+    if (!runner::parse_positive(argv[arg + 1], rate_mbps)) {
+      std::fprintf(stderr, "pcap_analyzer: bad value '%s' for encoding_rate_mbps\n",
+                   argv[arg + 1]);
+      return usage(argv[0]);
+    }
+    options.encoding_bps = rate_mbps * 1e6;
   }
   argv += arg - 1;
   argc -= arg - 1;
@@ -189,8 +204,6 @@ int run(int argc, char** argv) {
                    "--stream produces the report only; drop --flows/--dump/--metrics/--trace-out\n");
       return 2;
     }
-    analysis::ReportOptions options;
-    if (argc > 2) options.encoding_bps = std::atof(argv[2]) * 1e6;
     const auto report = stream_report(argv[1], options);
     if (as_json) {
       std::puts(obs::json::Object{}.raw("report", analysis::to_json(report)).close().c_str());
@@ -215,8 +228,6 @@ int run(int argc, char** argv) {
     for (auto& p : trace.packets) p.direction = net::opposite(p.direction);
   }
 
-  analysis::ReportOptions options;
-  if (argc > 2) options.encoding_bps = std::atof(argv[2]) * 1e6;
   const auto report = analysis::build_report(trace, options);
   if (!metrics_path.empty()) {
     if (!write_metrics(metrics_path, trace, analysis::build_flow_table(trace))) {

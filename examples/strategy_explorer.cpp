@@ -9,6 +9,8 @@
 //   strategy_explorer youtube html5 chrome research 600 1.2 /tmp/chrome.pcap
 //
 // Every argument is optional; defaults reproduce the quickstart Flash run.
+// A duration, rate or sweep count that is not a positive number exits 2
+// with the usage text.
 //
 // Sweep mode fans N seeds of one combination across cores (worker count
 // from VSTREAM_JOBS, default hardware concurrency, 1 = serial):
@@ -32,6 +34,7 @@
 #include "capture/csv.hpp"
 #include "capture/pcap.hpp"
 #include "obs/chrome_trace.hpp"
+#include "runner/cli.hpp"
 #include "runner/parallel_sweep.hpp"
 #include "streaming/session_builder.hpp"
 #include "video/datasets.hpp"
@@ -47,6 +50,11 @@ using namespace vstream;
                "          [duration_s] [rate_mbps] [pcap_path]\n",
                argv0);
   std::exit(2);
+}
+
+[[noreturn]] void bad_value(const char* argv0, const char* what, const char* text) {
+  std::fprintf(stderr, "strategy_explorer: bad value '%s' for %s\n", text, what);
+  usage(argv0);
 }
 
 streaming::Service parse_service(const std::string& s, const char* argv0) {
@@ -122,8 +130,10 @@ int main(int argc, char** argv) {
   // `strategy_explorer sweep N [combo...]` shifts the combo args by two.
   std::size_t sweep_count = 0;
   if (argc > 1 && std::strcmp(argv[1], "sweep") == 0) {
-    sweep_count = argc > 2 ? std::strtoul(argv[2], nullptr, 10) : 8;
-    if (sweep_count == 0) usage(argv0);
+    sweep_count = 8;
+    if (argc > 2 && !runner::parse_positive(argv[2], sweep_count)) {
+      bad_value(argv0, "the sweep count", argv[2]);
+    }
     argc -= 2;
     argv += 2;
   }
@@ -136,8 +146,15 @@ int main(int argc, char** argv) {
 
   video::VideoMeta meta;
   meta.id = "explorer";
-  meta.duration_s = argc > 5 ? std::atof(argv[5]) : 600.0;
-  meta.encoding_bps = (argc > 6 ? std::atof(argv[6]) : 1.2) * 1e6;
+  meta.duration_s = 600.0;
+  double rate_mbps = 1.2;
+  if (argc > 5 && !runner::parse_positive(argv[5], meta.duration_s)) {
+    bad_value(argv0, "duration_s", argv[5]);
+  }
+  if (argc > 6 && !runner::parse_positive(argv[6], rate_mbps)) {
+    bad_value(argv0, "rate_mbps", argv[6]);
+  }
+  meta.encoding_bps = rate_mbps * 1e6;
   meta.container = container;
   if (service == streaming::Service::kNetflix) {
     meta.duration_s = std::max(meta.duration_s, 1800.0);

@@ -30,9 +30,10 @@
 //                                                  # worker-count invariant
 //
 // Exit status: 0 when every twin run agrees (and the canary diverges as
-// designed); 1 on any divergence (or a canary the audit failed to catch).
+// designed); 1 on any divergence (or a canary the audit failed to catch);
+// 2 on a usage error, including a --seconds that is not a positive number
+// or a --jobs/--shards that is not a whole number of at least one.
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <iterator>
 #include <vector>
@@ -42,6 +43,7 @@
 #include <string>
 
 #include "obs/trace.hpp"
+#include "runner/cli.hpp"
 #include "runner/parallel_sweep.hpp"
 #include "runner/session_sweep.hpp"
 #include "runner/topology_sweep.hpp"
@@ -288,30 +290,40 @@ int run_topology_audit(double seconds) {
   return divergent == 0 ? 0 : 1;
 }
 
+int usage() {
+  std::fprintf(stderr,
+               "usage: determinism_audit [--seconds N] [--canary] [--topology] "
+               "[--jobs N] [--shards N]\n");
+  return 2;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
+  using vstream::runner::parse_positive;
   double seconds = 180.0;
   bool canary = false;
   bool topology = false;
   std::size_t jobs = 0;
   std::size_t shards = 0;
   for (int i = 1; i < argc; ++i) {
+    bool ok = true;
     if (std::strcmp(argv[i], "--canary") == 0) {
       canary = true;
     } else if (std::strcmp(argv[i], "--topology") == 0) {
       topology = true;
     } else if (std::strcmp(argv[i], "--seconds") == 0 && i + 1 < argc) {
-      seconds = std::atof(argv[++i]);
+      ok = parse_positive(argv[++i], seconds);
     } else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-      jobs = static_cast<std::size_t>(std::strtoul(argv[++i], nullptr, 10));
+      ok = parse_positive(argv[++i], jobs);
     } else if (std::strcmp(argv[i], "--shards") == 0 && i + 1 < argc) {
-      shards = static_cast<std::size_t>(std::strtoul(argv[++i], nullptr, 10));
+      ok = parse_positive(argv[++i], shards);
     } else {
-      std::fprintf(stderr,
-                   "usage: determinism_audit [--seconds N] [--canary] [--topology] "
-                   "[--jobs N] [--shards N]\n");
-      return 2;
+      return usage();
+    }
+    if (!ok) {
+      std::fprintf(stderr, "determinism_audit: bad value '%s' for %s\n", argv[i], argv[i - 1]);
+      return usage();
     }
   }
   if (canary) return run_canary();

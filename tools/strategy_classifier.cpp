@@ -27,10 +27,8 @@
 // Exit status: 0 on success, 1 on I/O or classification failure (corrupt
 // captures are rejected with the reader's offset-bearing diagnostic), 2 on
 // usage errors, including a --jobs or --connections that is not a
-// non-negative integer.
-#include <charconv>
+// non-negative integer and an --mb that is not a positive number.
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <string>
@@ -40,6 +38,7 @@
 #include "analysis/parallel_classify.hpp"
 #include "capture/pcap_reader.hpp"
 #include "capture/synthetic.hpp"
+#include "runner/cli.hpp"
 #include "runner/parallel_sweep.hpp"
 #include "runner/sweep_profiler.hpp"
 
@@ -57,13 +56,10 @@ int usage(const char* argv0) {
   return 2;
 }
 
-/// Parse a whole `flag` argument as a count. std::from_chars takes no sign
-/// for an unsigned type and stops at the first non-digit, so "-1", "x" and
-/// "4x" are rejected (and reported) rather than wrapped or truncated.
+/// Parse a whole `flag` argument as a count; "-1", "x" and "4x" are
+/// reported rather than wrapped or truncated.
 bool parse_count(const char* flag, const char* text, std::size_t& out) {
-  const char* end = text + std::strlen(text);
-  const auto [ptr, ec] = std::from_chars(text, end, out);
-  if (ec == std::errc{} && ptr == end) return true;
+  if (vstream::runner::parse_whole(text, out)) return true;
   std::fprintf(stderr, "%s needs a non-negative integer, got '%s'\n", flag, text);
   return false;
 }
@@ -160,7 +156,10 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[arg], "--gen") == 0 && arg + 1 < argc) {
       gen_path = argv[++arg];
     } else if (std::strcmp(argv[arg], "--mb") == 0 && arg + 1 < argc) {
-      gen_mb = std::atof(argv[++arg]);
+      if (!runner::parse_positive(argv[++arg], gen_mb)) {
+        std::fprintf(stderr, "--mb needs a positive number, got '%s'\n", argv[arg]);
+        return usage(argv[0]);
+      }
     } else if (std::strcmp(argv[arg], "--connections") == 0 && arg + 1 < argc) {
       if (!parse_count("--connections", argv[++arg], gen_connections)) return usage(argv[0]);
     } else if (std::strcmp(argv[arg], "--selftest") == 0) {
@@ -179,10 +178,6 @@ int main(int argc, char** argv) {
 
   try {
     if (!gen_path.empty()) {
-      if (gen_mb <= 0.0) {
-        std::fprintf(stderr, "--mb must be positive\n");
-        return usage(argv[0]);
-      }
       return run_generate(gen_path, gen_mb, gen_connections);
     }
     if (selftest) {
