@@ -16,7 +16,9 @@
 //
 // A value that does not parse whole (a negative or non-numeric count, a
 // non-hex digest, a duration or rate that is not positive) exits 2 with the
-// usage text.
+// usage text. A --trace-out or --profile-out path that cannot be opened for
+// writing exits 2 with a one-line diagnostic; the trace path is checked
+// before any work runs.
 //
 // The empirical cross-check simulates shared-bottleneck topologies
 // (streaming/topology_builder.hpp): Poisson churn onto one link, per-window
@@ -408,6 +410,16 @@ int main(int argc, char** argv) {
       return bad_value("a positional argument", argv[i]);
     }
   }
+  // Open the trace file before any work, so a bad path fails up front.
+  std::unique_ptr<obs::ChromeTraceSink> trace_sink;
+  if (!trace_path.empty()) {
+    try {
+      trace_sink = std::make_unique<obs::ChromeTraceSink>(trace_path);
+    } catch (const std::runtime_error& e) {
+      std::fprintf(stderr, "capacity_planner: %s\n", e.what());
+      return 2;
+    }
+  }
   model::AggregateParams p;
   p.lambda_per_s = positional[0];
   p.mean_encoding_bps = positional[1] * 1e6;
@@ -498,7 +510,12 @@ int main(int argc, char** argv) {
                     static_cast<unsigned long long>(ws.tasks()), ws.busy_s(),
                     summary.wall_s > 0.0 ? 100.0 * ws.busy_s() / summary.wall_s : 0.0);
       }
-      profiler.write_json(profile_path, "capacity_planner");
+      try {
+        profiler.write_json(profile_path, "capacity_planner");
+      } catch (const std::runtime_error& e) {
+        std::fprintf(stderr, "capacity_planner: %s\n", e.what());
+        return 2;
+      }
       std::printf("  profile written: %s\n", profile_path.c_str());
     }
   }
@@ -507,8 +524,7 @@ int main(int argc, char** argv) {
   // representative private-world session carrying the Chrome-trace sink —
   // topologies reject per-session trace attachments by design, so the span
   // timeline still comes from the single-session path.
-  if (!trace_path.empty()) {
-    auto trace_sink = std::make_unique<obs::ChromeTraceSink>(trace_path);
+  if (trace_sink) {
     video::VideoMeta meta;
     meta.id = "planner-trace";
     meta.duration_s = p.mean_duration_s;
@@ -522,7 +538,10 @@ int main(int argc, char** argv) {
                             .store_trace(false)
                             .trace_sink(trace_sink.get())
                             .run();
-    trace_sink->close();
+    if (!trace_sink->close()) {
+      std::fprintf(stderr, "capacity_planner: cannot write %s\n", trace_path.c_str());
+      return 2;
+    }
     std::printf("\ntraced representative session: %.1f MB downloaded\n",
                 static_cast<double>(traced.bytes_downloaded) / 1e6);
     std::printf("  span timeline: %s (open in https://ui.perfetto.dev)\n", trace_path.c_str());

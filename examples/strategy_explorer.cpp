@@ -19,11 +19,13 @@
 // --trace-out FILE (single-run mode) attaches a live Chrome-trace sink to
 // the session: fetch/player/TCP/link spans land in FILE, ready for
 // https://ui.perfetto.dev. Tracing is digest-neutral — the session's
-// results are identical with or without it.
+// results are identical with or without it. A FILE that cannot be opened
+// for writing exits 2 before the session runs.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -191,12 +193,20 @@ int main(int argc, char** argv) {
   cfg.keep_full_trace = true;
   std::unique_ptr<obs::ChromeTraceSink> trace_sink;
   if (!trace_path.empty()) {
-    trace_sink = std::make_unique<obs::ChromeTraceSink>(trace_path);
+    try {
+      trace_sink = std::make_unique<obs::ChromeTraceSink>(trace_path);
+    } catch (const std::runtime_error& e) {
+      std::fprintf(stderr, "strategy_explorer: %s\n", e.what());
+      return 2;
+    }
     cfg.trace_sink = trace_sink.get();
   }
   const auto result = streaming::run_session(cfg);
   if (trace_sink) {
-    trace_sink->close();
+    if (!trace_sink->close()) {
+      std::fprintf(stderr, "strategy_explorer: cannot write %s\n", trace_path.c_str());
+      return 2;
+    }
     std::printf("span timeline        : %s (open in https://ui.perfetto.dev)\n",
                 trace_path.c_str());
   }

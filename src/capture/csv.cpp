@@ -23,16 +23,4 @@ void write_packets_csv(const PacketTrace& trace, const std::string& path) {
   write_packets_csv(trace, out);
 }
 
-void write_download_curve_csv(const PacketTrace& trace, std::ostream& out) {
-  out << "t_s,bytes\n";
-  for (const auto& pt : trace.download_curve()) out << pt.t_s << ',' << pt.bytes << '\n';
-}
-
-void write_window_series_csv(const PacketTrace& trace, std::ostream& out) {
-  out << "t_s,window_bytes\n";
-  for (const auto& pt : trace.receive_window_series()) {
-    out << pt.t_s << ',' << pt.window_bytes << '\n';
-  }
-}
-
 }  // namespace vstream::capture

@@ -1,5 +1,5 @@
-// CSV export of packet traces and derived series, for external plotting of
-// the figures the benches print as tables.
+// CSV export of packet traces, for external plotting of the figures the
+// benches print as tables.
 #pragma once
 
 #include <ostream>
@@ -12,11 +12,5 @@ namespace vstream::capture {
 /// One row per packet: t_s,dir,conn,seq,ack,payload,window,flags,retx
 void write_packets_csv(const PacketTrace& trace, std::ostream& out);
 void write_packets_csv(const PacketTrace& trace, const std::string& path);
-
-/// One row per down-direction data packet: t_s,cumulative_bytes
-void write_download_curve_csv(const PacketTrace& trace, std::ostream& out);
-
-/// One row per up-direction packet: t_s,window_bytes
-void write_window_series_csv(const PacketTrace& trace, std::ostream& out);
 
 }  // namespace vstream::capture

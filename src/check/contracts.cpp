@@ -6,14 +6,7 @@ namespace vstream::check {
 
 namespace {
 std::atomic<std::uint64_t> g_violations{0};
-thread_local ViolationHook t_violation_hook;
 }  // namespace
-
-ViolationHook set_violation_hook(ViolationHook hook) {
-  ViolationHook previous = std::move(t_violation_hook);
-  t_violation_hook = std::move(hook);
-  return previous;
-}
 
 std::string_view to_string(ContractKind kind) {
   switch (kind) {
@@ -44,9 +37,7 @@ namespace detail {
 void fail(ContractKind kind, const char* condition, const char* message, const char* file,
           int line) {
   g_violations.fetch_add(1, std::memory_order_relaxed);
-  ContractViolation violation{kind, condition, message, file, line};
-  if (t_violation_hook) t_violation_hook(violation);
-  throw violation;
+  throw ContractViolation{kind, condition, message, file, line};
 }
 
 }  // namespace detail

@@ -17,7 +17,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -54,15 +53,6 @@ class ContractViolation : public std::logic_error {
 /// Total contract evaluations that failed over the process lifetime. Only
 /// moves in checked builds; lets tests prove the release flavour is inert.
 [[nodiscard]] std::uint64_t violations_raised();
-
-/// Thread-local hook invoked with the fully-formed violation just before
-/// `detail::fail` throws it. The obs flight recorder installs one to dump
-/// its event tail at the moment of failure. Per-thread on purpose: under
-/// runner::ParallelSweep each worker runs its own world, and a recorder
-/// must only react to its own world's contracts. Returns the hook it
-/// replaced so scoped users can restore it.
-using ViolationHook = std::function<void(const ContractViolation&)>;
-ViolationHook set_violation_hook(ViolationHook hook);
 
 namespace detail {
 [[noreturn]] void fail(ContractKind kind, const char* condition, const char* message,

@@ -1,8 +1,8 @@
 #include "obs/chrome_trace.hpp"
 
-#include <fstream>
 #include <ostream>
 #include <sstream>
+#include <stdexcept>
 
 #include "obs/json.hpp"
 
@@ -183,17 +183,19 @@ std::string ChromeTraceWriter::to_json() const {
   return out.str();
 }
 
-ChromeTraceSink::ChromeTraceSink(std::string path) : path_{std::move(path)} {}
+ChromeTraceSink::ChromeTraceSink(std::string path) : path_{std::move(path)}, out_{path_} {
+  if (!out_) throw std::runtime_error{"ChromeTraceSink: cannot open " + path_};
+}
 
-ChromeTraceSink::~ChromeTraceSink() { close(); }
+ChromeTraceSink::~ChromeTraceSink() { static_cast<void>(close()); }
 
 bool ChromeTraceSink::close() {
-  if (written_) return true;
-  written_ = true;
-  std::ofstream out{path_};
-  if (!out) return false;
-  writer_.write(out);
-  return out.good();
+  if (!written_) {
+    written_ = true;
+    writer_.write(out_);
+    out_.close();
+  }
+  return !out_.fail();
 }
 
 }  // namespace vstream::obs

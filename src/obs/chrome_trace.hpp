@@ -12,11 +12,12 @@
 //
 // `ChromeTraceSink` plugs the writer into a `TraceBus` and writes the JSON
 // file once, on close() or destruction. Wire it up with the `--trace-out`
-// flag on the examples, or convert a JSONL capture offline with
-// `tools/trace_export`.
+// flag on the examples. To render only a run's tail, arm a `RingBufferSink`
+// and `add()` its `events()` to a writer.
 #pragma once
 
 #include <cstdint>
+#include <fstream>
 #include <iosfwd>
 #include <set>
 #include <string>
@@ -50,22 +51,25 @@ class ChromeTraceWriter {
 };
 
 /// TraceBus sink that renders everything it sees to one Chrome-trace JSON
-/// file. The file is written atomically-late: on close() or destruction.
+/// file. The file is opened up front, so a bad path fails before the run,
+/// and written late: on close() or destruction.
 class ChromeTraceSink final : public TraceSink {
  public:
+  /// Throws std::runtime_error when `path` cannot be opened for writing.
   explicit ChromeTraceSink(std::string path);
   ~ChromeTraceSink() override;
 
   void on_event(const TraceEvent& event) override { writer_.add(event); }
 
   /// Write the JSON file now (idempotent). Returns false on I/O failure.
-  bool close();
+  [[nodiscard]] bool close();
 
   [[nodiscard]] ChromeTraceWriter& writer() { return writer_; }
   [[nodiscard]] const std::string& path() const { return path_; }
 
  private:
   std::string path_;
+  std::ofstream out_;
   ChromeTraceWriter writer_;
   bool written_{false};
 };

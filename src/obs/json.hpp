@@ -1,6 +1,6 @@
-// The one JSON codec: every report, trace line, metrics snapshot, Chrome
-// trace, sweep profile and shard payload vstream writes goes through the
-// writers here, and every field read back goes through `read`.
+// The one JSON codec: every report, metrics snapshot, Chrome trace, sweep
+// profile and shard payload vstream writes goes through the writers here,
+// and every field read back goes through `read`.
 //
 // The codec owns the format rules, so no caller restates them:
 //   - numbers print `%.{digits}g` or, as `Format::fixed`, `%.{digits}f`;
@@ -13,8 +13,8 @@
 //     overflow and must fit its width, a double must be finite, a digest
 //     is a hex string, and the value must end where the JSON token does.
 //
-// The reader serves the flat objects the writers produce (one JSONL trace
-// line, one shard payload); it is not a general JSON parser.
+// The reader serves the flat objects the writers produce (a shard
+// payload); it is not a general JSON parser.
 #pragma once
 
 #include <cstdint>

@@ -4,14 +4,13 @@
 // simulator-loop health, pacing blocks, player stalls, zero-window
 // episodes) through the world's `TraceBus`. When no sink is attached the
 // probes compile down to a single empty-vector check, so the instrumented
-// hot paths stay cheap. Sinks: a JSONL file writer (one event object per
-// line, machine-parsable) and a bounded ring buffer for tests.
+// hot paths stay cheap. Sinks: a bounded ring buffer (`RingBufferSink`,
+// for tests and for holding a run's event tail) and the Chrome-trace file
+// writer (`ChromeTraceSink`, obs/chrome_trace.hpp).
 #pragma once
 
 #include <cstdint>
 #include <deque>
-#include <fstream>
-#include <optional>
 #include <string>
 #include <variant>
 #include <vector>
@@ -109,28 +108,6 @@ using TraceEvent = std::variant<TcpCwndSample, SimLoopSample, PacingBlockEmitted
                                 PlayerInterrupt, ZeroWindowEpisode, LinkFault, FetchRetry,
                                 SpanRecord>;
 
-/// Stable type tag used as the JSONL "type" field.
-[[nodiscard]] const char* event_type(const TraceEvent& event);
-
-/// Render one event as a single-line JSON object ("type" + fields).
-[[nodiscard]] std::string to_jsonl(const TraceEvent& event);
-
-/// Parse one `to_jsonl` line back into a typed event; nullopt when the line
-/// is not one of ours, or when a field it carries is not a valid value of
-/// its type and width (a negative or fractional count, a u32 field above
-/// 2^32-1, a non-finite time). A missing field keeps the event's default.
-/// Powers the offline JSONL → Chrome-trace converter (tools/trace_export).
-[[nodiscard]] std::optional<TraceEvent> from_jsonl(const std::string& line);
-
-/// Pull one numeric field out of a JSONL event line; nullopt when absent,
-/// null or not a finite number. A field lookup of the obs/json codec.
-[[nodiscard]] std::optional<double> jsonl_number(const std::string& line, const std::string& key);
-
-/// Pull one string field out of a JSONL event line, unescaped; nullopt when
-/// absent, null or not a string. A field lookup of the obs/json codec.
-[[nodiscard]] std::optional<std::string> jsonl_string(const std::string& line,
-                                                      const std::string& key);
-
 class TraceSink {
  public:
   virtual ~TraceSink() = default;
@@ -156,24 +133,6 @@ class TraceBus {
  private:
   std::vector<TraceSink*> sinks_;
   std::uint64_t events_emitted_{0};
-};
-
-/// Writes one JSON object per line. Lines are buffered; they reach disk on
-/// destruction or an explicit flush(). Readers that tail the file while the
-/// sink is live must flush() first or they will miss the buffered tail.
-class JsonlFileSink final : public TraceSink {
- public:
-  explicit JsonlFileSink(const std::string& path);
-  void on_event(const TraceEvent& event) override;
-  /// Push buffered lines to disk (e.g. before reading the file back while
-  /// the sink stays attached).
-  void flush() { out_.flush(); }
-  [[nodiscard]] std::uint64_t lines_written() const { return lines_; }
-  [[nodiscard]] bool ok() const { return out_.good(); }
-
- private:
-  std::ofstream out_;
-  std::uint64_t lines_{0};
 };
 
 /// Keeps the most recent `capacity` events in memory (tests, debugging).

@@ -126,7 +126,7 @@ void Endpoint::note_advertised_window(std::uint64_t window_bytes) {
   const bool was_zero = advertising_zero_window_;
   last_advertised_wnd_ = window_bytes;
   // Sample at our own window's zero-crossings too: the sender-side sample
-  // coincides with the captured segment, so a JSONL trace reconstructs the
+  // coincides with the captured segment, so the cwnd samples reconstruct the
   // wire's rwnd-zero episodes even when the segment is still in flight at
   // the capture cutoff.
   if ((window_bytes == 0) != was_zero) probe_cwnd();

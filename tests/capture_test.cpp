@@ -236,17 +236,5 @@ TEST(CsvTest, PacketsCsvHasHeaderAndRows) {
   EXPECT_NE(csv.find("0.25,down,1,"), std::string::npos);
 }
 
-TEST(CsvTest, CurveAndWindowCsv) {
-  PacketTrace trace;
-  trace.packets.push_back(make_record(0.1, Direction::kDown, 100));
-  trace.packets.push_back(make_record(0.2, Direction::kUp, 0));
-  std::ostringstream curve;
-  write_download_curve_csv(trace, curve);
-  EXPECT_NE(curve.str().find("0.1,100"), std::string::npos);
-  std::ostringstream wnd;
-  write_window_series_csv(trace, wnd);
-  EXPECT_NE(wnd.str().find("0.2,65536"), std::string::npos);
-}
-
 }  // namespace
 }  // namespace vstream::capture

@@ -3,8 +3,6 @@
 // trace analysis (zero-window episodes in particular).
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
 #include <limits>
 #include <string>
 #include <vector>
@@ -210,125 +208,6 @@ TEST(ObsTraceTest, RingBufferKeepsMostRecentEvents) {
   EXPECT_EQ(stalls.back().stall_count, 5u);
 }
 
-TEST(ObsTraceTest, JsonlSinkLinesParseBackFieldByField) {
-  const std::string path = ::testing::TempDir() + "obs_jsonl_sink_test.jsonl";
-  {
-    TraceBus bus;
-    JsonlFileSink sink{path};
-    ASSERT_TRUE(sink.ok());
-    bus.attach(&sink);
-
-    TcpCwndSample cwnd;
-    cwnd.t_s = 1.25;
-    cwnd.connection_id = 7;
-    cwnd.endpoint = "server#7";
-    cwnd.cwnd = 14600;
-    cwnd.ssthresh = 65535;
-    cwnd.rwnd = 0;
-    cwnd.rto_s = 0.2;
-    cwnd.bytes_in_flight = 2920;
-    bus.emit(cwnd);
-    bus.emit(PacingBlockEmitted{2.0, 7, 65536, false});
-    bus.emit(ZeroWindowEpisode{3.5, 7, "client#7", 0.75});
-    EXPECT_EQ(sink.lines_written(), 3u);
-  }
-
-  std::ifstream in{path};
-  std::vector<std::string> lines;
-  for (std::string line; std::getline(in, line);) lines.push_back(line);
-  ASSERT_EQ(lines.size(), 3u);
-
-  EXPECT_EQ(jsonl_string(lines[0], "type"), "tcp_cwnd");
-  EXPECT_EQ(jsonl_string(lines[0], "endpoint"), "server#7");
-  EXPECT_EQ(jsonl_number(lines[0], "t"), 1.25);
-  EXPECT_EQ(jsonl_number(lines[0], "conn"), 7.0);
-  EXPECT_EQ(jsonl_number(lines[0], "cwnd"), 14600.0);
-  EXPECT_EQ(jsonl_number(lines[0], "rwnd"), 0.0);
-  EXPECT_EQ(jsonl_number(lines[0], "in_flight"), 2920.0);
-
-  EXPECT_EQ(jsonl_string(lines[1], "type"), "pacing_block");
-  EXPECT_EQ(jsonl_number(lines[1], "bytes"), 65536.0);
-
-  EXPECT_EQ(jsonl_string(lines[2], "type"), "zero_window");
-  EXPECT_EQ(jsonl_number(lines[2], "duration_s"), 0.75);
-  EXPECT_EQ(jsonl_number(lines[2], "missing_key"), std::nullopt);
-  std::remove(path.c_str());
-}
-
-TEST(ObsTraceTest, JsonlRoundTripsEveryU64FieldExactly) {
-  for (const std::uint64_t v :
-       {std::uint64_t{0}, std::uint64_t{9007199254740993ULL}, ~std::uint64_t{0}}) {
-    SCOPED_TRACE(v);
-    TcpCwndSample e;
-    e.t_s = 1.5;
-    e.connection_id = v;
-    e.endpoint = "server#\"1\"\n";
-    e.cwnd = v;
-    e.ssthresh = v;
-    e.rwnd = v;
-    e.adv_wnd = v;
-    e.bytes_in_flight = v;
-    const auto back = from_jsonl(to_jsonl(e));
-    ASSERT_TRUE(back.has_value());
-    const auto& got = std::get<TcpCwndSample>(*back);
-    EXPECT_EQ(got.connection_id, v);
-    EXPECT_EQ(got.endpoint, e.endpoint);
-    EXPECT_EQ(got.cwnd, v);
-    EXPECT_EQ(got.ssthresh, v);
-    EXPECT_EQ(got.rwnd, v);
-    EXPECT_EQ(got.adv_wnd, v);
-    EXPECT_EQ(got.bytes_in_flight, v);
-  }
-  const auto span = from_jsonl(to_jsonl(SpanRecord{0.5, 1.0, -1.0, ~std::uint64_t{0},
-                                                   ~std::uint64_t{0}, 4294967295U, "tcp", "rto",
-                                                   "complete"}));
-  ASSERT_TRUE(span.has_value());
-  EXPECT_EQ(std::get<SpanRecord>(*span).span_id, ~std::uint64_t{0});
-  EXPECT_EQ(std::get<SpanRecord>(*span).depth, 4294967295U);
-}
-
-TEST(ObsTraceTest, FromJsonlRejectsFieldsOutsideTheirType) {
-  // A count that is signed, fractional, in exponent form or too wide for
-  // its field makes the whole line unreadable rather than wrap or round.
-  for (const char* line : {
-           R"({"type":"tcp_cwnd","t":1,"conn":7,"cwnd":-1})",
-           R"({"type":"tcp_cwnd","t":1,"conn":1e30})",
-           R"({"type":"tcp_cwnd","t":1,"conn":7.5})",
-           R"({"type":"tcp_cwnd","t":1,"conn":18446744073709551616})",
-           R"({"type":"tcp_cwnd","t":1,"conn":"7"})",
-           R"({"type":"tcp_cwnd","t":nan,"conn":7})",
-           R"({"type":"tcp_cwnd","t":1e999,"conn":7})",
-           R"({"type":"tcp_cwnd","t":1,"endpoint":7})",
-           R"({"type":"tcp_cwnd","t":1,"endpoint":"unterminated})",
-           R"({"type":"player_stall","t":1,"stalls":4294967296})",
-           R"({"type":"fetch_retry","t":1,"attempt":-3})",
-           R"({"type":"span","t":1,"depth":4294967296})",
-           R"({"type":"pacing_block","t":1,"initial_burst":-1})",
-       }) {
-    EXPECT_FALSE(from_jsonl(line).has_value()) << line;
-  }
-  // The widest valid values still read.
-  const auto stall = from_jsonl(R"({"type":"player_stall","t":1,"stalls":4294967295})");
-  ASSERT_TRUE(stall.has_value());
-  EXPECT_EQ(std::get<PlayerStall>(*stall).stall_count, 4294967295U);
-}
-
-TEST(ObsTraceTest, FromJsonlKeepsDefaultsForMissingFields) {
-  const auto fault = from_jsonl(R"({"type":"link_fault","t":2})");
-  ASSERT_TRUE(fault.has_value());
-  const auto& f = std::get<LinkFault>(*fault);
-  EXPECT_EQ(f.t_s, 2.0);
-  EXPECT_EQ(f.kind, "");
-  EXPECT_FALSE(f.begin);
-  EXPECT_EQ(f.rate_factor, 1.0);
-  // null is how the writer spells a value it does not have.
-  const auto span = from_jsonl(R"({"type":"span","t":3,"mark_s":null})");
-  ASSERT_TRUE(span.has_value());
-  EXPECT_EQ(std::get<SpanRecord>(*span).t_mark_s, -1.0);
-  EXPECT_FALSE(from_jsonl(R"({"t":1})").has_value());
-  EXPECT_FALSE(from_jsonl(R"({"type":"no_such_event","t":1})").has_value());
-}
-
 // ---- live instrumentation vs. offline analysis ---------------------------
 
 // A small observed world: research network with loss disabled, one TCP
@@ -420,10 +299,9 @@ TEST(ObsIntegrationTest, NoSinkProbesStillMaintainCounters) {
   EXPECT_EQ(w.obs.trace().events_emitted(), 0u);
 }
 
-// ---- acceptance: JSONL cwnd trace reconstructs the rwnd signal -----------
+// ---- acceptance: typed cwnd samples reconstruct the rwnd signal ---------
 
-TEST(ObsIntegrationTest, CwndJsonlTraceReconstructsZeroWindowEpisodes) {
-  const std::string path = ::testing::TempDir() + "obs_cwnd_roundtrip.jsonl";
+TEST(ObsIntegrationTest, CwndSamplesReconstructZeroWindowEpisodes) {
   auto network = net::profile_for(net::Vantage::kResearch);
   network.loss_rate = 0.0;  // lossless: wire order == receive order
   video::VideoMeta meta;
@@ -443,66 +321,44 @@ TEST(ObsIntegrationTest, CwndJsonlTraceReconstructsZeroWindowEpisodes) {
                  .seed(17)
                  .build();
 
-  std::size_t expected = 0;
-  {
-    JsonlFileSink sink{path};
-    cfg.trace_sink = &sink;
-    const auto result = streaming::run_session(cfg);
-    expected = analysis::count_zero_window_episodes(result.trace);
-    ASSERT_GT(expected, 0u) << "IE pull throttling should close the window";
-    EXPECT_EQ(result.metrics.counters.at("tcp.zero_window_episodes"), expected);
-    EXPECT_GT(result.sim_events, 0u);
-    EXPECT_GT(result.sim_max_events_pending, 0u);
-  }
+  RingBufferSink sink{std::size_t{1} << 20};
+  cfg.trace_sink = &sink;
+  const auto result = streaming::run_session(cfg);
+  const std::size_t expected = analysis::count_zero_window_episodes(result.trace);
+  ASSERT_GT(expected, 0u) << "IE pull throttling should close the window";
+  EXPECT_EQ(result.metrics.counters.at("tcp.zero_window_episodes"), expected);
+  EXPECT_GT(result.sim_events, 0u);
+  EXPECT_GT(result.sim_max_events_pending, 0u);
+  // The ring held the whole run, so no sample fell off its front.
+  ASSERT_EQ(sink.total_seen(), sink.events().size());
 
-  // Replay the JSONL trace two ways.
+  // Replay the cwnd samples two ways.
   //  - Client-side samples carry the client's own advertised window
   //    (`adv_wnd`) and are emitted at transmit time, exactly when the
   //    captured segment leaves: the reconstruction is exact.
   //  - Server-side samples carry the peer's window (`rwnd`) as received:
   //    identical except for a final segment still in flight at the
   //    capture cutoff, so it may lag by at most one episode.
-  std::ifstream in{path};
-  ASSERT_TRUE(in.good());
   std::size_t from_client = 0;
   std::size_t from_server = 0;
   bool client_at_zero = false;
   bool server_at_zero = false;
-  bool saw_sample = false;
-  for (std::string line; std::getline(in, line);) {
-    if (jsonl_string(line, "type") != "tcp_cwnd") continue;
-    const auto endpoint = jsonl_string(line, "endpoint");
-    ASSERT_TRUE(endpoint.has_value());
-    saw_sample = true;
-    if (endpoint->rfind("client#", 0) == 0) {
-      const auto adv = jsonl_number(line, "adv_wnd");
-      ASSERT_TRUE(adv.has_value());
-      if (*adv == 0.0) {
-        if (!client_at_zero) {
-          ++from_client;
-          client_at_zero = true;
-        }
-      } else {
-        client_at_zero = false;
-      }
-    } else if (endpoint->rfind("server#", 0) == 0) {
-      const auto rwnd = jsonl_number(line, "rwnd");
-      ASSERT_TRUE(rwnd.has_value());
-      if (*rwnd == 0.0) {
-        if (!server_at_zero) {
-          ++from_server;
-          server_at_zero = true;
-        }
-      } else {
-        server_at_zero = false;
-      }
+  const auto count_opening = [](bool at_zero_now, bool& at_zero, std::size_t& episodes) {
+    if (at_zero_now && !at_zero) ++episodes;
+    at_zero = at_zero_now;
+  };
+  const auto samples = sink.collect<TcpCwndSample>();
+  for (const TcpCwndSample& s : samples) {
+    if (s.endpoint.rfind("client#", 0) == 0) {
+      count_opening(s.adv_wnd == 0, client_at_zero, from_client);
+    } else if (s.endpoint.rfind("server#", 0) == 0) {
+      count_opening(s.rwnd == 0, server_at_zero, from_server);
     }
   }
-  EXPECT_TRUE(saw_sample);
+  EXPECT_FALSE(samples.empty());
   EXPECT_EQ(from_client, expected);
   EXPECT_GE(from_server + 1, expected);
   EXPECT_LE(from_server, expected);
-  std::remove(path.c_str());
 }
 
 }  // namespace

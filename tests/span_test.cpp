@@ -1,14 +1,10 @@
-// Span layer, Chrome-trace exporter, and flight recorder.
+// Span layer and Chrome-trace exporter.
 //
 // Covers the full observability episode path: RAII span lifecycle
 // (open/close nesting, marks, moves, teardown truncation via close_all),
-// JSONL round-trips, the Chrome trace-event golden rendering, the
-// flight-recorder ring with its dump-on-abandon and dump-on-contract
-// triggers, and the determinism contract that an armed run fingerprints
-// identically to an unobserved one.
-//
-// This target is pinned to VSTREAM_CHECK_LEVEL=1 in CMakeLists so the
-// contract-hook test still fires when the tree builds with checks off.
+// the Chrome trace-event golden rendering and its file sink, and the
+// determinism contract that an armed run fingerprints identically to an
+// unobserved one.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -18,10 +14,8 @@
 #include <variant>
 #include <vector>
 
-#include "check/contracts.hpp"
 #include "obs/chrome_trace.hpp"
 #include "obs/context.hpp"
-#include "obs/flight_recorder.hpp"
 #include "obs/span.hpp"
 #include "obs/trace.hpp"
 #include "sim/simulator.hpp"
@@ -241,58 +235,6 @@ TEST(SpanTest, RebindingWithOpenSpansThrows) {
   w.sim.run();
 }
 
-// ---- JSONL round-trip ----------------------------------------------------
-
-TEST(SpanJsonlTest, SpanRecordRoundTripsThroughJsonl) {
-  SpanRecord r;
-  r.t_begin_s = 1.5;
-  r.t_end_s = 3.25;
-  r.t_mark_s = 2.0;
-  r.span_id = 7;
-  r.id = 42;
-  r.depth = 1;
-  r.category = "fetch";
-  r.name = "fetch";
-  r.detail = "complete";
-
-  const std::string line = to_jsonl(TraceEvent{r});
-  EXPECT_EQ(jsonl_string(line, "type"), "span");
-  const auto back = from_jsonl(line);
-  ASSERT_TRUE(back.has_value());
-  const auto* rb = std::get_if<SpanRecord>(&*back);
-  ASSERT_NE(rb, nullptr);
-  EXPECT_DOUBLE_EQ(rb->t_begin_s, r.t_begin_s);
-  EXPECT_DOUBLE_EQ(rb->t_end_s, r.t_end_s);
-  EXPECT_DOUBLE_EQ(rb->t_mark_s, r.t_mark_s);
-  EXPECT_EQ(rb->span_id, r.span_id);
-  EXPECT_EQ(rb->id, r.id);
-  EXPECT_EQ(rb->depth, r.depth);
-  EXPECT_EQ(rb->category, r.category);
-  EXPECT_EQ(rb->name, r.name);
-  EXPECT_EQ(rb->detail, r.detail);
-}
-
-TEST(SpanJsonlTest, FetchRetryRoundTripsThroughJsonl) {
-  FetchRetry retry;
-  retry.t_s = 12.5;
-  retry.attempt = 3;
-  retry.backoff_s = 0.8;
-  retry.remaining_bytes = 123456;
-  retry.gave_up = true;
-
-  const auto back = from_jsonl(to_jsonl(TraceEvent{retry}));
-  ASSERT_TRUE(back.has_value());
-  const auto* rb = std::get_if<FetchRetry>(&*back);
-  ASSERT_NE(rb, nullptr);
-  EXPECT_DOUBLE_EQ(rb->t_s, 12.5);
-  EXPECT_EQ(rb->attempt, 3u);
-  EXPECT_DOUBLE_EQ(rb->backoff_s, 0.8);
-  EXPECT_EQ(rb->remaining_bytes, 123456u);
-  EXPECT_TRUE(rb->gave_up);
-  EXPECT_FALSE(from_jsonl("{\"type\":\"unknown_event\"}").has_value());
-  EXPECT_FALSE(from_jsonl("not json at all").has_value());
-}
-
 // ---- Chrome trace-event exporter -----------------------------------------
 
 TEST(ChromeTraceTest, SpanRendersAsGoldenAsyncPair) {
@@ -379,101 +321,16 @@ TEST(ChromeTraceTest, SinkWritesFileOnceAndCloseIsIdempotent) {
   std::remove(path.c_str());
 }
 
-// ---- flight recorder -----------------------------------------------------
-
-TEST(FlightRecorderTest, RingKeepsMostRecentEventsOnly) {
-  FlightRecorder::Options opt;
-  opt.capacity = 3;
-  opt.arm_contract_hook = false;
-  FlightRecorder recorder{opt};
-  TraceBus bus;
-  bus.attach(&recorder);
-  for (int i = 1; i <= 5; ++i) {
-    bus.emit(TraceEvent{PlayerStall{static_cast<double>(i), static_cast<std::uint32_t>(i)}});
+TEST(ChromeTraceTest, SinkRejectsAnUnwritablePath) {
+  // A path that cannot be opened fails when the sink is built, before any
+  // run feeds it, rather than after the run when the file is written.
+  const std::string path = ::testing::TempDir() + "no_such_dir/chrome_trace.json";
+  try {
+    ChromeTraceSink sink{path};
+    FAIL() << "an unwritable path must throw";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string{e.what()}, "ChromeTraceSink: cannot open " + path);
   }
-  ASSERT_EQ(recorder.buffered().size(), 3u);
-  EXPECT_EQ(std::get<PlayerStall>(recorder.buffered().front()).stall_count, 3u);
-  EXPECT_EQ(std::get<PlayerStall>(recorder.buffered().back()).stall_count, 5u);
-  EXPECT_EQ(recorder.dumps_written(), 0u);
-
-  FlightRecorder::Options zero;
-  zero.capacity = 0;
-  EXPECT_THROW(FlightRecorder{zero}, std::invalid_argument);
-}
-
-TEST(FlightRecorderTest, FetchAbandonTriggersDumpWithHeaderAndTail) {
-  const std::string path = ::testing::TempDir() + "flight_dump_abandon_test.jsonl";
-  FlightRecorder::Options opt;
-  opt.capacity = 8;
-  opt.dump_path = path;
-  opt.arm_contract_hook = false;
-  FlightRecorder recorder{opt};
-  TraceBus bus;
-  bus.attach(&recorder);
-
-  bus.emit(TraceEvent{PlayerStall{1.0, 1}});
-  FetchRetry retry;
-  retry.t_s = 2.0;
-  retry.attempt = 2;
-  bus.emit(TraceEvent{retry});  // plain retry: no dump yet
-  EXPECT_EQ(recorder.dumps_written(), 0u);
-
-  retry.t_s = 3.0;
-  retry.attempt = 3;
-  retry.gave_up = true;
-  bus.emit(TraceEvent{retry});
-  EXPECT_EQ(recorder.dumps_written(), 1u);
-
-  std::ifstream in{path};
-  ASSERT_TRUE(in.good());
-  std::vector<std::string> lines;
-  for (std::string line; std::getline(in, line);) lines.push_back(line);
-  ASSERT_EQ(lines.size(), 4u);  // header + 3 buffered events
-  EXPECT_EQ(jsonl_string(lines[0], "type"), "flight_dump");
-  EXPECT_NE(jsonl_string(lines[0], "reason")->find("fetch abandoned after attempt 3"),
-            std::string::npos);
-  EXPECT_EQ(jsonl_number(lines[0], "events"), 3.0);
-  // The tail is ordinary JSONL: the same parser the trace tooling uses.
-  for (std::size_t i = 1; i < lines.size(); ++i) {
-    EXPECT_TRUE(from_jsonl(lines[i]).has_value()) << lines[i];
-  }
-  EXPECT_EQ(jsonl_number(lines.back(), "gave_up"), 1.0);
-  std::remove(path.c_str());
-}
-
-TEST(FlightRecorderTest, ContractViolationTriggersDumpAndHookIsRestored) {
-  const std::string path = ::testing::TempDir() + "flight_dump_contract_test.jsonl";
-  // Stand-in for whatever hook was installed before the recorder: it must
-  // be dormant while the recorder is alive and restored afterwards.
-  std::size_t outer_hook_calls = 0;
-  const check::ViolationHook original = check::set_violation_hook(
-      [&outer_hook_calls](const check::ContractViolation&) { ++outer_hook_calls; });
-  {
-    FlightRecorder::Options opt;
-    opt.capacity = 4;
-    opt.dump_path = path;
-    FlightRecorder recorder{opt};
-    TraceBus bus;
-    bus.attach(&recorder);
-    bus.emit(TraceEvent{PlayerStall{1.0, 1}});
-
-    EXPECT_THROW(VSTREAM_INVARIANT(1 + 1 == 3, "arithmetic broke"), check::ContractViolation);
-    EXPECT_EQ(recorder.dumps_written(), 1u);
-    EXPECT_EQ(outer_hook_calls, 0u);
-
-    std::ifstream in{path};
-    ASSERT_TRUE(in.good());
-    std::string header;
-    ASSERT_TRUE(std::getline(in, header));
-    EXPECT_EQ(jsonl_string(header, "type"), "flight_dump");
-    EXPECT_NE(jsonl_string(header, "reason")->find("arithmetic broke"), std::string::npos);
-    EXPECT_EQ(jsonl_number(header, "events"), 1.0);
-  }
-  // Recorder gone: the previous hook is back in place.
-  EXPECT_THROW(VSTREAM_INVARIANT(false, "after recorder"), check::ContractViolation);
-  EXPECT_EQ(outer_hook_calls, 1u);
-  check::set_violation_hook(original);
-  std::remove(path.c_str());
 }
 
 // ---- end-to-end session spans --------------------------------------------

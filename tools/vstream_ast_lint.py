@@ -74,10 +74,6 @@ ALLOWLIST = {
         "process-lifetime violation counter; std::atomic, diagnostics only, "
         "never read by simulation code"
     ),
-    ("src/check/contracts.cpp", "t_violation_hook"): (
-        "thread_local by design: each ParallelSweep worker's flight recorder "
-        "must only react to its own world's contract failures"
-    ),
     ("src/runner/parallel_sweep.cpp", "t_worker_index"): (
         "thread_local worker id for harness-side profiling attribution; "
         "never read inside a session world"
