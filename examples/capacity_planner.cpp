@@ -43,9 +43,9 @@
 // --profile-out arms a runner::SweepProfiler on the session pool and writes
 // per-worker phase timings, task counts, and utilization to `path`
 // (default BENCH_sweep_profile.json) — the same shape the bench harness
-// publishes. --trace-out attaches a Chrome-trace sink to the sweep's first
-// session, so one representative world's span timeline lands beside the
-// capacity numbers.
+// publishes. --trace-out attaches a Chrome-trace sink to one representative
+// private-world session, so its span timeline lands beside the capacity
+// numbers.
 #include <algorithm>
 #include <cmath>
 #include <cstdint>

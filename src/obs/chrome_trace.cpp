@@ -183,15 +183,14 @@ std::string ChromeTraceWriter::to_json() const {
   return out.str();
 }
 
-ChromeTraceSink::ChromeTraceSink(std::string path) : path_{std::move(path)}, out_{path_} {
-  if (!out_) throw std::runtime_error{"ChromeTraceSink: cannot open " + path_};
+ChromeTraceSink::ChromeTraceSink(const std::string& path) : out_{path} {
+  if (!out_) throw std::runtime_error{"ChromeTraceSink: cannot open " + path};
 }
 
 ChromeTraceSink::~ChromeTraceSink() { static_cast<void>(close()); }
 
 bool ChromeTraceSink::close() {
-  if (!written_) {
-    written_ = true;
+  if (out_.is_open()) {
     writer_.write(out_);
     out_.close();
   }

@@ -56,7 +56,7 @@ class ChromeTraceWriter {
 class ChromeTraceSink final : public TraceSink {
  public:
   /// Throws std::runtime_error when `path` cannot be opened for writing.
-  explicit ChromeTraceSink(std::string path);
+  explicit ChromeTraceSink(const std::string& path);
   ~ChromeTraceSink() override;
 
   void on_event(const TraceEvent& event) override { writer_.add(event); }
@@ -65,13 +65,10 @@ class ChromeTraceSink final : public TraceSink {
   [[nodiscard]] bool close();
 
   [[nodiscard]] ChromeTraceWriter& writer() { return writer_; }
-  [[nodiscard]] const std::string& path() const { return path_; }
 
  private:
-  std::string path_;
   std::ofstream out_;
   ChromeTraceWriter writer_;
-  bool written_{false};
 };
 
 }  // namespace vstream::obs
