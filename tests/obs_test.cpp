@@ -343,16 +343,16 @@ TEST(ObsIntegrationTest, CwndSamplesReconstructZeroWindowEpisodes) {
   std::size_t from_server = 0;
   bool client_at_zero = false;
   bool server_at_zero = false;
-  const auto count_opening = [](bool at_zero_now, bool& at_zero, std::size_t& episodes) {
+  const auto count_episode_start = [](bool at_zero_now, bool& at_zero, std::size_t& episodes) {
     if (at_zero_now && !at_zero) ++episodes;
     at_zero = at_zero_now;
   };
   const auto samples = sink.collect<TcpCwndSample>();
   for (const TcpCwndSample& s : samples) {
     if (s.endpoint.rfind("client#", 0) == 0) {
-      count_opening(s.adv_wnd == 0, client_at_zero, from_client);
+      count_episode_start(s.adv_wnd == 0, client_at_zero, from_client);
     } else if (s.endpoint.rfind("server#", 0) == 0) {
-      count_opening(s.rwnd == 0, server_at_zero, from_server);
+      count_episode_start(s.rwnd == 0, server_at_zero, from_server);
     }
   }
   EXPECT_FALSE(samples.empty());
