@@ -293,15 +293,12 @@ PeriodicityResult PeriodicityAccumulator::finish() const {
   if (static_cast<double>(idle_bins) < 0.15 * static_cast<double>(values.size())) return result;
 
   const auto max_lag = static_cast<std::size_t>(options_.max_period_s / options_.bin_s);
-  const auto acf = stats::autocorrelation(values, max_lag);
-  if (acf.empty()) return result;
-
-  const std::size_t period_bins = stats::dominant_period_bins(acf);
-  if (period_bins == 0) return result;
+  const auto acf_peak = stats::autocorrelation_peak(values, max_lag);
+  if (!acf_peak.has_value()) return result;
 
   result.periodic = true;
-  result.period_s = static_cast<double>(period_bins) * options_.bin_s;
-  result.correlation = acf[period_bins];
+  result.period_s = static_cast<double>(acf_peak->lag) * options_.bin_s;
+  result.correlation = acf_peak->r;
   return result;
 }
 

@@ -9,7 +9,12 @@ StreamingReportBuilder::StreamingReportBuilder(const ReportOptions& options)
 
 void StreamingReportBuilder::add(const capture::PacketRecord& p) {
   ++packets_;
-  connections_.insert(p.connection_id);
+  // Records come in runs of one connection: only an id that differs from
+  // the previous record's can be new to the set.
+  if (connections_.empty() || p.connection_id != last_connection_) {
+    connections_.insert(p.connection_id);
+    last_connection_ = p.connection_id;
+  }
   retransmissions_.add(p);
   zero_window_.add(p);
   if (handshake_.add(p)) first_rtt_.settle(*handshake_.rtt_s());

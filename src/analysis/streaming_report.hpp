@@ -56,6 +56,7 @@ class StreamingReportBuilder {
 
   std::size_t packets_{0};
   std::set<std::uint64_t> connections_;
+  std::uint64_t last_connection_{0};  // id of the previous record
   RetransmissionAccumulator retransmissions_;
   ZeroWindowAccumulator zero_window_;
   OnOffAccumulator onoff_;

@@ -29,7 +29,7 @@ void TraceRecorder::reserve_for(double duration_s, double down_bps) {
   // realloc cascade this hint exists to avoid.
   constexpr double kPayloadBytesPerPacket = 1460.0;
   constexpr double kPacketsPerDataSegment = 2.2;
-  constexpr std::size_t kReserveCap = std::size_t{1} << 22;  // 4 Mi records ~ 288 MB
+  constexpr std::size_t kReserveCap = std::size_t{1} << 22;  // 4 Mi records ~ 192 MB
   const double data_segments = duration_s * down_bps / 8.0 / kPayloadBytesPerPacket;
   const auto expected =
       static_cast<std::size_t>(std::ceil(data_segments * kPacketsPerDataSegment));

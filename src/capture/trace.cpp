@@ -1,6 +1,6 @@
 #include "capture/trace.hpp"
 
-#include <set>
+#include "capture/trace_view.hpp"
 
 namespace vstream::capture {
 
@@ -12,11 +12,7 @@ std::uint64_t PacketTrace::down_payload_bytes() const {
   return total;
 }
 
-std::size_t PacketTrace::connection_count() const {
-  std::set<std::uint64_t> ids;
-  for (const auto& p : packets) ids.insert(p.connection_id);
-  return ids.size();
-}
+std::size_t PacketTrace::connection_count() const { return TraceView{*this}.connection_count(); }
 
 std::vector<PacketTrace::CurvePoint> PacketTrace::download_curve() const {
   std::vector<CurvePoint> curve;

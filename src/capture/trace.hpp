@@ -13,18 +13,21 @@
 
 namespace vstream::capture {
 
+/// Ordered widest member first, so the record packs into 48 bytes with no
+/// padding: every analysis pass walks these by the million.
 struct PacketRecord {
   double t_s{0.0};  ///< capture timestamp, seconds since trace start
-  net::Direction direction{net::Direction::kDown};
   std::uint64_t connection_id{0};
-  std::uint8_t host{0};  ///< server host (0 = video CDN, 1+ = auxiliary)
   std::uint64_t seq{0};
   std::uint64_t ack{0};
-  std::uint32_t payload_bytes{0};
   std::uint64_t window_bytes{0};
+  std::uint32_t payload_bytes{0};
+  net::Direction direction{net::Direction::kDown};
+  std::uint8_t host{0};  ///< server host (0 = video CDN, 1+ = auxiliary)
   net::TcpFlag flags{net::TcpFlag::kNone};
   bool is_retransmission{false};
 };
+static_assert(sizeof(PacketRecord) == 48);
 
 struct PacketTrace {
   std::string label;          ///< e.g. "YouTube/Flash/IE @ Research"

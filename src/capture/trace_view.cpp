@@ -29,8 +29,14 @@ std::uint64_t TraceView::down_payload_bytes() const {
 }
 
 std::size_t TraceView::connection_count() const {
+  // Records come in runs of one connection: only an id that differs from
+  // the previous record's can be new to the set.
   std::set<std::uint64_t> ids;
-  for (const auto& p : *this) ids.insert(p.connection_id);
+  std::uint64_t last_id = 0;
+  for (const auto& p : *this) {
+    if (ids.empty() || p.connection_id != last_id) ids.insert(p.connection_id);
+    last_id = p.connection_id;
+  }
   return ids.size();
 }
 

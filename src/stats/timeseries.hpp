@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstddef>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -37,14 +38,19 @@ class RateBinner {
   std::vector<double> sums_;
 };
 
-/// Normalised autocorrelation r(k) for lags 0..max_lag (r(0) = 1). Returns
-/// an empty vector for constant or too-short series.
-[[nodiscard]] std::vector<double> autocorrelation(std::span<const double> xs,
-                                                  std::size_t max_lag);
+/// The first significant peak of the normalised autocorrelation r(k), i.e.
+/// the dominant period of the series in bins.
+struct AutocorrelationPeak {
+  std::size_t lag{0};
+  double r{0.0};
+};
 
-/// The lag (> 0) of the highest autocorrelation peak, i.e. the dominant
-/// period in bins; 0 when no significant peak exists above `threshold`.
-[[nodiscard]] std::size_t dominant_period_bins(std::span<const double> autocorr,
-                                               double threshold = 0.1);
+/// The first lag k in [2, max_lag) with r(k) > threshold and r(k) no lower
+/// than either neighbour; nullopt when none exists, or when the series is
+/// constant or shorter than 4 bins. Lags are computed in order and the walk
+/// stops one lag past the peak, so only an aperiodic series pays for every
+/// lag up to `max_lag`.
+[[nodiscard]] std::optional<AutocorrelationPeak> autocorrelation_peak(
+    std::span<const double> xs, std::size_t max_lag, double threshold = 0.1);
 
 }  // namespace vstream::stats

@@ -9,7 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "analysis/ack_clock.hpp"
 #include "analysis/onoff.hpp"
@@ -262,6 +265,56 @@ TEST(StreamingReportTest, EmptyStreamMatchesEmptyTrace) {
   const capture::PacketTrace empty;
   EXPECT_EQ(stream_over(empty), reference_report(empty));
   EXPECT_EQ(analysis::build_report(empty), reference_report(empty));
+}
+
+TEST(StreamingReportTest, ConnectionCountsEqualAPlainSetCount) {
+  // The view's and the builder's counts look the set up only when a
+  // record's id differs from the previous record's; a std::set over every
+  // record is the reference.
+  const auto plain = [](const capture::PacketTrace& trace) {
+    std::set<std::uint64_t> ids;
+    for (const auto& p : trace.packets) ids.insert(p.connection_id);
+    return ids.size();
+  };
+  const auto trace_of = [](const std::vector<std::uint64_t>& ids) {
+    capture::PacketTrace trace;
+    double t = 0.0;
+    for (const std::uint64_t id : ids) {
+      t += 0.01;
+      trace.packets.push_back(
+          rec(t, net::Direction::kDown, id, 1448, net::TcpFlag::kAck, false, 65536));
+    }
+    return trace;
+  };
+  std::vector<std::uint64_t> long_runs(1000, 3);
+  long_runs.insert(long_runs.end(), 1000, 9);
+  long_runs.insert(long_runs.end(), 1000, 3);
+  std::vector<std::uint64_t> random_runs;
+  sim::Rng rng{77};
+  while (random_runs.size() < 5000) {
+    random_runs.insert(random_runs.end(), static_cast<std::size_t>(rng.uniform_int(1, 40)),
+                       static_cast<std::uint64_t>(rng.uniform_int(0, 30)));
+  }
+  const std::vector<std::pair<std::string, std::vector<std::uint64_t>>> cases = {
+      {"empty", {}},
+      {"alternating", {1, 2, 1, 2, 1, 2}},
+      {"first id 0", {0, 0, 5, 0}},
+      {"only id 0", {0, 0, 0}},
+      {"long runs", long_runs},
+      {"id comes back", {4, 4, 7, 7, 9, 4, 4, 7}},
+      {"random runs", random_runs},
+  };
+  for (const auto& [what, ids] : cases) {
+    const auto trace = trace_of(ids);
+    const std::size_t want = plain(trace);
+    EXPECT_EQ(capture::TraceView{trace}.connection_count(), want) << what;
+    EXPECT_EQ(trace.connection_count(), want) << what;
+    EXPECT_EQ(stream_over(trace).connections, want) << what;
+  }
+  // A filtered view counts the ids it passes: dropping id 0 between two
+  // records of id 5 leaves one run.
+  const auto trace = trace_of({5, 0, 5, 0, 5});
+  EXPECT_EQ(capture::TraceView{trace}.excluding_connection(0).connection_count(), 1U);
 }
 
 // ---- late handshakes -----------------------------------------------------

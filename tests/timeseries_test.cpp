@@ -1,12 +1,19 @@
-// Tests for rate binning, autocorrelation, and the ON-OFF periodicity
-// estimator built on them.
+// Tests for rate binning, the autocorrelation peak search (against the
+// full-lag search it replaced), and the ON-OFF periodicity estimator built
+// on them.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <span>
+#include <vector>
 
 #include "analysis/accumulators.hpp"
 #include "analysis/periodicity.hpp"
+#include "sim/rng.hpp"
 #include "stats/timeseries.hpp"
 
 namespace vstream {
@@ -42,10 +49,64 @@ TEST(RateBinnerTest, ValidatesArguments) {
   EXPECT_THROW((stats::RateBinner{5.0, 5.0, 1.0}), std::invalid_argument);
 }
 
+// The full-lag search `autocorrelation_peak` replaced, kept as its oracle:
+// every lag r(0..max_lag) first, then the first qualifying local maximum.
+std::vector<double> full_autocorrelation(std::span<const double> xs, std::size_t max_lag) {
+  if (xs.size() < 4) return {};
+  const auto n = xs.size();
+  double mean = 0.0;
+  for (const double x : xs) mean += x;
+  mean /= static_cast<double>(n);
+  double var = 0.0;
+  for (const double x : xs) var += (x - mean) * (x - mean);
+  if (var <= 0.0) return {};
+
+  max_lag = std::min(max_lag, n - 1);
+  std::vector<double> out;
+  out.reserve(max_lag + 1);
+  for (std::size_t k = 0; k <= max_lag; ++k) {
+    double s = 0.0;
+    for (std::size_t i = 0; i + k < n; ++i) s += (xs[i] - mean) * (xs[i + k] - mean);
+    out.push_back(s / var);
+  }
+  return out;
+}
+
+/// 0 when no lag qualifies.
+std::size_t first_peak_lag(std::span<const double> acf, double threshold) {
+  if (acf.size() < 3) return 0;
+  for (std::size_t k = 1; k + 1 < acf.size(); ++k) {
+    if (acf[k] > threshold && acf[k] >= acf[k - 1] && acf[k] >= acf[k + 1] && k > 1) return k;
+  }
+  return 0;
+}
+
+/// Checks `autocorrelation_peak` against the oracle: the same lag and a
+/// bit-identical r. Returns the oracle's lag (0 = no peak).
+std::size_t expect_matches_oracle(std::span<const double> xs, std::size_t max_lag,
+                                  double threshold) {
+  const auto acf = full_autocorrelation(xs, max_lag);
+  const std::size_t want = first_peak_lag(acf, threshold);
+  const auto got = stats::autocorrelation_peak(xs, max_lag, threshold);
+  EXPECT_EQ(got.has_value() ? got->lag : 0U, want);
+  if (want == 0 || !got.has_value()) return want;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got->r), std::bit_cast<std::uint64_t>(acf[want]));
+  return want;
+}
+
+/// `period` bins per cycle, the first quarter (at least one bin) on.
+std::vector<double> square_wave(std::size_t period, std::size_t bins) {
+  const std::size_t on = std::max<std::size_t>(1, period / 4);
+  std::vector<double> xs;
+  for (std::size_t i = 0; i < bins; ++i) xs.push_back(i % period < on ? 1.0 : 0.0);
+  return xs;
+}
+
 TEST(AutocorrelationTest, ZeroLagIsOne) {
+  // The oracle is normalised, so the lags compared against it are too.
   std::vector<double> xs;
   for (int i = 0; i < 100; ++i) xs.push_back(std::sin(i * 0.3));
-  const auto acf = stats::autocorrelation(xs, 20);
+  const auto acf = full_autocorrelation(xs, 20);
   ASSERT_FALSE(acf.empty());
   EXPECT_DOUBLE_EQ(acf[0], 1.0);
 }
@@ -54,24 +115,27 @@ TEST(AutocorrelationTest, RecoversSinePeriod) {
   // Period of 20 bins.
   std::vector<double> xs;
   for (int i = 0; i < 400; ++i) xs.push_back(std::sin(2.0 * M_PI * i / 20.0));
-  const auto acf = stats::autocorrelation(xs, 60);
-  const auto period = stats::dominant_period_bins(acf);
-  EXPECT_NEAR(static_cast<double>(period), 20.0, 1.0);
+  const auto peak = stats::autocorrelation_peak(xs, 60);
+  ASSERT_TRUE(peak.has_value());
+  EXPECT_NEAR(static_cast<double>(peak->lag), 20.0, 1.0);
 }
 
 TEST(AutocorrelationTest, RecoversSquareWavePeriod) {
   // ON-OFF-like square wave: 3 bins on, 9 bins off => period 12.
-  std::vector<double> xs;
-  for (int i = 0; i < 600; ++i) xs.push_back((i % 12) < 3 ? 1.0 : 0.0);
-  const auto acf = stats::autocorrelation(xs, 50);
-  EXPECT_EQ(stats::dominant_period_bins(acf), 12U);
+  const auto xs = square_wave(12, 600);
+  const auto peak = stats::autocorrelation_peak(xs, 50);
+  ASSERT_TRUE(peak.has_value());
+  EXPECT_EQ(peak->lag, 12U);
+  EXPECT_EQ(expect_matches_oracle(xs, 50, 0.1), 12U);
 }
 
 TEST(AutocorrelationTest, ConstantSeriesHasNoAutocorrelation) {
   const std::vector<double> xs(100, 5.0);
-  EXPECT_TRUE(stats::autocorrelation(xs, 10).empty());
+  EXPECT_FALSE(stats::autocorrelation_peak(xs, 10).has_value());
+  EXPECT_EQ(expect_matches_oracle(xs, 10, 0.1), 0U);
   const std::vector<double> tiny{1.0, 2.0};
-  EXPECT_TRUE(stats::autocorrelation(tiny, 1).empty());
+  EXPECT_FALSE(stats::autocorrelation_peak(tiny, 1).has_value());
+  EXPECT_EQ(expect_matches_oracle(tiny, 1, 0.1), 0U);
 }
 
 TEST(AutocorrelationTest, WhiteNoiseHasNoDominantPeriod) {
@@ -83,9 +147,61 @@ TEST(AutocorrelationTest, WhiteNoiseHasNoDominantPeriod) {
     state ^= state << 17U;
     xs.push_back(static_cast<double>(state % 1000));
   }
-  const auto acf = stats::autocorrelation(xs, 100);
-  // No peak above 0.3 at any positive lag for white noise.
-  EXPECT_EQ(stats::dominant_period_bins(acf, 0.3), 0U);
+  // No peak above 0.3 at any positive lag for white noise, so every lag is
+  // computed.
+  EXPECT_FALSE(stats::autocorrelation_peak(xs, 100, 0.3).has_value());
+  EXPECT_EQ(expect_matches_oracle(xs, 100, 0.3), 0U);
+}
+
+TEST(AutocorrelationTest, PeakAtTheSearchBoundsMatchesTheOracle) {
+  // Lag 1 can never be a peak (r(1) < r(0) = 1), so lag 2 is the first lag
+  // the search accepts.
+  EXPECT_EQ(expect_matches_oracle(square_wave(2, 400), 100, 0.1), 2U);
+  EXPECT_EQ(expect_matches_oracle(square_wave(3, 400), 100, 0.1), 3U);
+  // With max_lag = 2 the lag-2 peak has no right neighbour: rejected.
+  EXPECT_EQ(expect_matches_oracle(square_wave(2, 400), 2, 0.1), 0U);
+  // A peak at max_lag - 1 still has its right neighbour; one at max_lag
+  // does not.
+  EXPECT_EQ(expect_matches_oracle(square_wave(12, 600), 13, 0.1), 12U);
+  EXPECT_EQ(expect_matches_oracle(square_wave(12, 600), 12, 0.1), 0U);
+  // A flat top: over this zero-mean series the lag sums are exact integers
+  // and r(4) == r(5); the peak is the first lag of the plateau.
+  const std::vector<double> plateau{3.0, 0.0, -3.0, 0.0, 2.0, 0.0, 0.0, -2.0};
+  EXPECT_EQ(expect_matches_oracle(plateau, 7, 0.1), 4U);
+  // A max_lag past the series is clamped to n - 1, with the same bounds.
+  EXPECT_EQ(expect_matches_oracle(square_wave(12, 14), 1000, 0.1), 12U);
+  EXPECT_EQ(expect_matches_oracle(square_wave(12, 13), 1000, 0.1), 0U);
+}
+
+TEST(AutocorrelationTest, PeakMatchesTheFullLagOracleOnSeededSeries) {
+  // Noisy square waves (which peak) and smoothed random walks (which mostly
+  // do not), at every length from under 4 bins up, lags past the series and
+  // thresholds either side of the default.
+  sim::Rng rng{20260421};
+  std::size_t peaks = 0;
+  std::size_t no_peaks = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    const auto n = static_cast<std::size_t>(rng.uniform_int(1, 300));
+    std::vector<double> xs;
+    if (trial % 2 == 0) {
+      const auto period = static_cast<std::size_t>(rng.uniform_int(2, 40));
+      const double noise = rng.uniform(0.0, 0.8);
+      for (double x : square_wave(period, n)) xs.push_back(x + rng.uniform(-noise, noise));
+    } else {
+      double level = 0.0;
+      for (std::size_t i = 0; i < n; ++i) {
+        level = 0.8 * level + rng.uniform(-1.0, 1.0);
+        xs.push_back(level);
+      }
+    }
+    const auto max_lag = static_cast<std::size_t>(rng.uniform_int(0, 320));
+    const double threshold = std::array{0.0, 0.1, 0.3}[static_cast<std::size_t>(trial % 3)];
+    SCOPED_TRACE(testing::Message() << "trial " << trial << " n " << n << " max_lag " << max_lag);
+    (expect_matches_oracle(xs, max_lag, threshold) == 0 ? no_peaks : peaks) += 1;
+  }
+  // Both outcomes are exercised.
+  EXPECT_GT(peaks, 100U);
+  EXPECT_GT(no_peaks, 50U);
 }
 
 // ------------------------------------------------------------- periodicity
