@@ -1,6 +1,5 @@
 #include "obs/json.hpp"
 
-#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
@@ -192,63 +191,8 @@ Field read(std::string_view text, std::string_view key, std::uint64_t& out) {
   return read_number(text, key, out);
 }
 
-Field read(std::string_view text, std::string_view key, std::uint32_t& out) {
-  return read_number(text, key, out);
-}
-
 Field read(std::string_view text, std::string_view key, double& out) {
   return read_number(text, key, out);
-}
-
-Field read(std::string_view text, std::string_view key, std::string& out) {
-  const auto value = value_of(text, key);
-  if (!value.has_value()) return Field::kMissing;
-  if (value->empty() || value->front() != '"') return Field::kInvalid;
-  std::string parsed;
-  for (std::size_t i = 1; i < value->size(); ++i) {
-    const char c = (*value)[i];
-    if (c == '"') {
-      if (!ends_token(*value, value->data() + i + 1)) return Field::kInvalid;
-      out = std::move(parsed);
-      return Field::kOk;
-    }
-    if (c != '\\') {
-      parsed += c;
-      continue;
-    }
-    if (++i == value->size()) break;
-    switch ((*value)[i]) {
-      case '"':
-      case '\\':
-      case '/':
-        parsed += (*value)[i];
-        break;
-      case 'n':
-        parsed += '\n';
-        break;
-      case 'r':
-        parsed += '\r';
-        break;
-      case 't':
-        parsed += '\t';
-        break;
-      case 'u': {
-        // Only the \u00XX bytes the writer emits; a wider code point would
-        // need a UTF-8 encoder this reader has no use for.
-        unsigned code = 0;
-        const char* digits = value->data() + i + 1;
-        const char* end = value->data() + std::min(value->size(), i + 5);
-        const auto [p, ec] = std::from_chars(digits, end, code, 16);
-        if (ec != std::errc{} || p != digits + 4 || code >= 0x80) return Field::kInvalid;
-        parsed += static_cast<char>(code);
-        i += 4;
-        break;
-      }
-      default:
-        return Field::kInvalid;
-    }
-  }
-  return Field::kInvalid;  // unterminated
 }
 
 Field read_digest(std::string_view text, std::string_view key, std::uint64_t& out) {

@@ -9,12 +9,13 @@
 //   - strings are quoted, with `"`, `\`, `\n`, `\r` and `\t` escaped and
 //     any other byte below 0x20 written as `\u00XX`;
 //   - a field is found in a flat object by its `"key":` text, and parsed
-//     with std::from_chars: an unsigned field takes no sign and no
-//     overflow and must fit its width, a double must be finite, a digest
-//     is a hex string, and the value must end where the JSON token does.
+//     with std::from_chars: a u64 takes no sign and no overflow, a double
+//     must be finite, a digest is a hex string, and the value must end
+//     where the JSON token does.
 //
 // The reader serves the flat objects the writers produce (a shard
-// payload); it is not a general JSON parser.
+// payload, which holds only u64s, doubles and digests); it is not a
+// general JSON parser.
 #pragma once
 
 #include <cstdint>
@@ -81,9 +82,7 @@ enum class Field { kOk, kMissing, kInvalid };
 /// Read the field `key` of the flat object `text` into `out`, which is
 /// written only on kOk.
 [[nodiscard]] Field read(std::string_view text, std::string_view key, std::uint64_t& out);
-[[nodiscard]] Field read(std::string_view text, std::string_view key, std::uint32_t& out);
 [[nodiscard]] Field read(std::string_view text, std::string_view key, double& out);
-[[nodiscard]] Field read(std::string_view text, std::string_view key, std::string& out);
 
 /// Read a digest written by `Object::digest`.
 [[nodiscard]] Field read_digest(std::string_view text, std::string_view key, std::uint64_t& out);

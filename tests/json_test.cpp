@@ -33,15 +33,6 @@ TEST(JsonCodecTest, EscapesSpecials) {
   EXPECT_EQ(escaped("\x7f\xc3\xa9/"), "\"\x7f\xc3\xa9/\"");
 }
 
-TEST(JsonCodecTest, EscapedStringsReadBackExactly) {
-  std::string every_byte;
-  for (int c = 1; c < 0x80; ++c) every_byte += static_cast<char>(c);
-  const std::string text = Object{}.string("s", every_byte).close();
-  std::string back;
-  ASSERT_EQ(read(text, "s", back), Field::kOk);
-  EXPECT_EQ(back, every_byte);
-}
-
 TEST(JsonCodecTest, NonFiniteIsNullAtEveryPrecision) {
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double inf = std::numeric_limits<double>::infinity();
@@ -101,12 +92,6 @@ TEST(JsonCodecTest, UnsignedFieldsTakeNoSignNoOverflowAndNoTrailingText) {
                           "\"5\"", "", " 5", "true"}) {
     EXPECT_EQ(u64(bad), std::nullopt) << bad;
   }
-
-  std::uint32_t narrow = 3;
-  EXPECT_EQ(read(R"({"v":4294967295})", "v", narrow), Field::kOk);
-  EXPECT_EQ(narrow, 4294967295U);
-  EXPECT_EQ(read(R"({"v":4294967296})", "v", narrow), Field::kInvalid);
-  EXPECT_EQ(narrow, 4294967295U);  // untouched on failure
 }
 
 TEST(JsonCodecTest, DoubleFieldsMustBeFinite) {
@@ -136,29 +121,20 @@ TEST(JsonCodecTest, DigestIsAHexString) {
 TEST(JsonCodecTest, MissingKeysAndNullReadAsMissing) {
   std::uint64_t u = 5;
   double x = 5.0;
-  std::string s = "kept";
+  std::uint64_t d = 5;
   const std::string text = R"({"a":1,"n":null,"s":"v","nullish":nullx})";
   EXPECT_EQ(read(text, "absent", u), Field::kMissing);
   EXPECT_EQ(read(text, "n", x), Field::kMissing);
-  EXPECT_EQ(read(text, "n", s), Field::kMissing);
+  EXPECT_EQ(read_digest(text, "n", d), Field::kMissing);
   EXPECT_EQ(read(text, "nullish", u), Field::kInvalid);
-  EXPECT_EQ(read(text, "absent", s), Field::kMissing);
+  EXPECT_EQ(read_digest(text, "absent", d), Field::kMissing);
   EXPECT_EQ(u, 5U);
-  EXPECT_EQ(s, "kept");
+  EXPECT_EQ(x, 5.0);
+  EXPECT_EQ(d, 5U);
   // A key is matched whole: "a" does not find the tail of another key.
   EXPECT_EQ(read(R"({"ba":1})", "a", u), Field::kMissing);
   EXPECT_EQ(read(text, "a", u), Field::kOk);
   EXPECT_EQ(u, 1U);
-}
-
-TEST(JsonCodecTest, StringFieldsRejectBadEscapesAndOpenEnds) {
-  std::string s;
-  for (const char* bad : {R"({"s":"ab)", R"({"s":"a\q"})", R"({"s":"\u00e9"})",
-                          R"({"s":"\u12"})", R"({"s":5})", R"({"s":"a"b})"}) {
-    EXPECT_EQ(read(bad, "s", s), Field::kInvalid) << bad;
-  }
-  ASSERT_EQ(read(R"({"s":"a\/b\u0041\""})", "s", s), Field::kOk);
-  EXPECT_EQ(s, "a/bA\"");
 }
 
 }  // namespace
