@@ -10,7 +10,8 @@
 //        <file.pcap> [encoding_rate_mbps]
 //
 // An encoding rate that is not a positive number exits 2 with the usage
-// text.
+// text. A --metrics or --trace-out path that cannot be opened for writing
+// exits 2 with a one-line diagnostic before the capture is read.
 //
 // --stream runs the single-pass analysis pipeline over the file without
 // materialising the trace: memory stays O(1) in the capture length once the
@@ -46,7 +47,7 @@ namespace {
 /// Rebuild an offline metrics registry from the capture — the per-flow
 /// counters a live session's instrumentation would have produced — and
 /// write it with the flow table as one JSON object.
-bool write_metrics(const std::string& path, const vstream::capture::PacketTrace& trace,
+void write_metrics(std::ostream& out, const vstream::capture::PacketTrace& trace,
                    const vstream::analysis::FlowTable& table) {
   using namespace vstream;
   obs::MetricsRegistry reg;
@@ -63,20 +64,17 @@ bool write_metrics(const std::string& path, const vstream::capture::PacketTrace&
   }
   reg.counter("analyzer.zero_window_episodes")
       .inc(analysis::count_zero_window_episodes(trace));
-  std::ofstream out{path};
-  if (!out) return false;
   out << obs::json::Object{}
              .raw("flows", analysis::to_json(table))
              .raw("metrics", reg.snapshot().to_json())
              .close()
       << "\n";
-  return true;
 }
 
 /// --trace-out: rebuild a span timeline from the offline analysis. The live
 /// path emits these spans as the simulation runs; here the flow table and
 /// the ON/OFF analysis recover the same episodes from packet times alone.
-bool write_chrome_trace(const std::string& path, const vstream::analysis::FlowTable& table,
+void write_chrome_trace(std::ostream& out, const vstream::analysis::FlowTable& table,
                         const vstream::analysis::OnOffAnalysis& analysis) {
   using namespace vstream;
   obs::ChromeTraceWriter writer;
@@ -109,10 +107,7 @@ bool write_chrome_trace(const std::string& path, const vstream::analysis::FlowTa
              std::to_string(on.bytes) + " bytes");
   }
 
-  std::ofstream out{path, std::ios::trunc};
-  if (!out) return false;
   writer.write(out);
-  return true;
 }
 
 /// --stream: one pass over the file, O(1) memory. Foreign captures need the
@@ -213,6 +208,14 @@ int run(int argc, char** argv) {
     return 0;
   }
 
+  // Every output is opened before any work runs.
+  std::ofstream metrics_out;
+  std::ofstream trace_out;
+  if (!runner::open_output("pcap_analyzer", metrics_path, metrics_out) ||
+      !runner::open_output("pcap_analyzer", trace_path, trace_out)) {
+    return 2;
+  }
+
   capture::PacketTrace trace = capture::read_pcap(argv[1]);
   trace.label = argv[1];
 
@@ -230,18 +233,12 @@ int run(int argc, char** argv) {
 
   const auto report = analysis::build_report(trace, options);
   if (!metrics_path.empty()) {
-    if (!write_metrics(metrics_path, trace, analysis::build_flow_table(trace))) {
-      std::fprintf(stderr, "error: cannot write %s\n", metrics_path.c_str());
-      return 1;
-    }
+    write_metrics(metrics_out, trace, analysis::build_flow_table(trace));
     std::fprintf(stderr, "wrote metrics to %s\n", metrics_path.c_str());
   }
   if (!trace_path.empty()) {
-    if (!write_chrome_trace(trace_path, analysis::build_flow_table(trace),
-                            analysis::analyze_on_off(trace))) {
-      std::fprintf(stderr, "error: cannot write %s\n", trace_path.c_str());
-      return 1;
-    }
+    write_chrome_trace(trace_out, analysis::build_flow_table(trace),
+                       analysis::analyze_on_off(trace));
     std::fprintf(stderr, "wrote Chrome trace to %s (open in https://ui.perfetto.dev)\n",
                  trace_path.c_str());
   }

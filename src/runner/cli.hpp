@@ -1,13 +1,17 @@
-// Whole-value parsing of command-line numbers, shared by the examples and
-// tools. std::from_chars takes no sign for an unsigned type and stops at
-// the first bad character, so "-1", "x" and "4x" are rejected instead of
-// wrapped to 2^64-1 or read as 0, as strtoul and atof would.
+// Command-line helpers shared by the examples and tools.
+//
+// Numbers parse whole: std::from_chars takes no sign for an unsigned type
+// and stops at the first bad character, so "-1", "x" and "4x" are rejected
+// instead of wrapped to 2^64-1 or read as 0, as strtoul and atof would.
 #pragma once
 
 #include <charconv>
 #include <cmath>
 #include <cstddef>
+#include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <string>
 #include <system_error>
 
 namespace vstream::runner {
@@ -29,6 +33,17 @@ inline bool parse_positive(const char* text, double& out) {
 /// A count of at least one.
 inline bool parse_positive(const char* text, std::size_t& out) {
   return parse_whole(text, out) && out > 0;
+}
+
+/// Open `path` for writing when one was given, before any work runs. An
+/// unwritable path is a usage error: `<tool>: cannot write <path>` goes to
+/// stderr and the caller exits 2.
+inline bool open_output(const char* tool, const std::string& path, std::ofstream& out) {
+  if (path.empty()) return true;
+  out.open(path, std::ios::trunc);
+  if (out) return true;
+  std::fprintf(stderr, "%s: cannot write %s\n", tool, path.c_str());
+  return false;
 }
 
 }  // namespace vstream::runner

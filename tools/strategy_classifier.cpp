@@ -27,7 +27,9 @@
 // Exit status: 0 on success, 1 on I/O or classification failure (corrupt
 // captures are rejected with the reader's offset-bearing diagnostic), 2 on
 // usage errors, including a --jobs or --connections that is not a
-// non-negative integer and an --mb that is not a positive number.
+// non-negative integer, an --mb that is not a positive number and an --out
+// or --profile-out path that cannot be opened for writing (checked before
+// the capture is classified).
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -62,22 +64,6 @@ bool parse_count(const char* flag, const char* text, std::size_t& out) {
   if (vstream::runner::parse_whole(text, out)) return true;
   std::fprintf(stderr, "%s needs a non-negative integer, got '%s'\n", flag, text);
   return false;
-}
-
-/// Emit `text` to `out_path` (or stdout when empty). Returns false on I/O
-/// failure, already reported.
-bool emit(const std::string& text, const std::string& out_path) {
-  if (out_path.empty()) {
-    std::fputs(text.c_str(), stdout);
-    return true;
-  }
-  std::ofstream out{out_path, std::ios::trunc};
-  out << text;
-  if (!out) {
-    std::fprintf(stderr, "error: cannot write %s\n", out_path.c_str());
-    return false;
-  }
-  return true;
 }
 
 int run_generate(const std::string& path, double mb, std::size_t connections) {
@@ -186,6 +172,14 @@ int main(int argc, char** argv) {
     }
     if (positional.size() != 1) return usage(argv[0]);
 
+    // Every output is opened before the capture is classified.
+    std::ofstream out_file;
+    std::ofstream profile_file;
+    if (!runner::open_output("strategy_classifier", out_path, out_file) ||
+        !runner::open_output("strategy_classifier", profile_path, profile_file)) {
+      return 2;
+    }
+
     const capture::MmapPcapReader reader{positional.front()};
     const runner::ParallelSweep pool{jobs};
     runner::SweepProfiler profiler{pool.jobs()};
@@ -194,7 +188,12 @@ int main(int argc, char** argv) {
 
     const std::string text =
         as_json ? result.to_json() + "\n" : as_csv ? result.to_csv() : result.render();
-    if (!emit(text, out_path)) return 1;
+    if (out_path.empty()) {
+      std::fputs(text.c_str(), stdout);
+    } else if (!(out_file << text)) {
+      std::fprintf(stderr, "error: cannot write %s\n", out_path.c_str());
+      return 1;
+    }
 
     // Phase timing to stderr so stdout stays byte-comparable across runs
     // (and across --jobs, which the selftest and CI assert on).
@@ -205,7 +204,7 @@ int main(int argc, char** argv) {
                  result.connections.size(), static_cast<unsigned long long>(result.records),
                  summary.wall_s, summary.workers, summary.utilization() * 100.0);
     if (!profile_path.empty()) {
-      profiler.write_json(profile_path, "strategy_classifier");
+      profile_file << summary.to_json("strategy_classifier") << "\n";
       std::fprintf(stderr, "wrote profile to %s\n", profile_path.c_str());
     }
     return 0;
