@@ -122,7 +122,7 @@ void ablation_loss_model() {
       cfg.network = profile;
       const auto o = bench::run_and_analyze(cfg);
       for (const double b : o.analysis.block_sizes_bytes) blocks.add(b);
-      retx += o.result.trace.retransmission_fraction() * 100.0 / kRuns;
+      retx += capture::TraceView{o.result.trace}.retransmission_fraction() * 100.0 / kRuns;
     }
     std::printf("  %-26s %12.2f %12.2f %12.2f %10zu\n",
                 burst <= 1.0 ? "Bernoulli (burst=1)" : "Gilbert-Elliott (burst=4)",

@@ -58,19 +58,13 @@ SessionOutcome run_and_analyze(const streaming::SessionConfig& config) {
 std::vector<SessionOutcome> run_and_analyze_all(
     const std::vector<streaming::SessionConfig>& configs) {
   const runner::ParallelSweep pool;
-  std::vector<SessionOutcome> out;
-  if (pool.jobs() <= 1 || configs.size() <= 1) {
-    out.reserve(configs.size());
-    for (const auto& cfg : configs) out.push_back(run_and_analyze(cfg));
-    return out;
-  }
   // Workers touch no shared state (each session is its own world); the
   // RunTelemetry singleton is not thread-safe, so the fold happens here,
-  // serially, in submission order — same aggregate as the serial path.
-  // Each worker times its own run/analyze phases against the profiler —
-  // distinct cache-line-padded cells, no synchronization on the hot path.
+  // serially, in submission order, whatever the worker count. Each worker
+  // times its own run/analyze phases against the profiler — distinct
+  // cache-line-padded cells, no synchronization on the hot path.
   runner::SweepProfiler profiler{pool.jobs()};
-  out = pool.map<SessionOutcome>(configs.size(), [&configs, &profiler](std::size_t i) {
+  auto out = pool.map<SessionOutcome>(configs.size(), [&configs, &profiler](std::size_t i) {
     const std::size_t worker = runner::ParallelSweep::current_worker();
     SessionOutcome o;
     {

@@ -48,7 +48,7 @@ struct SessionOutcome {
 /// (or the hardware) allows (see runner::ParallelSweep). Results come back
 /// in submission order and fold into the active RunTelemetry serially in
 /// that same order, so the telemetry aggregate is independent of the worker
-/// count. VSTREAM_JOBS=1 is the historical serial loop, bit for bit.
+/// count. VSTREAM_JOBS=1 runs every session inline on the caller's thread.
 [[nodiscard]] std::vector<SessionOutcome> run_and_analyze_all(
     const std::vector<streaming::SessionConfig>& configs);
 
@@ -118,7 +118,7 @@ class RunTelemetry {
   void record(const SessionOutcome& outcome);
 
   /// Fold one sweep's per-worker profile into the aggregate (no-op when
-  /// disabled). `run_and_analyze_all` profiles every parallel sweep and
+  /// disabled). `run_and_analyze_all` profiles every sweep and
   /// calls this; finalize() reports the pooled wall/busy/utilization as
   /// sweep_* extras.
   void record_sweep(const runner::SweepProfiler::Summary& summary);

@@ -16,9 +16,9 @@
 //
 // A value that does not parse whole (a negative or non-numeric count, a
 // non-hex digest, a duration or rate that is not positive) exits 2 with the
-// usage text. A --trace-out or --profile-out path that cannot be opened for
-// writing exits 2 with a one-line diagnostic; the trace path is checked
-// before any work runs.
+// usage text. A --trace-out, --profile-out or --shard-out path that cannot
+// be opened for writing exits 2 with a one-line diagnostic before any work
+// runs.
 //
 // The empirical cross-check simulates shared-bottleneck topologies
 // (streaming/topology_builder.hpp): Poisson churn onto one link, per-window
@@ -152,6 +152,8 @@ int run_capacity(std::size_t capacity, double seconds, std::size_t shards, std::
   // Contiguous slices: shard i owns [i*N/K, (i+1)*N/K) of the global range.
   const std::size_t first = capacity * shard / shards;
   const std::size_t count = capacity * (shard + 1) / shards - first;
+  std::ofstream shard_file;
+  if (!runner::open_output("capacity_planner", shard_out, shard_file)) return 2;
 
   runner::ParallelSweep pool;
   runner::SweepProfiler profiler{pool.jobs()};
@@ -188,15 +190,10 @@ int run_capacity(std::size_t capacity, double seconds, std::size_t shards, std::
   if (!shard_out.empty()) {
     // Add the RSS bound to the payload so the merge report can show the
     // worst shard without re-running anything.
-    const std::string json = acc.json_object("capacity", shard, shards, first, count)
-                                 .integer("peak_rss_kb", rss_kb)
-                                 .close();
-    std::ofstream out{shard_out, std::ios::trunc};
-    if (!out) {
-      std::fprintf(stderr, "capacity_planner: cannot write %s\n", shard_out.c_str());
-      return 2;
-    }
-    out << json << "\n";
+    shard_file << acc.json_object("capacity", shard, shards, first, count)
+                      .integer("peak_rss_kb", rss_kb)
+                      .close()
+               << "\n";
     std::printf("  shard payload written: %s\n", shard_out.c_str());
   }
   return 0;
@@ -410,7 +407,9 @@ int main(int argc, char** argv) {
       return bad_value("a positional argument", argv[i]);
     }
   }
-  // Open the trace file before any work, so a bad path fails up front.
+  // Open every output before any work, so a bad path fails up front.
+  std::ofstream profile_file;
+  if (!runner::open_output("capacity_planner", profile_path, profile_file)) return 2;
   std::unique_ptr<obs::ChromeTraceSink> trace_sink;
   if (!trace_path.empty()) {
     try {
@@ -510,12 +509,7 @@ int main(int argc, char** argv) {
                     static_cast<unsigned long long>(ws.tasks()), ws.busy_s(),
                     summary.wall_s > 0.0 ? 100.0 * ws.busy_s() / summary.wall_s : 0.0);
       }
-      try {
-        profiler.write_json(profile_path, "capacity_planner");
-      } catch (const std::runtime_error& e) {
-        std::fprintf(stderr, "capacity_planner: %s\n", e.what());
-        return 2;
-      }
+      profile_file << summary.to_json("capacity_planner") << "\n";
       std::printf("  profile written: %s\n", profile_path.c_str());
     }
   }

@@ -5,7 +5,7 @@
 // taken at the viewer side (the down direction is detected by which peer
 // sends the bulk of the payload).
 //
-// Usage: pcap_analyzer [--json] [--flows] [--dump] [--stream]
+// Usage: pcap_analyzer [--json] [--flows] [--dump]
 //        [--metrics out.json] [--trace-out out.json]
 //        <file.pcap> [encoding_rate_mbps]
 //
@@ -13,10 +13,8 @@
 // text. A --metrics or --trace-out path that cannot be opened for writing
 // exits 2 with a one-line diagnostic before the capture is read.
 //
-// --stream runs the single-pass analysis pipeline over the file without
-// materialising the trace: memory stays O(1) in the capture length once the
-// handshake is seen, and the report is field-identical to the default
-// batch path.
+// Every output comes from one streamed pass over the file (a second pass
+// only for a mirrored capture): the trace is never materialised.
 //
 // --trace-out synthesizes a Chrome trace-event timeline from the offline
 // analysis — per-connection lifetimes, steady-state ON blocks, and the
@@ -26,9 +24,10 @@
 #include <cstring>
 #include <exception>
 #include <fstream>
-#include <sstream>
 #include <string>
+#include <vector>
 
+#include "analysis/accumulators.hpp"
 #include "analysis/flows.hpp"
 #include "analysis/onoff.hpp"
 #include "analysis/report.hpp"
@@ -47,11 +46,11 @@ namespace {
 /// Rebuild an offline metrics registry from the capture — the per-flow
 /// counters a live session's instrumentation would have produced — and
 /// write it with the flow table as one JSON object.
-void write_metrics(std::ostream& out, const vstream::capture::PacketTrace& trace,
+void write_metrics(std::ostream& out, const vstream::analysis::SessionReport& report,
                    const vstream::analysis::FlowTable& table) {
   using namespace vstream;
   obs::MetricsRegistry reg;
-  reg.counter("analyzer.packets").inc(trace.packets.size());
+  reg.counter("analyzer.packets").inc(report.packets);
   reg.counter("analyzer.connections").inc(table.flows.size());
   auto& flow_down = reg.histogram(
       "analyzer.flow_down_bytes",
@@ -62,8 +61,7 @@ void write_metrics(std::ostream& out, const vstream::capture::PacketTrace& trace
     reg.counter("analyzer.retransmitted_bytes").inc(f.retransmitted_bytes);
     flow_down.observe(static_cast<double>(f.down_payload_bytes));
   }
-  reg.counter("analyzer.zero_window_episodes")
-      .inc(analysis::count_zero_window_episodes(trace));
+  reg.counter("analyzer.zero_window_episodes").inc(report.zero_window_episodes);
   out << obs::json::Object{}
              .raw("flows", analysis::to_json(table))
              .raw("metrics", reg.snapshot().to_json())
@@ -110,19 +108,37 @@ void write_chrome_trace(std::ostream& out, const vstream::analysis::FlowTable& t
   writer.write(out);
 }
 
-/// --stream: one pass over the file, O(1) memory. Foreign captures need the
-/// same direction heuristic as the batch path, and it is a whole-file
-/// question, so the rule is the classifier's: one builder consumes the file
-/// as written while the payload totals accumulate, and only when the totals
-/// say the capture is mirrored does a second pass feed a fresh builder with
-/// directions flipped. Our own writer's captures never take that pass.
-vstream::analysis::SessionReport stream_report(const std::string& path,
-                                               const vstream::analysis::ReportOptions& options) {
+constexpr std::size_t kDumpPackets = 40;
+
+/// What one pass over the capture produces. The flow table, the ON/OFF
+/// analysis and the head are filled only when an output needs them.
+struct CaptureAnalysis {
+  vstream::analysis::SessionReport report;
+  vstream::analysis::FlowTable flows;
+  vstream::analysis::OnOffAnalysis onoff;
+  std::vector<vstream::capture::PacketRecord> head;  ///< first kDumpPackets records
+};
+
+/// Walk the file once, feeding every record to the report builder and to
+/// the accumulators the requested outputs need: memory stays O(1) in the
+/// capture length once the handshake is seen. Foreign captures need a
+/// direction heuristic (the video flows in the direction carrying most
+/// payload), and it is a whole-file question, so the rule is the
+/// classifier's: the first pass consumes the file as written while the
+/// payload totals accumulate, and only when the totals say the capture is
+/// mirrored does a second pass run with directions flipped. Our own
+/// writer's captures never take that pass.
+CaptureAnalysis analyze_capture(const std::string& path,
+                                const vstream::analysis::ReportOptions& options,
+                                bool need_flows, bool need_onoff, bool need_head) {
   using namespace vstream;
   std::uint64_t down_payload = 0;
   std::uint64_t up_payload = 0;
   const auto pass = [&](bool flip) {
     analysis::StreamingReportBuilder builder{options};
+    analysis::FlowAccumulator flows;
+    analysis::OnOffAccumulator onoff;
+    CaptureAnalysis out;
     double t_first = 0.0;
     double t_last = 0.0;
     bool any = false;
@@ -134,18 +150,25 @@ vstream::analysis::SessionReport stream_report(const std::string& path,
       capture::PacketRecord fed = r;
       if (flip) fed.direction = net::opposite(r.direction);
       builder.add(fed);
+      if (need_flows) flows.add(fed);
+      if (need_onoff) onoff.add(fed);
+      if (need_head && out.head.size() < kDumpPackets) out.head.push_back(fed);
     });
     builder.set_label(path);
     builder.set_duration_s(any ? t_last - t_first : 0.0);
-    return builder.finish();
+    out.report = builder.finish();
+    if (need_flows) out.flows = flows.finish();
+    if (need_onoff) out.onoff = onoff.finish();
+    return out;
   };
-  const analysis::SessionReport as_written = pass(false);
-  return up_payload > down_payload ? pass(true) : as_written;
+  CaptureAnalysis as_written = pass(false);
+  if (up_payload > down_payload) return pass(true);
+  return as_written;
 }
 
 int usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s [--json] [--flows] [--dump] [--stream] [--metrics out.json] "
+               "usage: %s [--json] [--flows] [--dump] [--metrics out.json] "
                "[--trace-out out.json] <file.pcap> [encoding_rate_mbps]\n",
                argv0);
   return 2;
@@ -156,7 +179,6 @@ int run(int argc, char** argv) {
   bool as_json = false;
   bool with_flows = false;
   bool dump = false;
-  bool stream = false;
   std::string metrics_path;
   std::string trace_path;
   int arg = 1;
@@ -167,8 +189,6 @@ int run(int argc, char** argv) {
       with_flows = true;
     } else if (std::strcmp(argv[arg], "--dump") == 0) {
       dump = true;
-    } else if (std::strcmp(argv[arg], "--stream") == 0) {
-      stream = true;
     } else if (std::strcmp(argv[arg], "--metrics") == 0 && arg + 1 < argc) {
       metrics_path = argv[++arg];
     } else if (std::strcmp(argv[arg], "--trace-out") == 0 && arg + 1 < argc) {
@@ -193,21 +213,6 @@ int run(int argc, char** argv) {
   argv += arg - 1;
   argc -= arg - 1;
 
-  if (stream) {
-    if (with_flows || dump || !metrics_path.empty() || !trace_path.empty()) {
-      std::fprintf(stderr,
-                   "--stream produces the report only; drop --flows/--dump/--metrics/--trace-out\n");
-      return 2;
-    }
-    const auto report = stream_report(argv[1], options);
-    if (as_json) {
-      std::puts(obs::json::Object{}.raw("report", analysis::to_json(report)).close().c_str());
-    } else {
-      std::fputs(report.render().c_str(), stdout);
-    }
-    return 0;
-  }
-
   // Every output is opened before any work runs.
   std::ofstream metrics_out;
   std::ofstream trace_out;
@@ -216,58 +221,41 @@ int run(int argc, char** argv) {
     return 2;
   }
 
-  capture::PacketTrace trace = capture::read_pcap(argv[1]);
-  trace.label = argv[1];
-
-  // Heuristic direction fix-up for foreign captures: the video flows in the
-  // direction carrying most payload. Our own writer already encodes the
-  // direction in the addresses, in which case this is a no-op.
-  std::uint64_t down_payload = 0;
-  std::uint64_t up_payload = 0;
-  for (const auto& p : trace.packets) {
-    (p.direction == net::Direction::kDown ? down_payload : up_payload) += p.payload_bytes;
-  }
-  if (up_payload > down_payload) {
-    for (auto& p : trace.packets) p.direction = net::opposite(p.direction);
-  }
-
-  const auto report = analysis::build_report(trace, options);
+  const CaptureAnalysis result =
+      analyze_capture(argv[1], options, with_flows || !metrics_path.empty() || !trace_path.empty(),
+                      !trace_path.empty(), dump);
+  const analysis::SessionReport& report = result.report;
   if (!metrics_path.empty()) {
-    write_metrics(metrics_out, trace, analysis::build_flow_table(trace));
+    write_metrics(metrics_out, report, result.flows);
     std::fprintf(stderr, "wrote metrics to %s\n", metrics_path.c_str());
   }
   if (!trace_path.empty()) {
-    write_chrome_trace(trace_out, analysis::build_flow_table(trace),
-                       analysis::analyze_on_off(trace));
+    write_chrome_trace(trace_out, result.flows, result.onoff);
     std::fprintf(stderr, "wrote Chrome trace to %s (open in https://ui.perfetto.dev)\n",
                  trace_path.c_str());
   }
   if (as_json) {
     obs::json::Object out;
     out.raw("report", analysis::to_json(report));
-    if (with_flows) out.raw("flows", analysis::to_json(analysis::build_flow_table(trace)));
+    if (with_flows) out.raw("flows", analysis::to_json(result.flows));
     std::puts(out.close().c_str());
     return 0;
   }
   std::fputs(report.render().c_str(), stdout);
   if (dump) {
     std::printf("\nfirst packets (tcpdump style):\n");
-    capture::DumpOptions opts;
-    opts.max_packets = 40;
-    std::ostringstream text;
-    capture::dump_trace(trace, text, opts);
-    std::fputs(text.str().c_str(), stdout);
+    for (const auto& p : result.head) std::printf("%s\n", capture::format_packet(p).c_str());
+    if (report.packets >= kDumpPackets) {
+      std::printf("... (%zu packets total)\n", report.packets);
+    }
   }
-  if (with_flows) {
-    std::printf("\nper-connection flows:\n%s", analysis::build_flow_table(trace).render().c_str());
-  }
+  if (with_flows) std::printf("\nper-connection flows:\n%s", result.flows.render().c_str());
   return 0;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Both paths report a read or analysis failure the same way.
   try {
     return run(argc, argv);
   } catch (const std::exception& e) {

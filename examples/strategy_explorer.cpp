@@ -238,9 +238,10 @@ int main(int argc, char** argv) {
   }
   std::printf("player               : started %.2f s, watched %.1f s, %u stalls\n",
               result.player.start_time_s, result.player.watched_s, result.player.stall_count);
+  const capture::TraceView all{result.trace};
   std::printf("auxiliary traffic    : %.2f MB over %zu extra connections (filtered out above)\n",
-              (result.trace.down_payload_bytes() - video.down_payload_bytes()) / 1048576.0,
-              result.trace.connection_count() - video.connection_count());
+              (all.down_payload_bytes() - video.down_payload_bytes()) / 1048576.0,
+              all.connection_count() - video.connection_count());
 
   if (result.connections > 3) {
     const auto flows = analysis::build_flow_table(video);

@@ -34,11 +34,6 @@ double OnOffAnalysis::median_block_bytes() const {
   return stats::median(block_sizes_bytes);
 }
 
-double OnOffAnalysis::mean_block_bytes() const {
-  if (block_sizes_bytes.empty()) return 0.0;
-  return stats::mean(block_sizes_bytes);
-}
-
 double OnOffAnalysis::median_off_s() const {
   if (off_durations_s.empty()) return 0.0;
   return stats::median(off_durations_s);

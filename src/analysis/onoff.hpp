@@ -71,7 +71,6 @@ struct OnOffAnalysis {
   [[nodiscard]] double buffered_playback_s(double encoding_bps) const;
 
   [[nodiscard]] double median_block_bytes() const;
-  [[nodiscard]] double mean_block_bytes() const;
   [[nodiscard]] double median_off_s() const;
   [[nodiscard]] double max_off_s() const;
 };

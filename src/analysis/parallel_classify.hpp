@@ -11,9 +11,9 @@
 // The pool is a template parameter rather than a `runner::ParallelSweep`
 // so this header can live in the analysis layer without the analysis
 // library linking the runner (the dependency arrow goes runner -> analysis,
-// not back). Any pool with `jobs()`, `for_each_index(count, fn)` and a
-// static `current_worker()` fits; `ParallelSweep` is the intended one and
-// the only one the tools instantiate.
+// not back). Any pool with `jobs()` and `for_each_chunk(count, chunk, fn)`
+// fits; `ParallelSweep` is the intended one and the only one the tools
+// instantiate.
 //
 // Profiling: pass a `SweepProfiler` sized for the pool and the lanes land
 // as kRun on the worker that ran them and the merge as kMerge on worker 0,
@@ -40,9 +40,9 @@ template <typename Pool>
   const auto classify = [&](bool flip) {
     std::vector<LaneResult> results(lanes);
     std::vector<std::exception_ptr> errors(lanes);
-    pool.for_each_index(lanes, [&](std::size_t lane) {
-      const runner::SweepProfiler::Scope scope{profiler, Pool::current_worker(),
-                                               runner::SweepPhase::kRun};
+    // Chunks of one: each lane is its own range.
+    pool.for_each_chunk(lanes, 1, [&](std::size_t lane, std::size_t, std::size_t worker) {
+      const runner::SweepProfiler::Scope scope{profiler, worker, runner::SweepPhase::kRun};
       try {
         results[lane] = classify_lane(reader, lanes, lane, flip, options);
       } catch (...) {

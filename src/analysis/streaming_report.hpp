@@ -45,8 +45,6 @@ class StreamingReportBuilder {
   /// Assemble the report. Idempotent; `add` may not be called afterwards.
   [[nodiscard]] SessionReport finish() const;
 
-  [[nodiscard]] std::size_t packets_seen() const { return packets_; }
-
  private:
   ReportOptions options_;
   std::string label_;

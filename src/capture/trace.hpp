@@ -2,7 +2,9 @@
 //
 // A `PacketTrace` is the single currency between the simulation (or a pcap
 // file) and the analysis layer: a time-ordered list of TCP segments seen at
-// the viewer's network interface.
+// the viewer's network interface. It is data only; its aggregates
+// (download curve, retransmission fraction, ...) live on `TraceView`,
+// which a `PacketTrace` converts to implicitly.
 #pragma once
 
 #include <cstdint>
@@ -34,34 +36,6 @@ struct PacketTrace {
   double encoding_bps{0.0};   ///< ground-truth or estimated video rate
   double duration_s{0.0};     ///< capture duration
   std::vector<PacketRecord> packets;
-
-  [[nodiscard]] bool empty() const { return packets.empty(); }
-
-  /// Payload bytes travelling down (server -> viewer), first transmissions
-  /// and retransmissions included.
-  [[nodiscard]] std::uint64_t down_payload_bytes() const;
-
-  /// Number of distinct TCP connections observed.
-  [[nodiscard]] std::size_t connection_count() const;
-
-  /// Cumulative (time, downloaded bytes) curve of down-direction payload —
-  /// the "Download Amount" axis of Figs 1, 2a, 6a, 7a, 10.
-  struct CurvePoint {
-    double t_s;
-    std::uint64_t bytes;
-  };
-  [[nodiscard]] std::vector<CurvePoint> download_curve() const;
-
-  /// Client receive-window time series from up-direction segments — the
-  /// "Receive Window" axis of Figs 2b and 6a.
-  struct WindowPoint {
-    double t_s;
-    std::uint64_t window_bytes;
-  };
-  [[nodiscard]] std::vector<WindowPoint> receive_window_series() const;
-
-  /// Fraction of down-direction payload bytes that were retransmissions.
-  [[nodiscard]] double retransmission_fraction() const;
 };
 
 }  // namespace vstream::capture

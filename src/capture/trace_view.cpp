@@ -51,22 +51,22 @@ double TraceView::retransmission_fraction() const {
   return total == 0 ? 0.0 : static_cast<double>(retx) / static_cast<double>(total);
 }
 
-std::vector<PacketTrace::CurvePoint> TraceView::download_curve() const {
-  std::vector<PacketTrace::CurvePoint> curve;
+std::vector<TraceView::CurvePoint> TraceView::download_curve() const {
+  std::vector<CurvePoint> curve;
   std::uint64_t total = 0;
   for (const auto& p : *this) {
     if (p.direction != net::Direction::kDown || p.payload_bytes == 0) continue;
     total += p.payload_bytes;
-    curve.push_back(PacketTrace::CurvePoint{p.t_s, total});
+    curve.push_back(CurvePoint{p.t_s, total});
   }
   return curve;
 }
 
-std::vector<PacketTrace::WindowPoint> TraceView::receive_window_series() const {
-  std::vector<PacketTrace::WindowPoint> series;
+std::vector<TraceView::WindowPoint> TraceView::receive_window_series() const {
+  std::vector<WindowPoint> series;
   for (const auto& p : *this) {
     if (p.direction != net::Direction::kUp) continue;
-    series.push_back(PacketTrace::WindowPoint{p.t_s, p.window_bytes});
+    series.push_back(WindowPoint{p.t_s, p.window_bytes});
   }
   return series;
 }

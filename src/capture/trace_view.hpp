@@ -150,13 +150,33 @@ class TraceView {
   [[nodiscard]] const TraceFilter& filter() const { return filter_; }
   [[nodiscard]] const PacketTrace* underlying() const { return trace_; }
 
-  // -- aggregates (same semantics as the PacketTrace members) --------------
+  // -- aggregates ----------------------------------------------------------
 
+  /// Payload bytes travelling down (server -> viewer), first transmissions
+  /// and retransmissions included.
   [[nodiscard]] std::uint64_t down_payload_bytes() const;
+
+  /// Number of distinct TCP connections observed.
   [[nodiscard]] std::size_t connection_count() const;
+
+  /// Fraction of down-direction payload bytes that were retransmissions.
   [[nodiscard]] double retransmission_fraction() const;
-  [[nodiscard]] std::vector<PacketTrace::CurvePoint> download_curve() const;
-  [[nodiscard]] std::vector<PacketTrace::WindowPoint> receive_window_series() const;
+
+  /// Cumulative (time, downloaded bytes) curve of down-direction payload —
+  /// the "Download Amount" axis of Figs 1, 2a, 6a, 7a, 10.
+  struct CurvePoint {
+    double t_s;
+    std::uint64_t bytes;
+  };
+  [[nodiscard]] std::vector<CurvePoint> download_curve() const;
+
+  /// Client receive-window time series from up-direction segments — the
+  /// "Receive Window" axis of Figs 2b and 6a.
+  struct WindowPoint {
+    double t_s;
+    std::uint64_t window_bytes;
+  };
+  [[nodiscard]] std::vector<WindowPoint> receive_window_series() const;
 
   /// Copy the filtered records into an owned trace (metadata included).
   /// The one sanctioned way to materialize a filter result — e.g. before

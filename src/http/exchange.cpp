@@ -47,7 +47,6 @@ void HttpServer::on_readable() {
 
 void HttpClient::send_request(const HttpRequest& request) {
   endpoint_.send(request.wire_size(), request);
-  ++requests_;
 }
 
 HttpRequest make_video_request(const std::string& video_id, std::optional<ByteRange> range) {

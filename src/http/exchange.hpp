@@ -32,7 +32,6 @@ class Responder {
   std::uint64_t send_body(std::uint64_t bytes);
 
   [[nodiscard]] std::uint64_t body_remaining() const { return remaining_; }
-  [[nodiscard]] bool head_sent() const { return head_sent_; }
   [[nodiscard]] bool complete() const { return head_sent_ && remaining_ == 0; }
 
  private:
@@ -71,11 +70,8 @@ class HttpClient {
   /// HttpResponse tag in the caller's endpoint reads.
   void send_request(const HttpRequest& request);
 
-  [[nodiscard]] std::uint64_t requests_sent() const { return requests_; }
-
  private:
   tcp::Endpoint& endpoint_;
-  std::uint64_t requests_{0};
 };
 
 /// Convenience: make a GET for a video resource, optionally ranged.

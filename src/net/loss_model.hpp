@@ -49,7 +49,6 @@ class GilbertElliottLoss final : public LossModel {
   };
   explicit GilbertElliottLoss(Params params);
   [[nodiscard]] bool should_drop(sim::Rng& rng) override;
-  [[nodiscard]] bool in_bad_state() const { return bad_; }
 
   /// Long-run average loss probability implied by the chain.
   [[nodiscard]] double steady_state_loss() const;

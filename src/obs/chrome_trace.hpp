@@ -29,10 +29,6 @@ namespace vstream::obs {
 
 class ChromeTraceWriter {
  public:
-  /// Process id stamped on every row; distinguishes sessions when several
-  /// writers merge into one file.
-  void set_pid(std::uint32_t pid) { pid_ = pid; }
-
   void add(const TraceEvent& event);
 
   /// Number of trace-event rows buffered so far (metadata excluded).

@@ -160,27 +160,4 @@ void ParallelSweep::for_each_chunk(
   errors.rethrow_if_any();
 }
 
-void ParallelSweep::for_each_index(std::size_t count,
-                                   const std::function<void(std::size_t)>& fn) const {
-  // Per-index error isolation: an index that throws must not abandon the
-  // rest of its chunk — every index is attempted exactly once regardless of
-  // where failures land. The inner collector sees every per-index error;
-  // the chunk layer's own collector stays empty (this lambda never throws).
-  ErrorCollector errors;
-  SweepProfiler* const profiler = profiler_;
-  for_each_chunk(count, 0,
-                 [&fn, &errors, profiler](std::size_t begin, std::size_t end, std::size_t worker) {
-                   for (std::size_t i = begin; i < end; ++i) {
-                     try {
-                       const SweepProfiler::Scope scope{profiler, worker, SweepPhase::kRun};
-                       fn(i);
-                     } catch (...) {
-                       errors.capture(std::current_exception());
-                     }
-                   }
-                 });
-  errors_dropped_.store(errors.dropped(), std::memory_order_relaxed);
-  errors.rethrow_if_any();
-}
-
 }  // namespace vstream::runner

@@ -55,21 +55,17 @@ class ParallelSweep {
 
   [[nodiscard]] std::size_t jobs() const { return jobs_; }
 
-  /// Invoke `fn(i)` for every i in [0, count), fanned across the pool's
-  /// workers. `fn` must be safe to call concurrently for distinct indices.
-  /// Blocks until every index completed; the first exception thrown by any
-  /// worker is rethrown here (remaining indices still drain, and further
-  /// errors are counted — see errors_dropped()).
-  void for_each_index(std::size_t count, const std::function<void(std::size_t)>& fn) const;
-
   /// Chunk-granular fan-out: workers claim contiguous index ranges
   /// [begin, end) off the shared counter and invoke `fn(begin, end, worker)`
   /// once per range — one atomic claim and one std::function dispatch per
   /// chunk instead of per index, with `worker` the executing pool worker for
-  /// per-worker staging. `chunk == 0` picks a size automatically (~16 claims
-  /// per worker, capped so stragglers still steal). A chunk callback that
-  /// throws abandons the rest of *that chunk only*; the sweep still drains
-  /// every other chunk and rethrows the first error at the end.
+  /// per-worker staging. `fn` must be safe to call concurrently for distinct
+  /// ranges. `chunk == 0` picks a size automatically (~16 claims per worker,
+  /// capped so stragglers still steal); `chunk == 1` makes every index its
+  /// own range. A chunk callback that throws abandons the rest of *that
+  /// chunk only*; the sweep still drains every other chunk and rethrows the
+  /// first error at the end (further errors are counted — see
+  /// errors_dropped()).
   void for_each_chunk(std::size_t count, std::size_t chunk,
                       const std::function<void(std::size_t, std::size_t, std::size_t)>& fn) const;
 
@@ -124,8 +120,8 @@ class ParallelSweep {
   }
 
   /// Attach a profiler (or nullptr to detach). While attached, every index
-  /// run by for_each_index, fold or map is timed as a kRun task on the
-  /// worker that executed it, and fold's merge as one kMerge task. The
+  /// run by fold or map is timed as a kRun task on the worker that executed
+  /// it, and fold's merge as one kMerge task. The
   /// profiler must be sized for at least jobs() workers and must outlive
   /// every sweep call on this pool. Profiling is harness-side only: it
   /// never touches a session world, so results and digests are identical

@@ -182,10 +182,4 @@ SweepProfiler::Summary SweepProfiler::summary() const {
   return s;
 }
 
-void SweepProfiler::write_json(const std::string& path, const std::string& name) const {
-  std::ofstream out{path, std::ios::trunc};
-  if (!out) throw std::runtime_error{"SweepProfiler: cannot open " + path};
-  out << summary().to_json(name) << "\n";
-}
-
 }  // namespace vstream::runner

@@ -116,9 +116,6 @@ class SweepProfiler {
   /// the thread join is the happens-before edge that publishes every cell.
   [[nodiscard]] Summary summary() const;
 
-  /// Write `summary().to_json(name)` to `path` (overwrites).
-  void write_json(const std::string& path, const std::string& name) const;
-
  private:
   // One cache line per worker so concurrent record() calls never bounce a
   // line between cores; 64 is the common x86/ARM line size and the padding

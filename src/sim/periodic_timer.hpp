@@ -39,13 +39,11 @@ class PeriodicTimer {
   void set_period(Duration period) { period_ = period; }
   [[nodiscard]] Duration period() const { return period_; }
   [[nodiscard]] bool running() const { return running_; }
-  [[nodiscard]] std::uint64_t fire_count() const { return fire_count_; }
 
  private:
   void schedule(Duration delay) {
     pending_ = sim_.schedule_after(delay, [this] {
       pending_ = EventHandle{};  // this firing is no longer pending
-      ++fire_count_;
       on_fire_();
       // The callback may have stopped or re-armed the timer itself.
       if (running_ && !pending_.pending()) schedule(period_);
@@ -57,7 +55,6 @@ class PeriodicTimer {
   std::function<void()> on_fire_;
   EventHandle pending_;
   bool running_{false};
-  std::uint64_t fire_count_{0};
 };
 
 }  // namespace vstream::sim

@@ -27,10 +27,6 @@ void Histogram::add(double x) {
   ++counts_[std::min(i, counts_.size() - 1)];
 }
 
-void Histogram::add_all(std::span<const double> xs) {
-  for (const double x : xs) add(x);
-}
-
 double Histogram::bin_center(std::size_t i) const {
   return lo_ + (static_cast<double>(i) + 0.5) * width_;
 }

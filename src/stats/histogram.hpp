@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstddef>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -18,9 +17,7 @@ class Histogram {
   Histogram(double lo, double hi, std::size_t bins);
 
   void add(double x);
-  void add_all(std::span<const double> xs);
 
-  [[nodiscard]] std::size_t bin_count() const { return counts_.size(); }
   [[nodiscard]] std::uint64_t count_in_bin(std::size_t i) const { return counts_.at(i); }
   [[nodiscard]] std::uint64_t underflow() const { return underflow_; }
   [[nodiscard]] std::uint64_t overflow() const { return overflow_; }
@@ -28,7 +25,6 @@ class Histogram {
 
   /// Centre x-value of bin i.
   [[nodiscard]] double bin_center(std::size_t i) const;
-  [[nodiscard]] double bin_width() const { return width_; }
 
   /// Centre of the most populated bin (the distribution's mode).
   [[nodiscard]] double mode() const;

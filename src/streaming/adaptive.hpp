@@ -45,7 +45,6 @@ class AdaptiveRateController {
   [[nodiscard]] double current_rate_bps() const { return config_.ladder_bps[index_]; }
   [[nodiscard]] std::size_t current_index() const { return index_; }
   [[nodiscard]] std::size_t switch_count() const { return switches_; }
-  [[nodiscard]] double throughput_estimate_bps() const { return ewma_bps_; }
 
  private:
   [[nodiscard]] std::size_t best_index_for(double bandwidth_bps) const;

@@ -63,7 +63,6 @@ class FetchManager {
   [[nodiscard]] std::uint32_t retries() const { return retries_; }
   [[nodiscard]] std::uint32_t timeouts() const { return timeouts_; }
   [[nodiscard]] std::uint32_t abandoned() const { return abandoned_; }
-  [[nodiscard]] const RetryPolicy& retry_policy() const { return retry_; }
   /// No watchdog armed and no retry backoff waiting to fire: nothing on
   /// the sim clock will call back into this manager. A stopped manager's
   /// backoffs still fire (as no-ops), so this can lag stop().

@@ -624,15 +624,13 @@ void Endpoint::on_segment_impl(const TcpSegment& segment) {
     // window must not mask dup ACKs or fast retransmit never triggers.
     const bool window_update =
         had_wnd && prev_wnd < options_.mss && segment.window_bytes > prev_wnd;
-    handle_ack_impl(segment, window_update);
+    handle_ack(segment, window_update);
   }
   if (segment.payload_bytes > 0 || segment.has(TcpFlag::kFin)) handle_data(segment);
   try_send();
 }
 
-void Endpoint::handle_ack(const TcpSegment& segment) { handle_ack_impl(segment, false); }
-
-void Endpoint::handle_ack_impl(const TcpSegment& segment, bool window_update) {
+void Endpoint::handle_ack(const TcpSegment& segment, bool window_update) {
   const std::uint64_t ack = segment.ack;
   // Acks above everything ever sent are bogus. Acks above a rolled-back
   // snd_nxt (post-RTO) are valid: earlier in-flight data filled the hole.

@@ -112,7 +112,6 @@ class Endpoint {
   [[nodiscard]] std::uint64_t bytes_in_flight() const { return snd_nxt_ - snd_una_; }
   [[nodiscard]] std::uint64_t advertised_window() const;
   [[nodiscard]] std::uint64_t peer_window() const { return peer_wnd_; }
-  [[nodiscard]] sim::Duration current_rto() const { return rto_; }
   [[nodiscard]] const std::string& label() const { return label_; }
   [[nodiscard]] std::uint64_t connection_id() const { return connection_id_; }
   /// No retransmission, persist or delayed-ACK timer armed: nothing on
@@ -143,8 +142,7 @@ class Endpoint {
 
   // -- receiving machinery --
   void on_segment_impl(const net::TcpSegment& segment);
-  void handle_ack(const net::TcpSegment& segment);
-  void handle_ack_impl(const net::TcpSegment& segment, bool window_update);
+  void handle_ack(const net::TcpSegment& segment, bool window_update);
   void handle_data(const net::TcpSegment& segment);
   void schedule_ack(bool immediate);
   void deliver_in_order();

@@ -34,7 +34,7 @@ TEST(AuxiliaryTest, FullTraceContainsAuxAndVideoHosts) {
   const auto result = streaming::run_session(cfg);
   const auto video = result.video_trace();
   EXPECT_TRUE(result.has_full_trace);
-  EXPECT_GT(result.trace.connection_count(), video.connection_count());
+  EXPECT_GT(capture::TraceView{result.trace}.connection_count(), video.connection_count());
   bool saw_aux = false;
   bool saw_video = false;
   for (const auto& p : result.trace.packets) {
@@ -72,8 +72,9 @@ TEST(AuxiliaryTest, UnfilteredAnalysisWouldBePolluted) {
   cfg.keep_full_trace = true;
   const auto result = streaming::run_session(cfg);
   const auto video = result.video_trace();
-  EXPECT_GT(result.trace.down_payload_bytes(), video.down_payload_bytes());
-  EXPECT_GE(result.trace.connection_count() - video.connection_count(), 3U);
+  const capture::TraceView all{result.trace};
+  EXPECT_GT(all.down_payload_bytes(), video.down_payload_bytes());
+  EXPECT_GE(all.connection_count() - video.connection_count(), 3U);
 }
 
 TEST(AuxiliaryTest, GeneratorProducesBoundedTraffic) {

@@ -39,8 +39,8 @@ TEST(PacketTraceTest, DownPayloadAndConnectionCount) {
   trace.packets.push_back(make_record(0.1, Direction::kDown, 1000, 1));
   trace.packets.push_back(make_record(0.2, Direction::kUp, 0, 1));
   trace.packets.push_back(make_record(0.3, Direction::kDown, 500, 2));
-  EXPECT_EQ(trace.down_payload_bytes(), 1500U);
-  EXPECT_EQ(trace.connection_count(), 2U);
+  EXPECT_EQ(TraceView{trace}.down_payload_bytes(), 1500U);
+  EXPECT_EQ(TraceView{trace}.connection_count(), 2U);
   EXPECT_EQ(TraceView{trace}.direction(Direction::kDown).count(), 2U);
   EXPECT_EQ(TraceView{trace}.direction(Direction::kUp).count(), 1U);
 }
@@ -50,7 +50,7 @@ TEST(PacketTraceTest, DownloadCurveIsCumulative) {
   trace.packets.push_back(make_record(0.1, Direction::kDown, 1000));
   trace.packets.push_back(make_record(0.2, Direction::kDown, 2000));
   trace.packets.push_back(make_record(0.3, Direction::kUp, 0));
-  const auto curve = trace.download_curve();
+  const auto curve = TraceView{trace}.download_curve();
   ASSERT_EQ(curve.size(), 2U);
   EXPECT_EQ(curve[0].bytes, 1000U);
   EXPECT_EQ(curve[1].bytes, 3000U);
@@ -62,7 +62,7 @@ TEST(PacketTraceTest, WindowSeriesFromUpPackets) {
   up.window_bytes = 0;
   trace.packets.push_back(make_record(0.1, Direction::kDown, 100));
   trace.packets.push_back(up);
-  const auto series = trace.receive_window_series();
+  const auto series = TraceView{trace}.receive_window_series();
   ASSERT_EQ(series.size(), 1U);
   EXPECT_EQ(series[0].window_bytes, 0U);
 }
@@ -73,8 +73,8 @@ TEST(PacketTraceTest, RetransmissionFraction) {
   auto retx = make_record(0.2, Direction::kDown, 100);
   retx.is_retransmission = true;
   trace.packets.push_back(retx);
-  EXPECT_DOUBLE_EQ(trace.retransmission_fraction(), 0.1);
-  EXPECT_DOUBLE_EQ(PacketTrace{}.retransmission_fraction(), 0.0);
+  EXPECT_DOUBLE_EQ(TraceView{trace}.retransmission_fraction(), 0.1);
+  EXPECT_DOUBLE_EQ(TraceView{PacketTrace{}}.retransmission_fraction(), 0.0);
 }
 
 TEST(RecorderTest, CapturesViewerSidePackets) {
@@ -94,7 +94,7 @@ TEST(RecorderTest, CapturesViewerSidePackets) {
   sim.run_until(sim::SimTime::from_seconds(5.0));
 
   const auto trace = recorder.trace();
-  EXPECT_FALSE(trace.empty());
+  EXPECT_FALSE(trace.packets.empty());
   // The client's SYN (up) and the server's SYN-ACK (down) must both appear.
   bool saw_syn = false;
   bool saw_synack = false;

@@ -124,7 +124,7 @@ TEST(IntegrationTest, RetransmissionMediansTrackPaperCalibration) {
       auto cfg = base_config(Container::kFlash, Application::kFirefox, vantage);
       cfg.seed = 9200 + seed;
       const auto result = streaming::run_session(cfg);
-      fractions.push_back(result.trace.retransmission_fraction());
+      fractions.push_back(capture::TraceView{result.trace}.retransmission_fraction());
     }
     std::sort(fractions.begin(), fractions.end());
     const double median = fractions[fractions.size() / 2];

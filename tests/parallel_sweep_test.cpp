@@ -6,9 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <stdexcept>
 #include <thread>
 #include <type_traits>
@@ -181,20 +179,23 @@ TEST(ParallelSweepTest, ForEachCoversEveryIndexExactlyOnce) {
   const ParallelSweep pool{4};
   constexpr std::size_t kCount = 200;
   std::vector<std::atomic<int>> hits(kCount);
-  pool.for_each_index(kCount, [&hits](std::size_t i) { hits[i].fetch_add(1); });
+  pool.for_each_chunk(kCount, 1, [&hits](std::size_t i, std::size_t end, std::size_t) {
+    EXPECT_EQ(end, i + 1);  // a chunk of one is one index
+    hits[i].fetch_add(1);
+  });
   for (std::size_t i = 0; i < kCount; ++i) EXPECT_EQ(hits[i].load(), 1) << "index " << i;
 }
 
 TEST(ParallelSweepTest, WorkerExceptionPropagatesAfterDraining) {
   const ParallelSweep pool{4};
   std::atomic<std::size_t> completed{0};
-  EXPECT_THROW(pool.for_each_index(50,
-                                   [&completed](std::size_t i) {
+  EXPECT_THROW(pool.for_each_chunk(50, 1,
+                                   [&completed](std::size_t i, std::size_t, std::size_t) {
                                      if (i == 17) throw std::runtime_error{"boom"};
                                      completed.fetch_add(1);
                                    }),
                std::runtime_error);
-  // Remaining indices still drained: everything but the thrower ran.
+  // Chunks of one lose nothing but the thrower: everything else ran.
   EXPECT_EQ(completed.load(), 49u);
 }
 
@@ -206,7 +207,7 @@ TEST(ParallelSweepTest, FirstErrorRethrowsOriginalTypeWhenAlone) {
   // Exactly one failure: the original exception object must come back
   // untouched — type intact, message intact, no drop suffix.
   try {
-    pool.for_each_index(40, [](std::size_t i) {
+    pool.for_each_chunk(40, 1, [](std::size_t i, std::size_t, std::size_t) {
       if (i == 11) throw SweepTestError{"original"};
     });
     FAIL() << "expected SweepTestError";
@@ -220,7 +221,7 @@ TEST(ParallelSweepTest, MultipleErrorsCountDropsAndAnnotateMessage) {
   const ParallelSweep pool{4};
   std::atomic<std::size_t> completed{0};
   try {
-    pool.for_each_index(60, [&completed](std::size_t i) {
+    pool.for_each_chunk(60, 1, [&completed](std::size_t i, std::size_t, std::size_t) {
       if (i % 10 == 3) throw std::runtime_error{"fail@" + std::to_string(i)};
       completed.fetch_add(1);
     });
@@ -235,7 +236,7 @@ TEST(ParallelSweepTest, MultipleErrorsCountDropsAndAnnotateMessage) {
   EXPECT_EQ(completed.load(), 54u);  // every non-throwing index still ran
 
   // The counter is per-sweep state: a clean sweep resets it.
-  pool.for_each_index(8, [](std::size_t) {});
+  pool.for_each_chunk(8, 1, [](std::size_t, std::size_t, std::size_t) {});
   EXPECT_EQ(pool.errors_dropped(), 0u);
 }
 
@@ -243,7 +244,7 @@ TEST(ParallelSweepTest, WorkerIndexResetsAfterSweep) {
   const ParallelSweep pool{4};
   std::atomic<bool> saw_nonzero{false};
   std::atomic<std::size_t> arrived{0};
-  pool.for_each_index(64, [&saw_nonzero, &arrived](std::size_t) {
+  pool.for_each_chunk(64, 1, [&saw_nonzero, &arrived](std::size_t, std::size_t, std::size_t) {
     arrived.fetch_add(1);
     // Rendezvous: the caller (worker 0) holds its task open until a spawned
     // worker has entered the sweep — on a loaded single-core host the caller
@@ -450,14 +451,14 @@ TEST(SweepProfilerTest, PoolAttributesRunTasksToWorkers) {
   pool.set_profiler(&profiler);
   constexpr std::size_t kCount = 120;
   std::vector<std::atomic<std::size_t>> seen_worker(kCount);
-  pool.for_each_index(kCount, [&seen_worker](std::size_t i) {
+  (void)pool.fold<IndexSum>(kCount, [&seen_worker](IndexSum&, std::size_t i, sim::ArenaResource&) {
     seen_worker[i].store(ParallelSweep::current_worker());
   });
 
   const auto s = profiler.summary();
   // Every index ran exactly once inside a kRun scope, attributed to a
-  // worker the profiler knows about.
-  EXPECT_EQ(s.tasks(), kCount);
+  // worker the profiler knows about; the one other task is the merge.
+  EXPECT_EQ(s.tasks(), kCount + 1);
   const auto run_phase = static_cast<std::size_t>(SweepPhase::kRun);
   std::uint64_t run_tasks = 0;
   for (const auto& w : s.per_worker) run_tasks += w.phase_tasks[run_phase];
@@ -465,23 +466,16 @@ TEST(SweepProfilerTest, PoolAttributesRunTasksToWorkers) {
   for (std::size_t i = 0; i < kCount; ++i) EXPECT_LT(seen_worker[i].load(), pool.jobs());
 }
 
-TEST(SweepProfilerTest, WriteJsonCreatesFileAndBadPathThrows) {
-  const std::string path = ::testing::TempDir() + "sweep_profile_test.json";
+TEST(SweepProfilerTest, SummaryJsonStartsWithItsName) {
   SweepProfiler profiler{1};
   profiler.record(0, SweepPhase::kRun, 0.125);
-  profiler.write_json(path, "file-test");
-  std::ifstream in{path};
-  ASSERT_TRUE(in.good());
-  std::string content{std::istreambuf_iterator<char>{in}, std::istreambuf_iterator<char>{}};
-  EXPECT_EQ(content.rfind("{\"name\":\"file-test\"", 0), 0u);
-  std::remove(path.c_str());
-
-  EXPECT_THROW(profiler.write_json("/nonexistent-dir/profile.json", "x"), std::runtime_error);
+  EXPECT_EQ(profiler.summary().to_json("file-test").rfind("{\"name\":\"file-test\"", 0), 0u);
 }
 
 TEST(ParallelSweepTest, ZeroSessionsIsFine) {
   const ParallelSweep pool{4};
-  pool.for_each_index(0, [](std::size_t) { FAIL() << "must not be called"; });
+  pool.for_each_chunk(0, 1,
+                      [](std::size_t, std::size_t, std::size_t) { FAIL() << "must not be called"; });
 }
 
 }  // namespace

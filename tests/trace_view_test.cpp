@@ -68,9 +68,6 @@ TEST(TraceViewTest, PassThroughMatchesTrace) {
   const capture::TraceView view{trace};
   EXPECT_TRUE(view.filter().pass_through());
   EXPECT_EQ(view.count(), trace.packets.size());
-  EXPECT_EQ(view.down_payload_bytes(), trace.down_payload_bytes());
-  EXPECT_EQ(view.connection_count(), trace.connection_count());
-  EXPECT_DOUBLE_EQ(view.retransmission_fraction(), trace.retransmission_fraction());
   EXPECT_EQ(view.label(), trace.label);
   EXPECT_DOUBLE_EQ(view.encoding_bps(), trace.encoding_bps);
   EXPECT_DOUBLE_EQ(view.duration_s(), trace.duration_s);
@@ -79,8 +76,9 @@ TEST(TraceViewTest, PassThroughMatchesTrace) {
 TEST(TraceViewTest, HostFilterMatchesLegacyOnlyHost) {
   const auto trace = make_trace();
   const auto view = capture::TraceView{trace}.host(0);
-  const auto legacy = copied_host(trace, 0);
-  EXPECT_EQ(view.count(), legacy.packets.size());
+  const auto legacy_trace = copied_host(trace, 0);
+  const capture::TraceView legacy{legacy_trace};
+  EXPECT_EQ(view.count(), legacy_trace.packets.size());
   EXPECT_EQ(view.down_payload_bytes(), legacy.down_payload_bytes());
   EXPECT_EQ(view.connection_count(), legacy.connection_count());
   EXPECT_DOUBLE_EQ(view.retransmission_fraction(), legacy.retransmission_fraction());
@@ -108,7 +106,7 @@ TEST(TraceViewTest, ExcludingConnectionMatchesLegacyWithoutConnection) {
   const auto legacy =
       copied(trace, [](const capture::PacketRecord& p) { return p.connection_id != 7; });
   EXPECT_EQ(view.count(), legacy.packets.size());
-  EXPECT_EQ(view.down_payload_bytes(), legacy.down_payload_bytes());
+  EXPECT_EQ(view.down_payload_bytes(), capture::TraceView{legacy}.down_payload_bytes());
   for (const auto& p : view) EXPECT_NE(p.connection_id, 7U);
 }
 
@@ -170,7 +168,8 @@ TEST(TraceViewTest, DefaultViewIsEmptyAndSafe) {
 
 TEST(TraceViewTest, DownloadCurveAndWindowSeriesMatchLegacy) {
   const auto trace = make_trace();
-  const auto video = copied_host(trace, 0);
+  const auto video_trace = copied_host(trace, 0);
+  const capture::TraceView video{video_trace};
   const auto view = capture::TraceView{trace}.host(0);
   const auto curve = view.download_curve();
   const auto legacy_curve = video.download_curve();
