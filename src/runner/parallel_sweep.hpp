@@ -121,11 +121,10 @@ class ParallelSweep {
 
   /// Attach a profiler (or nullptr to detach). While attached, every index
   /// run by fold or map is timed as a kRun task on the worker that executed
-  /// it, and fold's merge as one kMerge task. The
-  /// profiler must be sized for at least jobs() workers and must outlive
-  /// every sweep call on this pool. Profiling is harness-side only: it
-  /// never touches a session world, so results and digests are identical
-  /// with or without it.
+  /// it, and fold's merge as one kMerge task. The profiler must be sized for
+  /// at least jobs() workers and must outlive every sweep call on this pool.
+  /// Profiling is harness-side only: it never touches a session world, so
+  /// results and digests are identical with or without it.
   void set_profiler(SweepProfiler* profiler) { profiler_ = profiler; }
 
   /// Errors beyond the first swallowed by the previous sweep on this pool
