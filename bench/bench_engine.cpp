@@ -5,7 +5,8 @@
 //      re-implementation of the pre-arena hot path (shared_ptr cancellation
 //      flag + std::function callback + full-Event copy out of
 //      priority_queue::top()), which is what the >=3x acceptance bar and
-//      the CI regression floor are measured against;
+//      the CI regression floor are measured against, plus the same arena
+//      loop with a determinism digest attached (telemetry only, no floor);
 //   2. schedule+cancel churn (timer-heavy TCP workloads re-arm constantly);
 //   3. TcpSegment fan-out: copying SACK-bearing segments through a tap
 //      chain, now a flat memcpy instead of a heap round trip per hop.
@@ -24,6 +25,7 @@
 #include <queue>
 #include <vector>
 
+#include "check/digest.hpp"
 #include "net/segment.hpp"
 #include "runner/parallel_sweep.hpp"
 #include "sim/simulator.hpp"
@@ -199,6 +201,21 @@ double measure_dispatch(std::uint64_t events, bool churn) {
   });
 }
 
+/// The arena dispatch loop with a determinism digest attached, as every
+/// audited session, sweep and world runs it: two words mixed per event.
+double measure_digest_dispatch(std::uint64_t events) {
+  return best_of(3, [events] {
+    sim::Simulator eng;
+    check::StateDigest digest;
+    eng.set_digest(&digest);
+    const auto t0 = std::chrono::steady_clock::now();
+    const std::uint64_t n = run_chain_workload<sim::Simulator, net::TcpSegment>(eng, 512, events);
+    const double s = wall_seconds_since(t0);
+    benchmark::DoNotOptimize(digest.value());
+    return static_cast<double>(n) / s;
+  });
+}
+
 template <typename Engine>
 double measure_schedule_cancel(std::uint64_t rounds) {
   return best_of(3, [rounds] {
@@ -285,6 +302,10 @@ void print_reproduction() {
   telemetry.note_metric("dispatch_events_per_sec", arena);
   telemetry.note_metric("legacy_dispatch_events_per_sec", legacy);
   telemetry.note_metric("dispatch_speedup_vs_legacy", arena / legacy);
+
+  const double digested = measure_digest_dispatch(kDispatchEvents);
+  std::printf("  with digest   : %12.0f events/s (determinism digest attached)\n", digested);
+  telemetry.note_metric("digest_dispatch_events_per_sec", digested);
 
   const double arena_churn = measure_dispatch<sim::Simulator, net::TcpSegment>(kDispatchEvents, true);
   const double legacy_churn = measure_dispatch<LegacyEngine, LegacySegment>(kDispatchEvents, true);

@@ -18,7 +18,8 @@
 // non-hex digest, a duration or rate that is not positive) exits 2 with the
 // usage text. A --trace-out, --profile-out or --shard-out path that cannot
 // be opened for writing exits 2 with a one-line diagnostic before any work
-// runs.
+// runs, and so does an option that the chosen mode does not read (say
+// --profile-out with --capacity), instead of being silently ignored.
 //
 // The empirical cross-check simulates shared-bottleneck topologies
 // (streaming/topology_builder.hpp): Poisson churn onto one link, per-window
@@ -56,6 +57,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "model/aggregate.hpp"
@@ -309,6 +311,23 @@ int usage() {
   return 2;
 }
 
+/// The four modes; each option flag is read by exactly one of them.
+enum class Mode : std::uint8_t { kPlan, kCapacity, kMerge, kCrowd };
+
+const char* mode_flag(Mode mode) {
+  switch (mode) {
+    case Mode::kCapacity:
+      return "--capacity";
+    case Mode::kMerge:
+      return "--merge";
+    case Mode::kCrowd:
+      return "--flash-crowd";
+    case Mode::kPlan:
+      break;
+  }
+  return "planning";
+}
+
 int bad_value(const char* what, const char* text) {
   std::fprintf(stderr, "capacity_planner: bad value '%s' for %s\n", text, what);
   return usage();
@@ -328,8 +347,11 @@ int main(int argc, char** argv) {
   bool merge = false;
   std::size_t crowd = 0;
   double crowd_gbps = 1.0;
+  // Option flags given, each with the mode that reads it.
+  std::vector<std::pair<const char*, Mode>> options;
   while (argc > 1 && std::strncmp(argv[1], "--", 2) == 0) {
     bool ok = true;
+    const char* flag = argv[1];
     if (std::strcmp(argv[1], "--capacity") == 0 && argc > 2) {
       ok = runner::parse_whole(argv[2], capacity);
       --argc;
@@ -339,26 +361,32 @@ int main(int argc, char** argv) {
       --argc;
       ++argv;
     } else if (std::strcmp(argv[1], "--gbps") == 0 && argc > 2) {
+      options.emplace_back(flag, Mode::kCrowd);
       ok = runner::parse_positive(argv[2], crowd_gbps);
       --argc;
       ++argv;
     } else if (std::strcmp(argv[1], "--seconds") == 0 && argc > 2) {
+      options.emplace_back(flag, Mode::kCapacity);
       ok = runner::parse_positive(argv[2], capacity_seconds);
       --argc;
       ++argv;
     } else if (std::strcmp(argv[1], "--shards") == 0 && argc > 2) {
+      options.emplace_back(flag, Mode::kCapacity);
       ok = runner::parse_whole(argv[2], shards);
       --argc;
       ++argv;
     } else if (std::strcmp(argv[1], "--shard") == 0 && argc > 2) {
+      options.emplace_back(flag, Mode::kCapacity);
       ok = runner::parse_whole(argv[2], shard);
       --argc;
       ++argv;
     } else if (std::strcmp(argv[1], "--shard-out") == 0 && argc > 2) {
+      options.emplace_back(flag, Mode::kCapacity);
       shard_out = argv[2];
       --argc;
       ++argv;
     } else if (std::strcmp(argv[1], "--expect-digest") == 0 && argc > 2) {
+      options.emplace_back(flag, Mode::kMerge);
       std::uint64_t digest = 0;
       ok = runner::parse_whole(argv[2], digest, 16);
       expect_digest = digest;
@@ -367,6 +395,7 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[1], "--merge") == 0) {
       merge = true;
     } else if (std::strcmp(argv[1], "--profile-out") == 0) {
+      options.emplace_back(flag, Mode::kPlan);
       // The path is optional: positional args are all numeric, so a
       // following token that doesn't start like a number is the path.
       profile_path = "BENCH_sweep_profile.json";
@@ -377,6 +406,7 @@ int main(int argc, char** argv) {
         ++argv;
       }
     } else if (std::strcmp(argv[1], "--trace-out") == 0 && argc > 2) {
+      options.emplace_back(flag, Mode::kPlan);
       trace_path = argv[2];
       --argc;
       ++argv;
@@ -387,6 +417,18 @@ int main(int argc, char** argv) {
     if (!ok) return bad_value(argv[0], argv[1]);
     --argc;
     ++argv;
+  }
+
+  // Same precedence as the dispatch below.
+  const Mode mode = merge ? Mode::kMerge
+                    : crowd > 0 ? Mode::kCrowd
+                    : capacity > 0 ? Mode::kCapacity
+                                   : Mode::kPlan;
+  for (const auto& [flag, reader] : options) {
+    if (reader != mode) {
+      std::fprintf(stderr, "capacity_planner: %s is not read in %s mode\n", flag, mode_flag(mode));
+      return 2;
+    }
   }
 
   if (merge) {

@@ -42,16 +42,4 @@ std::string format_packet(const PacketRecord& r) {
   return line;
 }
 
-void dump_trace(const PacketTrace& trace, std::ostream& out, const DumpOptions& options) {
-  std::size_t shown = 0;
-  for (const auto& p : trace.packets) {
-    if (options.data_only && p.payload_bytes == 0) continue;
-    out << format_packet(p) << '\n';
-    if (options.max_packets != 0 && ++shown >= options.max_packets) {
-      out << "... (" << trace.packets.size() << " packets total)\n";
-      break;
-    }
-  }
-}
-
 }  // namespace vstream::capture

@@ -7,22 +7,13 @@
 //   ack 1, win 262144, length 1460
 #pragma once
 
-#include <ostream>
 #include <string>
 
 #include "capture/trace.hpp"
 
 namespace vstream::capture {
 
-struct DumpOptions {
-  std::size_t max_packets{0};  ///< 0 = no limit
-  bool data_only{false};       ///< skip pure ACKs
-};
-
 /// One tcpdump-style line for a record.
 [[nodiscard]] std::string format_packet(const PacketRecord& record);
-
-/// Dump (a prefix of) the trace to a stream.
-void dump_trace(const PacketTrace& trace, std::ostream& out, const DumpOptions& options = {});
 
 }  // namespace vstream::capture

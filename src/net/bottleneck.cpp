@@ -38,9 +38,8 @@ SharedBottleneck::SharedBottleneck(sim::Simulator& sim, const Config& config, si
     VSTREAM_INVARIANT(leg != nullptr, "bottleneck delivery routed to a detached client");
     if (leg != nullptr) leg->down().send(segment);
   });
-  link_->set_tap([this](sim::SimTime at, const TcpSegment& segment, LinkEvent event) {
-    on_link_event(at, segment, event);
-  });
+  link_->set_tap([this](sim::SimTime at, const TcpSegment& segment, Direction /*down*/,
+                        LinkEvent event) { on_link_event(at, segment, event); });
 }
 
 void SharedBottleneck::on_link_event(sim::SimTime at, const TcpSegment& segment,

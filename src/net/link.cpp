@@ -80,7 +80,7 @@ void Link::set_impairments(ImpairmentSchedule schedule) {
 }
 
 void Link::notify(const TcpSegment& segment, LinkEvent event) {
-  if (tap_) tap_(sim_.now(), segment, event);
+  if (tap_) tap_(sim_.now(), segment, config_.direction, event);
 }
 
 void Link::set_rate(double rate_bps) {

@@ -39,7 +39,12 @@ class Link {
     double rate_bps{100e6};
     sim::Duration prop_delay{sim::Duration::millis(10)};
     std::size_t queue_limit_bytes{256 * 1024};
+    /// Passed to the tap with every event, so one tap can observe both
+    /// links of a path without a per-link wrapper.
+    Direction direction{Direction::kDown};
   };
+
+  using Tap = std::function<void(sim::SimTime, const TcpSegment&, Direction, LinkEvent)>;
 
   struct Counters {
     std::uint64_t enqueued{0};
@@ -62,9 +67,7 @@ class Link {
   }
 
   /// Observation hook for capture; may be empty.
-  void set_tap(std::function<void(sim::SimTime, const TcpSegment&, LinkEvent)> tap) {
-    tap_ = std::move(tap);
-  }
+  void set_tap(Tap tap) { tap_ = std::move(tap); }
 
   /// Offer a segment to the link. Returns false if dropped at the queue.
   bool send(const TcpSegment& segment);
@@ -113,7 +116,7 @@ class Link {
   std::unique_ptr<LossModel> loss_;
   sim::Rng rng_;
   std::function<void(const TcpSegment&)> receiver_;
-  std::function<void(sim::SimTime, const TcpSegment&, LinkEvent)> tap_;
+  Tap tap_;
   sim::SimTime busy_until_{sim::SimTime::zero()};
   std::size_t queued_bytes_{0};
   std::uint64_t in_flight_{0};

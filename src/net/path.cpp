@@ -9,10 +9,12 @@ Path::Path(sim::Simulator& sim, const NetworkProfile& profile, sim::Rng& rng)
 
   Link::Config down_cfg{.rate_bps = profile.down_bps,
                         .prop_delay = one_way,
-                        .queue_limit_bytes = profile.queue_bytes};
+                        .queue_limit_bytes = profile.queue_bytes,
+                        .direction = Direction::kDown};
   Link::Config up_cfg{.rate_bps = profile.up_bps,
                       .prop_delay = one_way,
-                      .queue_limit_bytes = profile.queue_bytes};
+                      .queue_limit_bytes = profile.queue_bytes,
+                      .direction = Direction::kUp};
 
   down_ = std::make_unique<Link>(sim, down_cfg,
                                  make_bursty_loss(profile.loss_rate, profile.loss_burst_len),
@@ -26,19 +28,9 @@ sim::Duration Path::unloaded_rtt() const {
   return down_->unloaded_latency(0) + up_->unloaded_latency(0);
 }
 
-void Path::set_tap(
-    std::function<void(sim::SimTime, const TcpSegment&, Direction, LinkEvent)> tap) {
-  if (!tap) {
-    down_->set_tap({});
-    up_->set_tap({});
-    return;
-  }
-  down_->set_tap([tap](sim::SimTime t, const TcpSegment& s, LinkEvent e) {
-    tap(t, s, Direction::kDown, e);
-  });
-  up_->set_tap([tap](sim::SimTime t, const TcpSegment& s, LinkEvent e) {
-    tap(t, s, Direction::kUp, e);
-  });
+void Path::set_tap(const Link::Tap& tap) {
+  down_->set_tap(tap);
+  up_->set_tap(tap);
 }
 
 }  // namespace vstream::net

@@ -40,7 +40,8 @@ class Path {
   [[nodiscard]] const NetworkProfile& profile() const { return profile_; }
 
   /// Install a tap observing both directions, tagged with the direction.
-  void set_tap(std::function<void(sim::SimTime, const TcpSegment&, Direction, LinkEvent)> tap);
+  /// Each link calls it directly; an empty tap detaches both.
+  void set_tap(const Link::Tap& tap);
 
   /// Attach a fault-injection schedule to the data (down) link.
   void set_impairments(ImpairmentSchedule schedule) { down_->set_impairments(std::move(schedule)); }

@@ -1,9 +1,8 @@
 // Tests for the late additions: KS distance, Gaussian-approximation link
-// dimensioning, and the tcpdump-style trace dumper.
+// dimensioning, and the tcpdump-style packet formatter.
 #include <gtest/gtest.h>
 
 #include <random>
-#include <sstream>
 
 #include "capture/dump.hpp"
 #include "model/aggregate.hpp"
@@ -104,30 +103,6 @@ TEST(DumpTest, MarksRetransmissionsAndAuxHosts) {
   const auto line = capture::format_packet(r);
   EXPECT_NE(line.find("(retransmission)"), std::string::npos);
   EXPECT_NE(line.find("10.0.0.2:80"), std::string::npos);
-}
-
-TEST(DumpTest, RespectsLimitsAndDataOnly) {
-  capture::PacketTrace trace;
-  for (int i = 0; i < 10; ++i) {
-    capture::PacketRecord r;
-    r.t_s = i;
-    r.direction = net::Direction::kDown;
-    r.payload_bytes = (i % 2 == 0) ? 1460 : 0;
-    r.flags = net::TcpFlag::kAck;
-    trace.packets.push_back(r);
-  }
-  std::ostringstream out;
-  capture::DumpOptions opts;
-  opts.data_only = true;
-  capture::dump_trace(trace, out, opts);
-  const std::string text = out.str();
-  EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 5);
-
-  std::ostringstream limited;
-  opts = capture::DumpOptions{};
-  opts.max_packets = 3;
-  capture::dump_trace(trace, limited, opts);
-  EXPECT_NE(limited.str().find("10 packets total"), std::string::npos);
 }
 
 }  // namespace

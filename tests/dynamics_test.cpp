@@ -139,7 +139,7 @@ TEST(LinkDynamicsTest, BlackoutDropsEverythingThenRecovers) {
   int delivered = 0;
   link.set_receiver([&](const TcpSegment&) { ++delivered; });
   std::vector<LinkEvent> events;
-  link.set_tap([&](SimTime, const TcpSegment&, LinkEvent e) { events.push_back(e); });
+  link.set_tap([&](SimTime, const TcpSegment&, Direction, LinkEvent e) { events.push_back(e); });
 
   ImpairmentSchedule schedule;
   schedule.blackout(at_s(1.0), for_s(2.0));

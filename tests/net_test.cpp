@@ -182,7 +182,7 @@ TEST(LinkTest, TapSeesLifecycle) {
   Link link{sim, cfg, nullptr, rng};
   link.set_receiver([](const TcpSegment&) {});
   std::vector<LinkEvent> events;
-  link.set_tap([&](SimTime, const TcpSegment&, LinkEvent e) { events.push_back(e); });
+  link.set_tap([&](SimTime, const TcpSegment&, Direction, LinkEvent e) { events.push_back(e); });
   link.send(make_data_segment(100));
   sim.run();
   ASSERT_EQ(events.size(), 3U);

@@ -29,6 +29,10 @@
 //                                                  # topology sweep digest is
 //                                                  # worker-count invariant
 //
+// Every scenario and topology-world line carries the digest and the run's
+// `words=… events=… bytes=…` counts. The counts do not depend on how the
+// digest folds its words, so they compare two builds whose fold differs.
+//
 // Exit status: 0 when every twin run agrees (and the canary diverges as
 // designed); 1 on any divergence (or a canary the audit failed to catch);
 // 2 on a usage error, including a --seconds that is not a positive number
@@ -52,6 +56,18 @@
 #include "streaming/topology_builder.hpp"
 
 namespace {
+
+/// The fingerprint apart from its digest value: what ran, as counts. Twin
+/// runs must agree on these too, and they stay comparable across a change
+/// to the digest's fold.
+std::string counts(const vstream::streaming::RunFingerprint& print) {
+  char text[96];
+  std::snprintf(text, sizeof text, "words=%llu events=%llu bytes=%llu",
+                static_cast<unsigned long long>(print.words_mixed),
+                static_cast<unsigned long long>(print.sim_events),
+                static_cast<unsigned long long>(print.bytes_downloaded));
+  return text;
+}
 
 /// The audited catalog: every canonical Table-1 scenario plus the fault
 /// catalog (blackouts, burst-loss windows, rate halvings, link flaps). The
@@ -262,9 +278,9 @@ int run_topology_audit(double seconds) {
     const auto reseeded = streaming::fingerprint_topology(reseeded_cfg);
     const bool same = first == second;
     const bool moved = reseeded.digest != first.digest;
-    std::printf("%-40s %016llx twin:%s reseed:%s\n", entry.name.c_str(),
-                static_cast<unsigned long long>(first.digest), same ? "ok" : "DIVERGED",
-                moved ? "moved" : "STUCK");
+    std::printf("%-40s %016llx %s twin:%s reseed:%s\n", entry.name.c_str(),
+                static_cast<unsigned long long>(first.digest), counts(first).c_str(),
+                same ? "ok" : "DIVERGED", moved ? "moved" : "STUCK");
     if (!same || !moved) ++divergent;
   }
 
@@ -339,20 +355,13 @@ int main(int argc, char** argv) {
     vstream::obs::RingBufferSink sink{4096};
     const auto second = vstream::streaming::fingerprint_session(scenario.config, &sink);
     const bool same = first == second;
-    std::printf("%-40s %016llx %s\n", scenario.name.c_str(),
-                static_cast<unsigned long long>(first.digest), same ? "ok" : "DIVERGED");
+    std::printf("%-40s %016llx %s %s\n", scenario.name.c_str(),
+                static_cast<unsigned long long>(first.digest), counts(first).c_str(),
+                same ? "ok" : "DIVERGED");
     if (!same) {
       ++divergent;
-      std::printf("  run 1: digest=%016llx words=%llu events=%llu bytes=%llu\n",
-                  static_cast<unsigned long long>(first.digest),
-                  static_cast<unsigned long long>(first.words_mixed),
-                  static_cast<unsigned long long>(first.sim_events),
-                  static_cast<unsigned long long>(first.bytes_downloaded));
-      std::printf("  run 2: digest=%016llx words=%llu events=%llu bytes=%llu\n",
-                  static_cast<unsigned long long>(second.digest),
-                  static_cast<unsigned long long>(second.words_mixed),
-                  static_cast<unsigned long long>(second.sim_events),
-                  static_cast<unsigned long long>(second.bytes_downloaded));
+      std::printf("  run 2: digest=%016llx %s\n", static_cast<unsigned long long>(second.digest),
+                  counts(second).c_str());
     }
   }
   std::printf("%zu scenarios, %d divergent\n", scenarios.size(), divergent);
