@@ -1,8 +1,10 @@
 // Tests for the contract layer (vstream_check): violation payloads, the
-// process-wide violation counter, and the FNV-1a state digest. (The
+// process-wide violation counter, and the state digest. (The
 // simulator's own use of the contracts is covered in sim_test.cpp.)
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <iterator>
 #include <string>
 
 #include "check/contracts.hpp"
@@ -111,14 +113,47 @@ TEST(StateDigestTest, MatchesReferenceFnv1aVectors) {
   EXPECT_EQ(foobar.value(), 0x85944171f73967e8ULL);
 }
 
-TEST(StateDigestTest, WordMixFoldsLittleEndianBytes) {
-  // mix(word) must equal mixing the 8 LE bytes of the word as characters.
-  StateDigest by_word;
-  by_word.mix(std::uint64_t{0x0102030405060708ULL});
-  StateDigest by_bytes;
-  const char le[] = {0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01};
-  by_bytes.mix(std::string_view{le, sizeof le});
-  EXPECT_EQ(by_word.value(), by_bytes.value());
+TEST(StateDigestTest, WordMixMatchesRestatedFold) {
+  // The word fold restated: xor the word in, multiply by the odd constant,
+  // xor the high half down. Checked after every word of a fixed sequence.
+  constexpr std::uint64_t kWords[] = {0,
+                                      1,
+                                      0x0102030405060708ULL,
+                                      ~std::uint64_t{0},
+                                      0x8000000000000000ULL,
+                                      0xdeadbeefcafef00dULL,
+                                      42};
+  std::uint64_t expected = StateDigest::kOffsetBasis;
+  StateDigest d;
+  for (const std::uint64_t w : kWords) {
+    expected ^= w;
+    expected *= 0x9e3779b97f4a7c15ULL;
+    expected ^= expected >> 32U;
+    d.mix(w);
+    EXPECT_EQ(d.value(), expected) << "after word " << d.words_mixed();
+  }
+  EXPECT_EQ(d.words_mixed(), std::size(kWords));
+}
+
+TEST(StateDigestTest, FlippingAnyBitOfOneWordChangesTheValue) {
+  // Each step of the fold is a bijection for a fixed word, so streams that
+  // differ in exactly one word must end apart, however many words follow.
+  const auto fold = [](std::uint64_t third) {
+    StateDigest d;
+    d.mix(std::uint64_t{7});
+    d.mix_signed(-3);
+    d.mix(third);
+    for (std::uint64_t w = 0; w < 16; ++w) d.mix(w * 0x0101010101010101ULL);
+    return d.value();
+  };
+  constexpr std::uint64_t kBases[] = {0, 0x0123456789abcdefULL, ~std::uint64_t{0}};
+  for (const std::uint64_t base : kBases) {
+    const std::uint64_t reference = fold(base);
+    for (unsigned bit = 0; bit < 64; ++bit) {
+      EXPECT_NE(fold(base ^ (std::uint64_t{1} << bit)), reference)
+          << "bit " << bit << " of " << std::hex << base;
+    }
+  }
 }
 
 TEST(StateDigestTest, OrderSensitive) {
