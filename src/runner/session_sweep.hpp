@@ -14,12 +14,12 @@
 // Determinism story (DESIGN.md §13): floating-point partial sums depend on
 // which worker ran which session, so they are reproducible only up to FP
 // associativity. The *digest* is exact: every session mixes
-// (index, world digest, outcome) through FNV-1a into one 64-bit word, and
-// the sweep combines those words with XOR — a commutative, associative,
-// partition-independent fold. Serial, parallel, and process-sharded runs of
-// the same config generator therefore produce bit-identical sweep digests,
-// which is what `determinism_audit --shards` and the capacity planner's
-// digest-checked shard merge enforce.
+// (index, world digest, outcome) through a check::StateDigest into one
+// 64-bit word, and the sweep combines those words with XOR — a
+// commutative, associative, partition-independent fold. Serial, parallel,
+// and process-sharded runs of the same config generator therefore produce
+// bit-identical sweep digests, which is what `determinism_audit --shards`
+// and the capacity planner's digest-checked shard merge enforce.
 #pragma once
 
 #include <cstddef>
@@ -35,7 +35,7 @@
 
 namespace vstream::runner {
 
-/// Order-independent sweep digest: XOR of per-session FNV-1a words keyed by
+/// Order-independent sweep digest: XOR of per-session digest words keyed by
 /// global session index. Equal iff two runs executed the same session set
 /// with identical per-session outcomes — regardless of worker count,
 /// scheduling, or process sharding. (XOR would be blind to one session
