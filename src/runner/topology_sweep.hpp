@@ -28,66 +28,29 @@
 
 namespace vstream::runner {
 
-/// O(1)-memory aggregate of many TopologyResults. Integer counters sum,
-/// WindowStats pool (exact cross-shard mean/variance), and the SweepDigest
-/// is the partition-independent fingerprint of the whole sweep.
-struct TopologyAccumulator {
+/// O(1)-memory aggregate of many TopologyResults: the pooled result itself
+/// (TopologyResult::merge — counters sum, WindowStats pool to the exact
+/// cross-shard mean/variance, and its means and measured_model_params() read
+/// over the whole sweep), plus the world count and the SweepDigest, the
+/// partition-independent fingerprint of the whole sweep.
+struct TopologyAccumulator : streaming::TopologyResult {
   std::uint64_t worlds{0};
-  std::uint64_t sessions_started{0};
-  std::uint64_t sessions_finished{0};
-  std::uint64_t sessions_interrupted{0};
-  std::uint64_t sessions_active_at_end{0};
-  std::uint64_t connections{0};
-  std::uint64_t bytes_downloaded{0};
-  std::uint64_t wasted_bytes{0};
-  std::uint64_t video_payload_bytes{0};
-  std::uint64_t cross_traffic_bytes{0};
-  std::uint64_t bottleneck_dropped_queue{0};
-  std::uint64_t bottleneck_dropped_loss{0};
-  std::uint64_t sim_events{0};
-  std::size_t max_events_pending{0};  ///< max across worlds, not sum
-  stats::WindowStats aggregate;       ///< pooled R(t) windows, all worlds
-  stats::WindowStats concurrency;
-  double sum_encoding_bps{0.0};
-  double sum_duration_s{0.0};
-  double sum_goodput_bps{0.0};
-  std::uint64_t goodput_samples{0};
-  double arrival_window_s_sum{0.0};  ///< Σ per-world arrival windows (lambda-hat basis)
   SweepDigest digest;
 
-  /// Fold one finished world. `index` is the world's global submission
-  /// index; its config contributes arrival_window_s() (the realized arrival
-  /// rate pools as Σstarted / Σwindow).
-  void add(std::size_t index, const streaming::TopologyConfig& config,
-           const streaming::TopologyResult& result, const streaming::RunFingerprint& world);
+  /// Fold one finished world under its global submission index. The
+  /// config is not read: the result carries its own arrival window.
+  void add(std::size_t index, const streaming::TopologyConfig& /*config*/,
+           const streaming::TopologyResult& result, const streaming::RunFingerprint& world) {
+    ++worlds;
+    TopologyResult::merge(result);
+    digest.add(index, world);
+  }
 
   /// Combine another partial (worker lane) into this one.
-  void merge(const TopologyAccumulator& other);
-
-  [[nodiscard]] double mean_aggregate_bps() const { return aggregate.mean(); }
-  [[nodiscard]] double variance_aggregate() const { return aggregate.variance(); }
-  [[nodiscard]] double mean_encoding_bps() const {
-    return sessions_started > 0 ? sum_encoding_bps / static_cast<double>(sessions_started) : 0.0;
-  }
-  [[nodiscard]] double mean_duration_s() const {
-    return sessions_started > 0 ? sum_duration_s / static_cast<double>(sessions_started) : 0.0;
-  }
-  [[nodiscard]] double mean_goodput_bps() const {
-    return goodput_samples > 0 ? sum_goodput_bps / static_cast<double>(goodput_samples) : 0.0;
-  }
-  [[nodiscard]] double realized_arrival_rate_per_s() const {
-    return arrival_window_s_sum > 0.0
-               ? static_cast<double>(sessions_started) / arrival_window_s_sum
-               : 0.0;
-  }
-
-  /// Pooled measured inputs of Eq. 3/4 — identical in meaning to
-  /// TopologyResult::measured_model_params, over the whole sweep.
-  [[nodiscard]] model::AggregateParams measured_model_params() const {
-    return model::AggregateParams{.lambda_per_s = realized_arrival_rate_per_s(),
-                                  .mean_encoding_bps = mean_encoding_bps(),
-                                  .mean_duration_s = mean_duration_s(),
-                                  .mean_download_rate_bps = mean_goodput_bps()};
+  void merge(const TopologyAccumulator& other) {
+    worlds += other.worlds;
+    TopologyResult::merge(other);
+    digest.merge(other.digest);
   }
 };
 

@@ -130,25 +130,20 @@ SessionResult run_session(const SessionConfig& cfg) {
   path.up().audit_conservation();
   const WorldStats stats = world.finish();
 
-  SessionOutcome outcome = instance.finalize();
-
-  // Assemble the result the way the paper's pipeline would see it: the
-  // capture, then the filter to the video CDN's connections (Section 2) —
-  // applied in place, so the session holds one trace, not two copies.
   SessionResult result;
+  static_cast<SessionOutcome&>(result) = instance.finalize();
+
+  // Assemble the capture the way the paper's pipeline would see it: the
+  // trace, then the filter to the video CDN's connections (Section 2) —
+  // applied in place, so the session holds one trace, not two copies.
   result.trace = recorder.take();
   result.trace.label = to_string(cfg.service) + "/" + video::to_string(cfg.container) + "/" +
                        to_string(cfg.application) + " @ " + cfg.network.name;
   result.trace.duration_s = cfg.capture_duration_s;
-  if (cfg.keep_full_trace) {
-    result.has_full_trace = true;
-  } else {
+  if (!cfg.keep_full_trace) {
     std::erase_if(result.trace.packets,
                   [](const capture::PacketRecord& p) { return p.host != 0; });
   }
-
-  result.encoding_bps_true = outcome.encoding_bps_true;
-  result.encoding_bps_estimated = outcome.encoding_bps_estimated;
   result.trace.encoding_bps = result.encoding_bps_estimated;
 
   if (live_report) {
@@ -157,15 +152,11 @@ SessionResult run_session(const SessionConfig& cfg) {
     live_report->set_label(result.trace.label);
     live_report->set_duration_s(cfg.capture_duration_s);
     live_report->set_encoding_bps(result.encoding_bps_estimated);
-    live_report->set_resilience(outcome.resilience);
+    live_report->set_resilience(result.resilience);
     result.report = live_report->finish();
     recorder.set_record_sink({});
   }
 
-  result.player = outcome.player;
-  result.resilience = outcome.resilience;
-  result.interrupted_at_s = outcome.interrupted_at_s;
-  result.bytes_downloaded = outcome.bytes_downloaded;
   result.connections = cfg.store_trace ? result.video_trace().connection_count()
                                        : (result.report ? result.report->connections : 0);
   result.metrics = world.metrics();

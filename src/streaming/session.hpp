@@ -126,15 +126,48 @@ struct SessionConfig {
   void validate() const;
 };
 
-struct SessionResult {
+/// What one finished session contributes to analysis, in either world
+/// kind: player statistics, recovery accounting, transfer totals, and the
+/// encoding-rate estimate. `SessionInstance::finalize` fills it;
+/// `SessionResult` adds the private-path capture on top, while a topology
+/// world samples its bottleneck instead of recording packets.
+struct SessionOutcome {
+  PlayerStats player;
+  /// Fault/recovery accounting for the run (all-zero when fault-free):
+  /// retries and timeouts from the fetch layer, rebuffers from the player,
+  /// blackout drops and window counts from the impaired link. Mirror it
+  /// into `analysis::ReportOptions::resilience` when batch-building a
+  /// report for this session.
+  analysis::ResilienceStats resilience;
+  std::uint64_t bytes_downloaded{0};  ///< application bytes read by the client
+  /// TCP connections to the video CDN (host 0) — the connections the
+  /// paper's §2 filter keeps; auxiliary-host connections are not counted.
+  std::size_t connections{0};
+  double encoding_bps_true{0.0};       ///< ground truth (or selected Netflix rate)
+  double encoding_bps_estimated{0.0};  ///< what the paper's pipeline would infer
+  double interrupted_at_s{0.0};        ///< 0 when not interrupted
+  double started_at_s{0.0};            ///< sim time the instance was created
+  double first_byte_s{-1.0};           ///< first client read; <0 = no bytes
+  double last_byte_s{-1.0};            ///< last client read
+
+  /// Application goodput over the active transfer — the per-session G the
+  /// aggregate model's variance term wants (model/aggregate.hpp). Zero
+  /// when the transfer was too short to measure.
+  [[nodiscard]] double goodput_bps() const {
+    if (first_byte_s < 0.0 || last_byte_s <= first_byte_s) return 0.0;
+    return 8.0 * static_cast<double>(bytes_downloaded) / (last_byte_s - first_byte_s);
+  }
+};
+
+/// A private-path session: its outcome plus what the capture and the
+/// world recorded.
+struct SessionResult : SessionOutcome {
   /// The one owned capture of the session. By default it holds the
   /// video-CDN traffic only (the paper's §2 filter applied in place); with
   /// `SessionConfig::keep_full_trace` it holds everything the viewer-side
   /// capture saw, auxiliary hosts included, and `video_trace()` does the
   /// filtering lazily. Empty when `store_trace` is false.
   capture::PacketTrace trace;
-  /// Whether `trace` still contains the auxiliary-host packets.
-  bool has_full_trace{false};
   /// The video-CDN packets as a zero-copy view — what the analysis layer
   /// consumes. Valid only while this result (and its `trace`) is alive.
   [[nodiscard]] capture::TraceView video_trace() const {
@@ -143,18 +176,6 @@ struct SessionResult {
   /// Single-pass analysis output, when `SessionConfig::streaming_report`
   /// was set. Present even with `store_trace == false`.
   std::optional<analysis::SessionReport> report;
-  PlayerStats player;
-  std::uint64_t bytes_downloaded{0};   ///< application bytes read by the client
-  std::size_t connections{0};          ///< TCP connections used for video
-  double encoding_bps_true{0.0};       ///< ground truth (or selected Netflix rate)
-  double encoding_bps_estimated{0.0};  ///< what the paper's pipeline would infer
-  double interrupted_at_s{0.0};        ///< 0 when not interrupted
-  /// Fault/recovery accounting for the run (all-zero when fault-free):
-  /// retries and timeouts from the fetch layer, rebuffers from the player,
-  /// blackout drops and window counts from the impaired link. Mirror it
-  /// into `analysis::ReportOptions::resilience` when batch-building a
-  /// report for this session.
-  analysis::ResilienceStats resilience;
   /// Snapshot of the session's metrics registry at the end of the run.
   obs::MetricsSnapshot metrics;
   std::uint64_t sim_events{0};            ///< discrete events the simulator ran

@@ -44,32 +44,6 @@ class IpadYouTubeClient;
 class NetflixClient;
 class AuxiliaryTraffic;
 
-/// What one finished session contributes to analysis: player statistics,
-/// recovery accounting, transfer totals, and the encoding-rate estimate.
-/// The capture-side fields of `SessionResult` (trace, reports, metrics)
-/// stay with `run_session` — a topology world samples its bottleneck
-/// instead of recording packets.
-struct SessionOutcome {
-  PlayerStats player;
-  analysis::ResilienceStats resilience;
-  std::uint64_t bytes_downloaded{0};
-  std::size_t connections{0};  ///< all connections on the session's fabric
-  double encoding_bps_true{0.0};
-  double encoding_bps_estimated{0.0};
-  double interrupted_at_s{0.0};  ///< 0 when not interrupted
-  double started_at_s{0.0};      ///< sim time the instance was created
-  double first_byte_s{-1.0};     ///< first client read; <0 = no bytes
-  double last_byte_s{-1.0};      ///< last client read
-
-  /// Application goodput over the active transfer — the per-session G the
-  /// aggregate model's variance term wants (model/aggregate.hpp). Zero
-  /// when the transfer was too short to measure.
-  [[nodiscard]] double goodput_bps() const {
-    if (first_byte_s < 0.0 || last_byte_s <= first_byte_s) return 0.0;
-    return 8.0 * static_cast<double>(bytes_downloaded) / (last_byte_s - first_byte_s);
-  }
-};
-
 class SessionInstance {
  public:
   /// Wire the session into `fabric`'s path. `rng` is the session's root

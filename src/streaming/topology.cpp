@@ -411,12 +411,36 @@ TopologyResult run_topology(const TopologyConfig& config) {
   result.bottleneck_dropped_loss = bn.dropped_loss;
   result.aggregate = sampler.windows();
   result.concurrency = concurrency;
-  const double window_s = config.arrival_window_s();
-  result.realized_arrival_rate_per_s =
-      window_s > 0.0 ? static_cast<double>(runner.started) / window_s : 0.0;
+  result.arrival_window_s = config.arrival_window_s();
   result.sim_events = stats.sim_events;
   result.sim_max_events_pending = stats.sim_max_events_pending;
   return result;
+}
+
+void TopologyResult::merge(const TopologyResult& other) {
+  sessions_started += other.sessions_started;
+  sessions_finished += other.sessions_finished;
+  sessions_interrupted += other.sessions_interrupted;
+  sessions_active_at_end += other.sessions_active_at_end;
+  peak_live_sessions = std::max(peak_live_sessions, other.peak_live_sessions);
+  live_sessions_at_end += other.live_sessions_at_end;
+  connections += other.connections;
+  bytes_downloaded += other.bytes_downloaded;
+  wasted_bytes += other.wasted_bytes;
+  video_payload_bytes += other.video_payload_bytes;
+  cross_traffic_bytes += other.cross_traffic_bytes;
+  bottleneck_wire_bytes += other.bottleneck_wire_bytes;
+  bottleneck_dropped_queue += other.bottleneck_dropped_queue;
+  bottleneck_dropped_loss += other.bottleneck_dropped_loss;
+  aggregate.merge(other.aggregate);
+  concurrency.merge(other.concurrency);
+  sum_encoding_bps += other.sum_encoding_bps;
+  sum_duration_s += other.sum_duration_s;
+  sum_goodput_bps += other.sum_goodput_bps;
+  goodput_samples += other.goodput_samples;
+  arrival_window_s += other.arrival_window_s;
+  sim_events += other.sim_events;
+  sim_max_events_pending = std::max(sim_max_events_pending, other.sim_max_events_pending);
 }
 
 void fold_topology_outcome(check::StateDigest& digest, const TopologyResult& result) {

@@ -124,7 +124,7 @@ struct TopologyResult {
   /// quiesced ones whose transport never drained (an abandoned viewer whose
   /// connection waits on a closed receive window keeps probing forever).
   std::size_t live_sessions_at_end{0};
-  std::size_t connections{0};  ///< TCP connections across all sessions
+  std::size_t connections{0};  ///< video-CDN (host 0) TCP connections across all sessions
   std::uint64_t bytes_downloaded{0};  ///< application bytes read by all clients
   /// §6.2: bytes downloaded but never played by interrupted viewers.
   std::uint64_t wasted_bytes{0};
@@ -146,10 +146,22 @@ struct TopologyResult {
   double sum_duration_s{0.0};    ///< L: configured video durations
   double sum_goodput_bps{0.0};   ///< G: per-session transfer goodput
   std::size_t goodput_samples{0};
-  /// lambda-hat = started / TopologyConfig::arrival_window_s()
-  double realized_arrival_rate_per_s{0.0};
+  /// TopologyConfig::arrival_window_s(), summed over merged worlds: the
+  /// basis of the realized arrival rate.
+  double arrival_window_s{0.0};
   std::uint64_t sim_events{0};
   std::size_t sim_max_events_pending{0};
+
+  /// Pool another world's (or partial sweep's) result into this one:
+  /// counts and sums add, `peak_live_sessions` and `sim_max_events_pending`
+  /// keep the max, and the window statistics pool exactly.
+  void merge(const TopologyResult& other);
+
+  /// lambda-hat = sessions_started / arrival_window_s (0 for an empty window).
+  [[nodiscard]] double realized_arrival_rate_per_s() const {
+    return arrival_window_s > 0.0 ? static_cast<double>(sessions_started) / arrival_window_s
+                                  : 0.0;
+  }
 
   [[nodiscard]] double mean_aggregate_bps() const { return aggregate.mean(); }
   [[nodiscard]] double variance_aggregate() const { return aggregate.variance(); }
@@ -168,7 +180,7 @@ struct TopologyResult {
   /// `model::mean_aggregate_rate_bps(measured_model_params())` against
   /// `mean_aggregate_bps()` (and likewise the variances).
   [[nodiscard]] model::AggregateParams measured_model_params() const {
-    return model::AggregateParams{.lambda_per_s = realized_arrival_rate_per_s,
+    return model::AggregateParams{.lambda_per_s = realized_arrival_rate_per_s(),
                                   .mean_encoding_bps = mean_encoding_bps(),
                                   .mean_duration_s = mean_duration_s(),
                                   .mean_download_rate_bps = mean_goodput_bps()};

@@ -9,6 +9,7 @@
 #include <functional>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "check/contracts.hpp"
 #include "net/bottleneck.hpp"
@@ -307,11 +308,11 @@ TEST(TopologyRunTest, ArrivalRateIsMeasuredOverTheArrivalWindow) {
   EXPECT_DOUBLE_EQ(config.arrival_window_s(), kHorizon / 2.0);
   const TopologyResult r = run_topology(config);
   EXPECT_GT(r.sessions_started, 150u);  // ~240 expected
-  EXPECT_NEAR(r.realized_arrival_rate_per_s, kRate, 0.1 * kRate);
+  EXPECT_NEAR(r.realized_arrival_rate_per_s(), kRate, 0.1 * kRate);
 
   // The sweep accumulator pools the same basis across worlds.
   const auto sweep = runner::run_topologies_streamed(runner::ParallelSweep{2}, 0, 4, make);
-  EXPECT_DOUBLE_EQ(sweep.arrival_window_s_sum, 4 * kHorizon / 2.0);
+  EXPECT_DOUBLE_EQ(sweep.arrival_window_s, 4 * kHorizon / 2.0);
   EXPECT_NEAR(sweep.realized_arrival_rate_per_s(), kRate, 0.1 * kRate);
 }
 
@@ -530,6 +531,30 @@ TEST(TopologyDeterminismTest, TwinRunsFingerprintIdentically) {
   EXPECT_NE(fingerprint_topology(reseeded).digest, a.digest);
 }
 
+/// The integer fields of two topology results agree: counts add and
+/// maxima pool exactly, however the worlds are split or merged.
+void expect_equal_counts(const TopologyResult& got, const TopologyResult& want) {
+  EXPECT_EQ(got.sessions_started, want.sessions_started);
+  EXPECT_EQ(got.sessions_finished, want.sessions_finished);
+  EXPECT_EQ(got.sessions_interrupted, want.sessions_interrupted);
+  EXPECT_EQ(got.sessions_active_at_end, want.sessions_active_at_end);
+  EXPECT_EQ(got.live_sessions_at_end, want.live_sessions_at_end);
+  EXPECT_EQ(got.connections, want.connections);
+  EXPECT_EQ(got.bytes_downloaded, want.bytes_downloaded);
+  EXPECT_EQ(got.wasted_bytes, want.wasted_bytes);
+  EXPECT_EQ(got.video_payload_bytes, want.video_payload_bytes);
+  EXPECT_EQ(got.cross_traffic_bytes, want.cross_traffic_bytes);
+  EXPECT_EQ(got.bottleneck_wire_bytes, want.bottleneck_wire_bytes);
+  EXPECT_EQ(got.bottleneck_dropped_queue, want.bottleneck_dropped_queue);
+  EXPECT_EQ(got.bottleneck_dropped_loss, want.bottleneck_dropped_loss);
+  EXPECT_EQ(got.aggregate.count, want.aggregate.count);
+  EXPECT_EQ(got.concurrency.count, want.concurrency.count);
+  EXPECT_EQ(got.goodput_samples, want.goodput_samples);
+  EXPECT_EQ(got.sim_events, want.sim_events);
+  EXPECT_EQ(got.peak_live_sessions, want.peak_live_sessions);
+  EXPECT_EQ(got.sim_max_events_pending, want.sim_max_events_pending);
+}
+
 TEST(TopologyDeterminismTest, SweepDigestInvariantAcrossWorkerCounts) {
   // ~1k sessions across 16 worlds: the sweep digest must be bit-identical
   // whether the worlds run serially or on a pool of workers.
@@ -553,11 +578,48 @@ TEST(TopologyDeterminismTest, SweepDigestInvariantAcrossWorkerCounts) {
   EXPECT_EQ(a.sim_events, b.sim_events);
   EXPECT_GT(a.sessions_started, 900u);  // lambda*horizon = 160 expected per world
 
-  // Contiguous sharding must merge to the same digest.
-  auto first_half = runner::run_topologies_streamed(pooled, 0, 8, make);
+  // Contiguous sharding must merge to the same digest and integer fields,
+  // whichever half is merged into the other.
+  const auto first_half = runner::run_topologies_streamed(pooled, 0, 8, make);
   const auto second_half = runner::run_topologies_streamed(pooled, 8, 8, make);
-  first_half.merge(second_half);
-  EXPECT_EQ(first_half.digest, a.digest);
+  auto forward = first_half;
+  forward.merge(second_half);
+  auto backward = second_half;
+  backward.merge(first_half);
+  for (const auto* merged : {&forward, &backward}) {
+    expect_equal_counts(*merged, a);
+    EXPECT_EQ(merged->worlds, a.worlds);
+    EXPECT_EQ(merged->digest, a.digest);
+  }
+}
+
+TEST(TopologyDeterminismTest, OneWorldSweepEqualsItsWorld) {
+  // A one-world sweep is that world's result: the pooled fields start from
+  // zero, so every sum, maximum and window statistic carries over exactly.
+  const auto make = [](std::size_t g) {
+    return small_world()
+        .sessions(12)
+        .workload(WorkloadBuilder{}.poisson(2.0, 1.0).build())
+        .bottleneck_rate_bps(10e6)
+        .seed(800 + g)
+        .build();
+  };
+  const TopologyResult world = run_topology(make(0));
+  const auto sweep = runner::run_topologies_streamed(runner::ParallelSweep{1}, 0, 1, make);
+  EXPECT_EQ(sweep.worlds, 1u);
+  expect_equal_counts(sweep, world);
+  for (const auto& [pooled, single] : {std::pair{sweep.aggregate, world.aggregate},
+                                       std::pair{sweep.concurrency, world.concurrency}}) {
+    EXPECT_EQ(pooled.sum, single.sum);
+    EXPECT_EQ(pooled.sum_sq, single.sum_sq);
+    EXPECT_EQ(pooled.peak, single.peak);
+  }
+  EXPECT_EQ(sweep.sum_encoding_bps, world.sum_encoding_bps);
+  EXPECT_EQ(sweep.sum_duration_s, world.sum_duration_s);
+  EXPECT_EQ(sweep.sum_goodput_bps, world.sum_goodput_bps);
+  EXPECT_EQ(sweep.arrival_window_s, world.arrival_window_s);
+  EXPECT_GT(world.realized_arrival_rate_per_s(), 0.0);
+  EXPECT_EQ(sweep.realized_arrival_rate_per_s(), world.realized_arrival_rate_per_s());
 }
 
 TEST(TopologyDeterminismTest, StreamedDigestMatchesPerWorldFingerprints) {
