@@ -5,9 +5,10 @@
 //   1. 10k-session synthetic sweep: build a SessionReport per session the
 //      batch way (materialise the trace, then `build_report` over it) and
 //      the streaming way (`StreamingReportBuilder` consuming the record
-//      stream, nothing stored). The speedup is the headline acceptance
-//      metric; the first sessions are also checked field-identical between
-//      the two paths.
+//      stream, nothing stored), timed back to back per session with the
+//      order alternating. The speedup is the headline acceptance metric;
+//      the first sessions are also checked field-identical between the
+//      two paths.
 //   2. peak-RSS probe: one multi-million-record capture analysed streaming
 //      first, then batch; /proc VmHWM before/after quantifies the memory
 //      the trace vector costs the batch path.
@@ -221,24 +222,38 @@ void print_reproduction() {
   telemetry.note_metric("peak_rss_reduction_vs_batch", rss_reduction);
 
   // -- 10k-session sweep ---------------------------------------------------
+  // Each session's streaming and batch reports are timed back to back,
+  // alternating which goes first, and each side is summed: host speed that
+  // drifts during the sweep then slows both sides alike instead of
+  // whichever loop it happened to overlap.
   std::uint64_t sweep_records = 0;
-  const auto t_stream0 = std::chrono::steady_clock::now();
-  for (std::size_t i = 0; i < kSweepSessions; ++i) {
+  double t_stream = 0.0;
+  double t_batch = 0.0;
+  const auto time_stream = [&](std::uint64_t seed) {
+    const auto t0 = std::chrono::steady_clock::now();
     analysis::StreamingReportBuilder builder{synth_options()};
-    synth_session(1000 + i, kSweepDuration, [&](const capture::PacketRecord& r) {
+    synth_session(seed, kSweepDuration, [&](const capture::PacketRecord& r) {
       builder.add(r);
       ++sweep_records;
     });
     builder.set_duration_s(kSweepDuration);
     benchmark::DoNotOptimize(builder.finish().packets);
-  }
-  const double t_stream = wall_seconds_since(t_stream0);
-
-  const auto t_batch0 = std::chrono::steady_clock::now();
+    t_stream += wall_seconds_since(t0);
+  };
+  const auto time_batch = [&](std::uint64_t seed) {
+    const auto t0 = std::chrono::steady_clock::now();
+    benchmark::DoNotOptimize(batch_report(seed, kSweepDuration).packets);
+    t_batch += wall_seconds_since(t0);
+  };
   for (std::size_t i = 0; i < kSweepSessions; ++i) {
-    benchmark::DoNotOptimize(batch_report(1000 + i, kSweepDuration).packets);
+    if (i % 2 == 0) {
+      time_stream(1000 + i);
+      time_batch(1000 + i);
+    } else {
+      time_batch(1000 + i);
+      time_stream(1000 + i);
+    }
   }
-  const double t_batch = wall_seconds_since(t_batch0);
 
   const double speedup = t_batch / t_stream;
   std::printf("\n%zu-session synthetic sweep (%.0f s sessions, ~%llu records each)\n",
