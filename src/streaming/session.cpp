@@ -157,8 +157,6 @@ SessionResult run_session(const SessionConfig& cfg) {
     recorder.set_record_sink({});
   }
 
-  result.connections = cfg.store_trace ? result.video_trace().connection_count()
-                                       : (result.report ? result.report->connections : 0);
   result.metrics = world.metrics();
   result.sim_events = stats.sim_events;
   result.sim_max_events_pending = stats.sim_max_events_pending;

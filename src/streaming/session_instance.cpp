@@ -226,7 +226,7 @@ SessionOutcome SessionInstance::finalize() {
 
   outcome.player = player_->stats();
   outcome.bytes_downloaded = bytes_downloaded_;
-  outcome.connections = fabric_.connection_count();
+  outcome.connections = fabric_.video_connection_count();
   outcome.encoding_bps_true = player_rate_bps_;
   outcome.interrupted_at_s = outcome.player.interrupted ? outcome.player.interrupted_at_s : 0.0;
   outcome.started_at_s = started_at_s_;

@@ -46,6 +46,7 @@ Connection& Fabric::create_connection(TcpOptions client_options, TcpOptions serv
   auto conn = std::make_unique<Connection>(sim_, path_, id, client_options, server_options);
   auto& ref = *conn;
   connections_.emplace(id, std::move(conn));
+  if (host == 0) ++video_connections_;
   return ref;
 }
 

@@ -55,7 +55,9 @@ class Fabric {
   Connection& create_connection(TcpOptions client_options, TcpOptions server_options,
                                 std::uint8_t host = 0);
 
-  [[nodiscard]] std::size_t connection_count() const { return connections_.size(); }
+  /// Connections created to the video CDN (host 0); auxiliary hosts'
+  /// connections are not counted.
+  [[nodiscard]] std::size_t video_connection_count() const { return video_connections_; }
   /// Every endpoint of every connection is idle (Endpoint::idle). With the
   /// path's links empty too, no pending event can reach this fabric.
   [[nodiscard]] bool idle() const;
@@ -67,6 +69,7 @@ class Fabric {
   sim::Simulator& sim_;
   net::Path& path_;
   std::uint64_t next_id_{1};
+  std::size_t video_connections_{0};
   std::unordered_map<std::uint64_t, std::unique_ptr<Connection>> connections_;
 };
 

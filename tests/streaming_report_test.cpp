@@ -155,6 +155,32 @@ TEST(StreamingReportTest, StoreTraceOffStillDeliversTheReport) {
   EXPECT_EQ(lean_run.bytes_downloaded, batch_run.bytes_downloaded);
 }
 
+TEST(StreamingReportTest, EveryCaptureModeCountsTheSameVideoConnections) {
+  // A session counts its video-CDN connections itself, so a sweep session
+  // that stores no trace and builds no report still reports them, and the
+  // count equals what the stored trace and the streamed report see.
+  // Auxiliary-host connections stay out of every count.
+  for (const auto& scenario : streaming::canonical_scenarios(20.0)) {
+    const auto stored = streaming::run_session(scenario.config);
+
+    auto reported_cfg = scenario.config;
+    reported_cfg.store_trace = false;
+    reported_cfg.streaming_report = true;
+    const auto reported = streaming::run_session(reported_cfg);
+    ASSERT_TRUE(reported.report.has_value()) << scenario.name;
+
+    auto bare_cfg = scenario.config;
+    bare_cfg.store_trace = false;
+    const auto bare = streaming::run_session(bare_cfg);
+
+    EXPECT_GT(stored.connections, 0U) << scenario.name;
+    EXPECT_EQ(stored.connections, stored.video_trace().connection_count()) << scenario.name;
+    EXPECT_EQ(reported.connections, stored.connections) << scenario.name;
+    EXPECT_EQ(reported.report->connections, stored.connections) << scenario.name;
+    EXPECT_EQ(bare.connections, stored.connections) << scenario.name;
+  }
+}
+
 TEST(StreamingReportTest, SessionStreamingReportMatchesPostHocStreaming) {
   // The sink-fed in-session builder and a post-hoc builder over the stored
   // video trace see the same records in the same order.

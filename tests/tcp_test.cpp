@@ -438,7 +438,7 @@ TEST(TcpFabricTest, ParallelConnectionsShareBottleneck) {
   std::uint64_t total = 0;
   for (auto* c : conns) total += c->client().total_read();
   EXPECT_EQ(total, kBytes * kConns);
-  EXPECT_EQ(h.fabric.connection_count(), static_cast<std::size_t>(kConns));
+  EXPECT_EQ(h.fabric.video_connection_count(), static_cast<std::size_t>(kConns));
 }
 
 TEST(TcpFabricTest, SequentialConnectionsIndependent) {
