@@ -573,9 +573,7 @@ TEST(TopologyDeterminismTest, SweepDigestInvariantAcrossWorkerCounts) {
   const auto a = runner::run_topologies_streamed(serial, 0, 16, make);
   const auto b = runner::run_topologies_streamed(pooled, 0, 16, make);
   EXPECT_EQ(a.digest, b.digest);
-  EXPECT_EQ(a.sessions_started, b.sessions_started);
-  EXPECT_EQ(a.bytes_downloaded, b.bytes_downloaded);
-  EXPECT_EQ(a.sim_events, b.sim_events);
+  expect_equal_counts(b, a);
   EXPECT_GT(a.sessions_started, 900u);  // lambda*horizon = 160 expected per world
 
   // Contiguous sharding must merge to the same digest and integer fields,
