@@ -396,11 +396,11 @@ int main(int argc, char** argv) {
       merge = true;
     } else if (std::strcmp(argv[1], "--profile-out") == 0) {
       options.emplace_back(flag, Mode::kPlan);
-      // The path is optional: positional args are all numeric, so a
-      // following token that doesn't start like a number is the path.
+      // The path is optional: positional args are all positive numbers, so
+      // a following token that is neither a flag nor one of them is the path.
       profile_path = "BENCH_sweep_profile.json";
-      if (argc > 2 && argv[2][0] != '-' && argv[2][0] != '.' &&
-          (argv[2][0] < '0' || argv[2][0] > '9')) {
+      double positional_value = 0.0;
+      if (argc > 2 && argv[2][0] != '-' && !runner::parse_positive(argv[2], positional_value)) {
         profile_path = argv[2];
         --argc;
         ++argv;
