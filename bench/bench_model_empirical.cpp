@@ -15,7 +15,6 @@
 
 #include "model/aggregate.hpp"
 #include "stats/descriptive.hpp"
-#include "stats/timeseries.hpp"
 #include "support.hpp"
 
 namespace {
@@ -54,7 +53,9 @@ AggregateOutcome superpose(Container container, Application application, double 
   const double horizon = std::min(kMaxHorizon, t);
   AggregateOutcome out;
   if (horizon <= 150.0 || arrivals.empty()) return out;
-  stats::RateBinner binner{100.0, horizon, 1.0};  // skip the ramp-up
+  // Bits per 1 s bin over [kWarmup, horizon), skipping the ramp-up.
+  constexpr double kWarmup = 100.0;
+  std::vector<double> rate(static_cast<std::size_t>(std::ceil(horizon - kWarmup)), 0.0);
 
   std::size_t launched = 0;
   stats::OnlineStats on_rate;
@@ -78,7 +79,10 @@ AggregateOutcome superpose(Container container, Application application, double 
     double prev_t = -1.0;
     for (const auto& p : result.trace.packets) {
       if (p.direction != net::Direction::kDown || p.payload_bytes == 0) continue;
-      binner.add(arrival + p.t_s, static_cast<double>(p.payload_bytes) * 8.0);
+      const double since_warmup = arrival + p.t_s - kWarmup;
+      if (since_warmup >= 0.0 && since_warmup < static_cast<double>(rate.size())) {
+        rate[static_cast<std::size_t>(since_warmup)] += static_cast<double>(p.payload_bytes) * 8.0;
+      }
       if (prev_t >= 0.0 && p.t_s - prev_t < 0.05) {
         on_time += p.t_s - prev_t;
         on_bytes += p.payload_bytes;
@@ -87,9 +91,8 @@ AggregateOutcome superpose(Container container, Application application, double 
     }
     if (on_time > 0.0) on_rate.add(on_bytes * 8.0 / on_time);
   }
-  const auto series = binner.series();
-  out.mean_bps = stats::mean(series.values);
-  out.variance = stats::variance(series.values);
+  out.mean_bps = stats::mean(rate);
+  out.variance = stats::variance(rate);
   out.mean_encoding_bps /= static_cast<double>(launched);
   out.mean_duration_s /= static_cast<double>(launched);
   out.mean_on_rate_bps = on_rate.mean();

@@ -265,8 +265,8 @@ PeriodicityResult PeriodicityAccumulator::finish() const {
 
   if (t_end_ - steady_start < 4.0 * options_.bin_s) return result;
 
-  // Size the series exactly as the batch RateBinner does over
-  // [steady_start, t_end): ceil of the span, dropping anything past it.
+  // The series covers [steady_start, t_end) in ceil(span / bin) bins;
+  // anything binned past the last one is dropped.
   const double span_bins = std::ceil((t_end_ - steady_start) / options_.bin_s);
   if (span_bins > static_cast<double>(max_bins(series.records))) return result;
   const auto bins = static_cast<std::size_t>(span_bins);

@@ -20,14 +20,6 @@ const FlowRecord* FlowTable::find(std::uint64_t connection_id) const {
   return nullptr;
 }
 
-std::size_t FlowTable::concurrent_at(double t) const {
-  std::size_t n = 0;
-  for (const auto& f : flows) {
-    if (f.first_packet_s <= t && t <= f.last_packet_s) ++n;
-  }
-  return n;
-}
-
 std::uint64_t FlowTable::max_down_bytes() const {
   std::uint64_t best = 0;
   for (const auto& f : flows) best = std::max(best, f.down_payload_bytes);
@@ -39,14 +31,6 @@ std::uint64_t FlowTable::min_down_bytes() const {
   std::uint64_t best = flows.front().down_payload_bytes;
   for (const auto& f : flows) best = std::min(best, f.down_payload_bytes);
   return best;
-}
-
-std::size_t FlowTable::flows_started_before(double t_max) const {
-  std::size_t n = 0;
-  for (const auto& f : flows) {
-    if (f.first_packet_s < t_max) ++n;
-  }
-  return n;
 }
 
 std::string FlowTable::render() const {

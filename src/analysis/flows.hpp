@@ -44,13 +44,9 @@ struct FlowTable {
   [[nodiscard]] std::size_t size() const { return flows.size(); }
   [[nodiscard]] const FlowRecord* find(std::uint64_t connection_id) const;
 
-  /// Connections active (first..last packet spans t) at time t.
-  [[nodiscard]] std::size_t concurrent_at(double t) const;
   /// Largest and smallest per-connection download amounts.
   [[nodiscard]] std::uint64_t max_down_bytes() const;
   [[nodiscard]] std::uint64_t min_down_bytes() const;
-  /// Flows used within [0, t_max).
-  [[nodiscard]] std::size_t flows_started_before(double t_max) const;
 
   [[nodiscard]] std::string render() const;
 };

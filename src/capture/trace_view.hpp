@@ -23,24 +23,20 @@
 
 namespace vstream::capture {
 
-/// Conjunction of the three restriction predicates the analysis layer
+/// Conjunction of the two restriction predicates the analysis layer
 /// needs. Unset fields match everything, so the default filter passes every
 /// record through.
 struct TraceFilter {
   std::optional<net::Direction> direction;
   std::optional<std::uint8_t> host;
-  std::optional<std::uint64_t> excluded_connection;
 
   [[nodiscard]] bool matches(const PacketRecord& p) const {
     if (direction && p.direction != *direction) return false;
     if (host && p.host != *host) return false;
-    if (excluded_connection && p.connection_id == *excluded_connection) return false;
     return true;
   }
 
-  [[nodiscard]] bool pass_through() const {
-    return !direction && !host && !excluded_connection;
-  }
+  [[nodiscard]] bool pass_through() const { return !direction && !host; }
 };
 
 class TraceView {
@@ -112,13 +108,6 @@ class TraceView {
   [[nodiscard]] TraceView host(std::uint8_t h) const {
     TraceView out = *this;
     out.filter_.host = h;
-    return out;
-  }
-
-  /// Drop one connection — strips tagged cross-traffic before analysis.
-  [[nodiscard]] TraceView excluding_connection(std::uint64_t connection_id) const {
-    TraceView out = *this;
-    out.filter_.excluded_connection = connection_id;
     return out;
   }
 

@@ -114,42 +114,4 @@ void ImpairmentSchedule::validate() const {
   }
 }
 
-ImpairmentSchedule random_link_flaps(sim::Rng& rng, double horizon_s, double flaps_per_min,
-                                     double mean_down_s) {
-  if (horizon_s <= 0.0 || flaps_per_min <= 0.0 || mean_down_s <= 0.0) {
-    throw std::invalid_argument{"random_link_flaps: parameters must be positive"};
-  }
-  ImpairmentSchedule schedule;
-  double t = 0.0;
-  while (true) {
-    t += rng.exponential(flaps_per_min / 60.0);
-    if (t >= horizon_s) break;
-    const double down_s = rng.exponential(1.0 / mean_down_s);
-    schedule.blackout(sim::SimTime::from_seconds(t), sim::Duration::seconds(down_s));
-    // Advance past the outage so successive blackouts never overlap.
-    t += down_s;
-  }
-  return schedule;
-}
-
-ImpairmentSchedule random_congestion(sim::Rng& rng, double horizon_s, double episodes_per_min,
-                                     double min_factor, double mean_episode_s) {
-  if (horizon_s <= 0.0 || episodes_per_min <= 0.0 || mean_episode_s <= 0.0 ||
-      min_factor <= 0.0 || min_factor >= 1.0) {
-    throw std::invalid_argument{"random_congestion: parameters out of range"};
-  }
-  ImpairmentSchedule schedule;
-  double t = 0.0;
-  while (true) {
-    t += rng.exponential(episodes_per_min / 60.0);
-    if (t >= horizon_s) break;
-    const double episode_s = rng.exponential(1.0 / mean_episode_s);
-    const double factor = rng.uniform(min_factor, 1.0);
-    schedule.rate_scale(sim::SimTime::from_seconds(t), sim::Duration::seconds(episode_s),
-                        factor);
-    t += episode_s;
-  }
-  return schedule;
-}
-
 }  // namespace vstream::net

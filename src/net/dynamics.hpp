@@ -7,14 +7,12 @@
 // delay spikes, burst-loss overlays, full blackouts — that a `Link`
 // consumes via `Link::set_impairments`. Transitions are driven entirely by
 // the sim clock (sim::SimTime), so a faulted run is digest-deterministic
-// exactly like a healthy one; the random generators draw every parameter
-// from a session-forked `sim::Rng`.
+// exactly like a healthy one.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "sim/rng.hpp"
 #include "sim/time.hpp"
 
 namespace vstream::net {
@@ -87,21 +85,5 @@ class ImpairmentSchedule {
  private:
   std::vector<ImpairmentWindow> windows_;
 };
-
-// ---- random schedule generators ------------------------------------------
-// All draws come from the caller's Rng (fork a tagged child per purpose), so
-// a generated schedule is a pure function of the seed.
-
-/// Poisson link-flaps over [0, horizon_s): blackout arrivals at
-/// `flaps_per_min`, each with an exponential duration of mean `mean_down_s`.
-[[nodiscard]] ImpairmentSchedule random_link_flaps(sim::Rng& rng, double horizon_s,
-                                                   double flaps_per_min, double mean_down_s);
-
-/// Poisson congestion episodes over [0, horizon_s): rate-scale windows with
-/// factors uniform in [min_factor, 1), durations exponential with mean
-/// `mean_episode_s`.
-[[nodiscard]] ImpairmentSchedule random_congestion(sim::Rng& rng, double horizon_s,
-                                                   double episodes_per_min, double min_factor,
-                                                   double mean_episode_s);
 
 }  // namespace vstream::net

@@ -1,7 +1,6 @@
 #include "sim/rng.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 namespace vstream::sim {
 namespace {
@@ -55,28 +54,6 @@ double Rng::normal(double mean, double stddev) {
 double Rng::lognormal(double mu, double sigma) {
   std::lognormal_distribution<double> d{mu, sigma};
   return d(engine_);
-}
-
-double Rng::pareto(double xm, double alpha) {
-  if (xm <= 0.0 || alpha <= 0.0) throw std::invalid_argument{"Rng::pareto: xm, alpha must be > 0"};
-  const double u = uniform(std::numeric_limits<double>::min(), 1.0);
-  return xm / std::pow(u, 1.0 / alpha);
-}
-
-std::size_t Rng::weighted_index(std::span<const double> weights) {
-  if (weights.empty()) throw std::invalid_argument{"Rng::weighted_index: empty weights"};
-  double total = 0.0;
-  for (const double w : weights) {
-    if (w < 0.0) throw std::invalid_argument{"Rng::weighted_index: negative weight"};
-    total += w;
-  }
-  if (total <= 0.0) throw std::invalid_argument{"Rng::weighted_index: weights sum to zero"};
-  double x = uniform(0.0, total);
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    x -= weights[i];
-    if (x < 0.0) return i;
-  }
-  return weights.size() - 1;
 }
 
 }  // namespace vstream::sim

@@ -7,7 +7,6 @@
 
 #include <cstdint>
 #include <random>
-#include <span>
 #include <stdexcept>
 #include <string_view>
 
@@ -39,12 +38,6 @@ class Rng {
 
   /// Log-normal parameterised by the mean/stddev of the *underlying* normal.
   [[nodiscard]] double lognormal(double mu, double sigma);
-
-  /// Pareto with scale xm > 0 and shape alpha > 0 (heavy-tailed durations).
-  [[nodiscard]] double pareto(double xm, double alpha);
-
-  /// Pick an index in [0, weights.size()) proportionally to weights.
-  [[nodiscard]] std::size_t weighted_index(std::span<const double> weights);
 
   [[nodiscard]] std::mt19937_64& engine() { return engine_; }
 

@@ -82,24 +82,6 @@ std::vector<EmpiricalCdf::Point> EmpiricalCdf::sampled(double lo, double hi,
   return pts;
 }
 
-double EmpiricalCdf::ks_distance(const EmpiricalCdf& a, const EmpiricalCdf& b) {
-  if (a.empty() || b.empty()) throw std::logic_error{"ks_distance: empty CDF"};
-  const auto& xs = a.sorted_samples();
-  const auto& ys = b.sorted_samples();
-  double d = 0.0;
-  std::size_t i = 0;
-  std::size_t j = 0;
-  while (i < xs.size() && j < ys.size()) {
-    const double x = std::min(xs[i], ys[j]);
-    while (i < xs.size() && xs[i] <= x) ++i;
-    while (j < ys.size() && ys[j] <= x) ++j;
-    const double fa = static_cast<double>(i) / static_cast<double>(xs.size());
-    const double fb = static_cast<double>(j) / static_cast<double>(ys.size());
-    d = std::max(d, std::abs(fa - fb));
-  }
-  return d;
-}
-
 std::string EmpiricalCdf::summary() const {
   if (samples_.empty()) return "(empty)";
   char buf[160];

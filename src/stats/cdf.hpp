@@ -47,11 +47,6 @@ class EmpiricalCdf {
 
   [[nodiscard]] const std::vector<double>& sorted_samples() const;
 
-  /// Two-sample Kolmogorov-Smirnov distance sup_x |F_a(x) - F_b(x)| —
-  /// used to quantify how closely two measured distributions agree (e.g.
-  /// block-size CDFs across vantage networks).
-  [[nodiscard]] static double ks_distance(const EmpiricalCdf& a, const EmpiricalCdf& b);
-
  private:
   mutable std::vector<double> samples_;
   mutable bool sorted_{true};

@@ -67,29 +67,6 @@ double pearson_correlation(std::span<const double> xs, std::span<const double> y
   return sxy / std::sqrt(sxx * syy);
 }
 
-LinearFit linear_fit(std::span<const double> xs, std::span<const double> ys) {
-  if (xs.size() != ys.size()) throw std::invalid_argument{"stats::linear_fit: size mismatch"};
-  LinearFit fit;
-  if (xs.size() < 2) return fit;
-  const double mx = mean(xs);
-  const double my = mean(ys);
-  double sxy = 0.0;
-  double sxx = 0.0;
-  double syy = 0.0;
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    const double dx = xs[i] - mx;
-    const double dy = ys[i] - my;
-    sxy += dx * dy;
-    sxx += dx * dx;
-    syy += dy * dy;
-  }
-  if (sxx <= 0.0) return fit;
-  fit.slope = sxy / sxx;
-  fit.intercept = my - fit.slope * mx;
-  fit.r2 = (syy > 0.0) ? (sxy * sxy) / (sxx * syy) : 0.0;
-  return fit;
-}
-
 void OnlineStats::add(double x) {
   if (n_ == 0) {
     min_ = x;

@@ -31,14 +31,6 @@ namespace vstream::stats {
 /// constant or the spans are shorter than two samples.
 [[nodiscard]] double pearson_correlation(std::span<const double> xs, std::span<const double> ys);
 
-/// Least-squares fit y = slope*x + intercept.
-struct LinearFit {
-  double slope{0.0};
-  double intercept{0.0};
-  double r2{0.0};
-};
-[[nodiscard]] LinearFit linear_fit(std::span<const double> xs, std::span<const double> ys);
-
 /// Numerically stable online accumulator (Welford). Mergeable.
 class OnlineStats {
  public:

@@ -1,33 +1,8 @@
 #include "stats/timeseries.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <stdexcept>
 
 namespace vstream::stats {
-
-RateBinner::RateBinner(double t0, double t1, double dt) : t0_{t0}, dt_{dt} {
-  if (dt <= 0.0) throw std::invalid_argument{"RateBinner: dt must be positive"};
-  if (t1 <= t0) throw std::invalid_argument{"RateBinner: t1 must exceed t0"};
-  const auto bins = static_cast<std::size_t>(std::ceil((t1 - t0) / dt));
-  sums_.assign(bins, 0.0);
-}
-
-void RateBinner::add(double t, double amount) {
-  if (t < t0_) return;
-  const auto i = static_cast<std::size_t>((t - t0_) / dt_);
-  if (i >= sums_.size()) return;
-  sums_[i] += amount;
-}
-
-TimeSeries RateBinner::series() const {
-  TimeSeries ts;
-  ts.t0 = t0_;
-  ts.dt = dt_;
-  ts.values.reserve(sums_.size());
-  for (const double s : sums_) ts.values.push_back(s / dt_);
-  return ts;
-}
 
 std::optional<AutocorrelationPeak> autocorrelation_peak(std::span<const double> xs,
                                                        std::size_t max_lag, double threshold) {

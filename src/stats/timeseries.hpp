@@ -1,42 +1,14 @@
-// Time-series utilities: binned rate series and autocorrelation.
+// Time-series utilities: the autocorrelation peak search.
 //
 // Used by the periodicity analysis (an independent estimator of ON-OFF
-// cycle duration) and by the empirical aggregate-traffic experiments.
+// cycle duration).
 #pragma once
 
 #include <cstddef>
 #include <optional>
 #include <span>
-#include <vector>
 
 namespace vstream::stats {
-
-/// Fixed-step time series, value per bin.
-struct TimeSeries {
-  double t0{0.0};
-  double dt{1.0};
-  std::vector<double> values;
-
-  [[nodiscard]] std::size_t size() const { return values.size(); }
-  [[nodiscard]] double t_at(std::size_t i) const { return t0 + dt * static_cast<double>(i); }
-};
-
-/// Accumulate (timestamp, amount) events into a binned rate series over
-/// [t0, t1): value = sum(amount in bin) / dt, i.e. a rate if `amount` is in
-/// units per event.
-class RateBinner {
- public:
-  RateBinner(double t0, double t1, double dt);
-
-  void add(double t, double amount);
-
-  [[nodiscard]] TimeSeries series() const;
-
- private:
-  double t0_;
-  double dt_;
-  std::vector<double> sums_;
-};
 
 /// The first significant peak of the normalised autocorrelation r(k), i.e.
 /// the dominant period of the series in bins.

@@ -1,48 +1,12 @@
-// Tests for the late additions: KS distance, Gaussian-approximation link
-// dimensioning, and the tcpdump-style packet formatter.
+// Tests for the late additions: Gaussian-approximation link dimensioning
+// and the tcpdump-style packet formatter.
 #include <gtest/gtest.h>
-
-#include <random>
 
 #include "capture/dump.hpp"
 #include "model/aggregate.hpp"
-#include "stats/cdf.hpp"
 
 namespace vstream {
 namespace {
-
-TEST(KsDistanceTest, IdenticalDistributionsHaveZeroDistance) {
-  std::vector<double> xs;
-  for (int i = 0; i < 100; ++i) xs.push_back(i);
-  const stats::EmpiricalCdf a{xs};
-  const stats::EmpiricalCdf b{xs};
-  EXPECT_DOUBLE_EQ(stats::EmpiricalCdf::ks_distance(a, b), 0.0);
-}
-
-TEST(KsDistanceTest, DisjointDistributionsHaveDistanceOne) {
-  const std::vector<double> lo{1.0, 2.0, 3.0};
-  const std::vector<double> hi{10.0, 11.0, 12.0};
-  const stats::EmpiricalCdf a{lo};
-  const stats::EmpiricalCdf b{hi};
-  EXPECT_DOUBLE_EQ(stats::EmpiricalCdf::ks_distance(a, b), 1.0);
-}
-
-TEST(KsDistanceTest, ShiftedNormalsGiveModerateDistance) {
-  std::mt19937 gen{42};
-  std::normal_distribution<double> d0{0.0, 1.0};
-  std::normal_distribution<double> d1{0.5, 1.0};
-  stats::EmpiricalCdf a;
-  stats::EmpiricalCdf b;
-  for (int i = 0; i < 5000; ++i) {
-    a.add(d0(gen));
-    b.add(d1(gen));
-  }
-  const double d = stats::EmpiricalCdf::ks_distance(a, b);
-  // Theoretical KS for N(0,1) vs N(0.5,1) is ~0.197.
-  EXPECT_NEAR(d, 0.197, 0.05);
-  EXPECT_THROW((void)stats::EmpiricalCdf::ks_distance(a, stats::EmpiricalCdf{}),
-               std::logic_error);
-}
 
 TEST(DimensioningTest, OverloadProbabilityAtMeanIsHalf) {
   model::AggregateParams p;

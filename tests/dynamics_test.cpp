@@ -313,30 +313,5 @@ TEST(LinkDynamicsTest, GilbertElliottBaseStaysLiveUnderOverlayAndRunsAreTwins) {
   EXPECT_EQ(run_link(), run_link());
 }
 
-// ---- random generators ----------------------------------------------------
-
-TEST(RandomScheduleTest, GeneratorsAreSeedDeterministicAndValid) {
-  Rng a{42};
-  Rng b{42};
-  const auto flaps_a = random_link_flaps(a, 600.0, /*flaps_per_min=*/2.0, /*mean_down_s=*/3.0);
-  const auto flaps_b = random_link_flaps(b, 600.0, 2.0, 3.0);
-  EXPECT_EQ(flaps_a, flaps_b);
-  EXPECT_NO_THROW(flaps_a.validate());
-
-  Rng c{42};
-  Rng d{43};
-  const auto cong_c = random_congestion(c, 600.0, /*episodes_per_min=*/1.0, 0.3, 20.0);
-  const auto cong_d = random_congestion(d, 600.0, 1.0, 0.3, 20.0);
-  EXPECT_NO_THROW(cong_c.validate());
-  EXPECT_NO_THROW(cong_d.validate());
-  EXPECT_NE(cong_c, cong_d);  // different seeds, different schedules
-  for (const auto& w : cong_c.windows()) {
-    EXPECT_EQ(w.kind, ImpairmentKind::kRateScale);
-    EXPECT_GE(w.rate_factor, 0.3);
-    EXPECT_LT(w.rate_factor, 1.0);
-    EXPECT_LT(w.start.to_seconds(), 600.0);
-  }
-}
-
 }  // namespace
 }  // namespace vstream::net

@@ -96,6 +96,8 @@ TEST(PcapNanosTest, ReadsNanosecondMagic) {
 }
 
 TEST(TraceFilterTest, WithoutConnectionStripsTaggedTraffic) {
+  // Cross-traffic tagged with its own host: restricting the view to the
+  // video CDN (host 0) strips it, and the copy keeps the trace's metadata.
   capture::PacketTrace trace;
   trace.label = "x";
   for (int i = 0; i < 10; ++i) {
@@ -103,10 +105,11 @@ TEST(TraceFilterTest, WithoutConnectionStripsTaggedTraffic) {
     r.t_s = i;
     r.direction = net::Direction::kDown;
     r.connection_id = (i % 2 == 0) ? 1 : 0xC0FFEE;
+    r.host = (i % 2 == 0) ? 0 : 1;
     r.payload_bytes = 100;
     trace.packets.push_back(r);
   }
-  const auto filtered = capture::TraceView{trace}.excluding_connection(0xC0FFEE).materialize();
+  const auto filtered = capture::TraceView{trace}.host(0).materialize();
   EXPECT_EQ(filtered.packets.size(), 5U);
   EXPECT_EQ(filtered.label, "x");
   for (const auto& p : filtered.packets) EXPECT_EQ(p.connection_id, 1U);

@@ -249,31 +249,10 @@ TEST(RngTest, ExponentialMeanApproximatesInverseRate) {
   EXPECT_NEAR(sum / kN, 0.5, 0.02);
 }
 
-TEST(RngTest, ParetoRespectsScale) {
-  Rng rng{13};
-  for (int i = 0; i < 1000; ++i) EXPECT_GE(rng.pareto(3.0, 1.5), 3.0);
-}
-
-TEST(RngTest, WeightedIndexProportions) {
-  Rng rng{17};
-  const std::vector<double> w{1.0, 3.0};
-  int count1 = 0;
-  constexpr int kN = 10000;
-  for (int i = 0; i < kN; ++i) {
-    if (rng.weighted_index(w) == 1) ++count1;
-  }
-  EXPECT_NEAR(static_cast<double>(count1) / kN, 0.75, 0.03);
-}
-
 TEST(RngTest, InvalidArgumentsThrow) {
   Rng rng{1};
   EXPECT_THROW((void)rng.uniform(3.0, 2.0), std::invalid_argument);
   EXPECT_THROW((void)rng.exponential(0.0), std::invalid_argument);
-  EXPECT_THROW((void)rng.pareto(0.0, 1.0), std::invalid_argument);
-  const std::vector<double> empty;
-  EXPECT_THROW((void)rng.weighted_index(empty), std::invalid_argument);
-  const std::vector<double> zeros{0.0, 0.0};
-  EXPECT_THROW((void)rng.weighted_index(zeros), std::invalid_argument);
 }
 
 }  // namespace

@@ -63,19 +63,6 @@ TEST(DescriptiveTest, CorrelationSizeMismatchThrows) {
   EXPECT_THROW((void)pearson_correlation(xs, ys), std::invalid_argument);
 }
 
-TEST(DescriptiveTest, LinearFitRecoversLine) {
-  std::vector<double> xs;
-  std::vector<double> ys;
-  for (int i = 0; i < 100; ++i) {
-    xs.push_back(i * 0.1);
-    ys.push_back(2.5 * i * 0.1 - 1.0);
-  }
-  const auto fit = linear_fit(xs, ys);
-  EXPECT_NEAR(fit.slope, 2.5, 1e-9);
-  EXPECT_NEAR(fit.intercept, -1.0, 1e-9);
-  EXPECT_NEAR(fit.r2, 1.0, 1e-9);
-}
-
 TEST(OnlineStatsTest, MatchesBatchComputation) {
   std::mt19937 gen{1234};
   std::normal_distribution<double> d{10.0, 3.0};

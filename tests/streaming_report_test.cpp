@@ -336,10 +336,14 @@ TEST(StreamingReportTest, ConnectionCountsEqualAPlainSetCount) {
     EXPECT_EQ(capture::TraceView{trace}.connection_count(), want) << what;
     EXPECT_EQ(stream_over(trace).connections, want) << what;
   }
-  // A filtered view counts the ids it passes: dropping id 0 between two
-  // records of id 5 leaves one run.
-  const auto trace = trace_of({5, 0, 5, 0, 5});
-  EXPECT_EQ(capture::TraceView{trace}.excluding_connection(0).connection_count(), 1U);
+  // A filtered view counts the ids it passes: dropping the upstream
+  // records of id 0 between three records of id 5 leaves one run.
+  auto trace = trace_of({5, 0, 5, 0, 5});
+  for (auto& p : trace.packets) {
+    if (p.connection_id == 0) p.direction = net::Direction::kUp;
+  }
+  EXPECT_EQ(capture::TraceView{trace}.connection_count(), 2U);
+  EXPECT_EQ(capture::TraceView{trace}.direction(net::Direction::kDown).connection_count(), 1U);
 }
 
 // ---- late handshakes -----------------------------------------------------

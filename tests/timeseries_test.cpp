@@ -1,6 +1,5 @@
-// Tests for rate binning, the autocorrelation peak search (against the
-// full-lag search it replaced), and the ON-OFF periodicity estimator built
-// on them.
+// Tests for the autocorrelation peak search (against the full-lag search
+// it replaced), and the ON-OFF periodicity estimator built on it.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,33 +20,6 @@ namespace {
 
 using capture::PacketRecord;
 using capture::PacketTrace;
-
-TEST(RateBinnerTest, BinsAndRates) {
-  stats::RateBinner binner{0.0, 10.0, 1.0};
-  binner.add(0.5, 100.0);
-  binner.add(0.9, 50.0);
-  binner.add(5.5, 200.0);
-  binner.add(-1.0, 999.0);  // before window: ignored
-  binner.add(10.5, 999.0);  // after window: ignored
-  const auto series = binner.series();
-  ASSERT_EQ(series.size(), 10U);
-  EXPECT_DOUBLE_EQ(series.values[0], 150.0);
-  EXPECT_DOUBLE_EQ(series.values[5], 200.0);
-  EXPECT_DOUBLE_EQ(series.values[9], 0.0);
-  EXPECT_DOUBLE_EQ(series.t_at(3), 3.0);
-}
-
-TEST(RateBinnerTest, RateScalesWithBinWidth) {
-  stats::RateBinner binner{0.0, 10.0, 0.5};
-  binner.add(0.1, 100.0);
-  const auto series = binner.series();
-  EXPECT_DOUBLE_EQ(series.values[0], 200.0);  // 100 units / 0.5 s
-}
-
-TEST(RateBinnerTest, ValidatesArguments) {
-  EXPECT_THROW((stats::RateBinner{0.0, 10.0, 0.0}), std::invalid_argument);
-  EXPECT_THROW((stats::RateBinner{5.0, 5.0, 1.0}), std::invalid_argument);
-}
 
 // The full-lag search `autocorrelation_peak` replaced, kept as its oracle:
 // every lag r(0..max_lag) first, then the first qualifying local maximum.

@@ -100,31 +100,17 @@ TEST(TraceViewTest, DirectionFilterMatchesLegacyInDirection) {
   }
 }
 
-TEST(TraceViewTest, ExcludingConnectionMatchesLegacyWithoutConnection) {
-  const auto trace = make_trace();
-  const auto view = capture::TraceView{trace}.excluding_connection(7);
-  const auto legacy =
-      copied(trace, [](const capture::PacketRecord& p) { return p.connection_id != 7; });
-  EXPECT_EQ(view.count(), legacy.packets.size());
-  EXPECT_EQ(view.down_payload_bytes(), capture::TraceView{legacy}.down_payload_bytes());
-  for (const auto& p : view) EXPECT_NE(p.connection_id, 7U);
-}
-
 TEST(TraceViewTest, CombinatorsCompose) {
   const auto trace = make_trace();
-  const auto view = capture::TraceView{trace}
-                        .host(0)
-                        .direction(net::Direction::kDown)
-                        .excluding_connection(7);
+  const auto view = capture::TraceView{trace}.host(0).direction(net::Direction::kDown);
   const auto expected = static_cast<std::size_t>(std::count_if(
       trace.packets.begin(), trace.packets.end(), [](const capture::PacketRecord& p) {
-        return p.host == 0 && p.direction == net::Direction::kDown && p.connection_id != 7;
+        return p.host == 0 && p.direction == net::Direction::kDown;
       }));
   EXPECT_EQ(view.count(), expected);
   for (const auto& p : view) {
     EXPECT_EQ(p.host, 0);
     EXPECT_EQ(p.direction, net::Direction::kDown);
-    EXPECT_NE(p.connection_id, 7U);
   }
   // Narrowing never mutates the parent view.
   const auto parent = capture::TraceView{trace}.host(0);
