@@ -26,8 +26,8 @@
 // R(t) measured against Eq 3/4 on the run's own measured inputs. Worlds
 // fan out across cores (worker count from VSTREAM_JOBS, default hardware
 // concurrency, 1 = serial). --trace-out still runs one representative
-// single session in a private world — the documented legacy entry point —
-// because topologies deliberately reject per-session trace sinks.
+// single session in a private world, because topologies deliberately
+// reject per-session trace sinks.
 //
 // --capacity runs N full packet-level sessions through the streamed sweep
 // path (runner/session_sweep.hpp): results fold into per-worker
@@ -556,10 +556,9 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Legacy single-session entry point (documented in DESIGN.md §15): one
-  // representative private-world session carrying the Chrome-trace sink —
-  // topologies reject per-session trace attachments by design, so the span
-  // timeline still comes from the single-session path.
+  // One representative private-world session carrying the Chrome-trace
+  // sink: topologies reject per-session trace attachments by design, so the
+  // span timeline comes from a single session.
   if (trace_sink) {
     video::VideoMeta meta;
     meta.id = "planner-trace";

@@ -33,7 +33,7 @@ int main() {
                        .build();
 
   std::printf("streaming %s for %.0f s ...\n", cfg.video.id.c_str(), cfg.capture_duration_s);
-  const auto result = streaming::run_session(cfg);
+  const auto result = streaming::SessionBuilder{cfg}.run();
 
   std::printf("\n== session: %s ==\n", result.trace.label.c_str());
   std::printf("packets captured      : %zu\n", result.trace.packets.size());

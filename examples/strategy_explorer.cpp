@@ -99,7 +99,7 @@ int run_sweep(std::size_t count, const streaming::SessionConfig& base) {
 
   const runner::ParallelSweep pool;
   const auto results = pool.map<streaming::SessionResult>(
-      count, [&configs](std::size_t i) { return streaming::run_session(configs[i]); });
+      count, [&configs](std::size_t i) { return streaming::SessionBuilder{configs[i]}.run(); });
 
   std::printf("sweep: %zu sessions of %s across %zu workers\n\n", count,
               results.empty() ? "?" : results.front().trace.label.c_str(), pool.jobs());
@@ -201,7 +201,7 @@ int main(int argc, char** argv) {
     }
     cfg.trace_sink = trace_sink.get();
   }
-  const auto result = streaming::run_session(cfg);
+  const auto result = streaming::SessionBuilder{cfg}.run();
   if (trace_sink) {
     if (!trace_sink->close()) {
       std::fprintf(stderr, "strategy_explorer: cannot write %s\n", trace_path.c_str());

@@ -13,23 +13,30 @@
 namespace vstream::capture {
 namespace {
 
+/// Down-direction goodput during ON periods.
+constexpr double kDownRateBps{8e6};
+constexpr std::uint32_t kPayloadBytes{1448};
+constexpr std::uint64_t kShortBlockBytes{256ULL * 1024U};
+constexpr std::uint64_t kLongBlockBytes{4ULL * 1024U * 1024U};
+constexpr double kShortOffGapS{2.0};
+constexpr double kLongOffGapS{4.0};
+
 /// One connection's packet script: a small state machine that emits records
 /// at strictly increasing times. Pending records (a data packet and the ACK
 /// it triggers) queue in emit order so the merge only ever sees the head.
 class ConnectionScript {
  public:
-  ConnectionScript(std::uint64_t id, const SyntheticCaptureOptions& options)
-      : options_{options}, id_{id} {
+  ConnectionScript(std::uint64_t id, double start_spacing_s) : id_{id} {
     const std::uint64_t mod3 = id % 3;
-    strategy_block_bytes_ = mod3 == 1   ? options.short_block_bytes
-                            : mod3 == 2 ? options.long_block_bytes
+    strategy_block_bytes_ = mod3 == 1   ? kShortBlockBytes
+                            : mod3 == 2 ? kLongBlockBytes
                                         : 0;  // 0 = bulk, never pauses
-    off_gap_s_ = mod3 == 1 ? options.short_off_gap_s : options.long_off_gap_s;
+    off_gap_s_ = mod3 == 1 ? kShortOffGapS : kLongOffGapS;
     zero_window_blocks_ = mod3 == 1;
     burst_blocks_ = id % 6 == 5;
     rtt_s_ = 0.02 + 0.01 * static_cast<double>(id % 4);
-    t_ = options.start_spacing_s * static_cast<double>(id - 1);
-    data_dt_s_ = static_cast<double>(options.payload_bytes) * 8.0 / options.down_rate_bps;
+    t_ = start_spacing_s * static_cast<double>(id - 1);
+    data_dt_s_ = static_cast<double>(kPayloadBytes) * 8.0 / kDownRateBps;
     burst_dt_s_ = 20e-6;
     queue_handshake();
   }
@@ -107,9 +114,9 @@ class ConnectionScript {
     const double dt = burst ? burst_dt_s_ : data_dt_s_;
     for (int k = 0; k < 2; ++k) {
       const bool retransmission = data_packets_ != 0 && data_packets_ % 997 == 0;
-      push_down_data(t_, options_.payload_bytes, retransmission);
+      push_down_data(t_, kPayloadBytes, retransmission);
       ++data_packets_;
-      if (!retransmission) block_sent_ += options_.payload_bytes;
+      if (!retransmission) block_sent_ += kPayloadBytes;
       t_ += dt;
     }
     push_up_ack(t_ - dt / 2.0, advertised_window());
@@ -127,7 +134,6 @@ class ConnectionScript {
     }
   }
 
-  SyntheticCaptureOptions options_;
   std::uint64_t id_;
   std::uint64_t strategy_block_bytes_{0};
   double off_gap_s_{0.0};
@@ -151,7 +157,6 @@ class ConnectionScript {
 SyntheticCaptureSummary write_synthetic_capture(const std::string& path,
                                                 const SyntheticCaptureOptions& options) {
   VSTREAM_PRECONDITION(options.connections > 0, "synthetic capture needs >= 1 connection");
-  VSTREAM_PRECONDITION(options.down_rate_bps > 0.0, "synthetic capture needs a positive rate");
 
   constexpr std::uint64_t kDiskBytesPerRecord =
       wire::kRecordHeaderBytes + wire::kHeadersBytes;  // headers-only capture
@@ -164,7 +169,7 @@ SyntheticCaptureSummary write_synthetic_capture(const std::string& path,
   std::vector<ConnectionScript> scripts;
   scripts.reserve(options.connections);
   for (std::size_t c = 0; c < options.connections; ++c) {
-    scripts.emplace_back(static_cast<std::uint64_t>(c + 1), options);
+    scripts.emplace_back(static_cast<std::uint64_t>(c + 1), options.start_spacing_s);
   }
 
   // K-way merge on (next record time, connection index): scripts emit at

@@ -30,13 +30,6 @@ struct SyntheticCaptureOptions {
   /// Approximate on-disk size to generate; the writer stops at the record
   /// boundary that reaches it (each record is a fixed 70 bytes on disk).
   std::uint64_t target_file_bytes{16ULL << 20U};
-  /// Down-direction goodput during ON periods.
-  double down_rate_bps{8e6};
-  std::uint32_t payload_bytes{1448};
-  std::uint64_t short_block_bytes{256ULL * 1024U};
-  std::uint64_t long_block_bytes{4ULL * 1024U * 1024U};
-  double short_off_gap_s{2.0};
-  double long_off_gap_s{4.0};
   /// Stagger between successive connections' handshakes.
   double start_spacing_s{0.05};
 };

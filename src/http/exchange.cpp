@@ -32,7 +32,7 @@ HttpServer::HttpServer(tcp::Endpoint& endpoint, Handler handler)
 }
 
 void HttpServer::on_readable() {
-  // Drain request bytes; parsed requests arrive as tags.
+  // Drain request bytes; requests arrive as tags.
   auto result = endpoint_.read(UINT64_MAX);
   const MakeResponder make = [this](std::uint64_t body_length) {
     return std::make_shared<Responder>(endpoint_, body_length);

@@ -1,6 +1,6 @@
 // HTTP request/response exchange over a simulated TCP connection.
 //
-// `HttpServer` attaches to the server endpoint of a tcp::Connection, parses
+// `HttpServer` attaches to the server endpoint of a tcp::Connection, takes
 // incoming requests (delivered as tags) and hands each to a handler with a
 // `Responder` the handler uses to emit the response head and then body bytes
 // — possibly gradually, which is exactly how paced streaming servers work.
@@ -46,7 +46,7 @@ class HttpServer {
   /// length (e.g. the video size, or the requested range's length).
   using MakeResponder = std::function<std::shared_ptr<Responder>(std::uint64_t body_length)>;
 
-  /// `handler(request, make_responder)` is invoked per parsed request; the
+  /// `handler(request, make_responder)` is invoked per request; the
   /// handler constructs its responder and may keep it to pace the body.
   using Handler = std::function<void(const HttpRequest&, const MakeResponder&)>;
 

@@ -1,66 +1,11 @@
 #include "http/message.hpp"
 
-#include <charconv>
 #include <sstream>
-#include <stdexcept>
 
 namespace vstream::http {
 namespace {
 
 constexpr const char* kCrlf = "\r\n";
-
-std::uint64_t to_u64(std::string_view s, const char* what) {
-  std::uint64_t v{};
-  const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
-  if (ec != std::errc{} || ptr != s.data() + s.size()) {
-    throw std::invalid_argument{std::string{"http: bad number in "} + what};
-  }
-  return v;
-}
-
-std::string_view trim(std::string_view s) {
-  while (!s.empty() && (s.front() == ' ' || s.front() == '\t')) s.remove_prefix(1);
-  while (!s.empty() && (s.back() == ' ' || s.back() == '\t' || s.back() == '\r')) s.remove_suffix(1);
-  return s;
-}
-
-/// Split header block into lines; returns first line and fills headers.
-std::string parse_headers(const std::string& text,
-                          std::map<std::string, std::string>& headers) {
-  std::istringstream in{text};
-  std::string first;
-  if (!std::getline(in, first)) throw std::invalid_argument{"http: empty message"};
-  while (!first.empty() && first.back() == '\r') first.pop_back();
-
-  std::string line;
-  while (std::getline(in, line)) {
-    while (!line.empty() && line.back() == '\r') line.pop_back();
-    if (line.empty()) break;
-    const auto colon = line.find(':');
-    if (colon == std::string::npos) throw std::invalid_argument{"http: malformed header line"};
-    headers[std::string{trim(std::string_view{line}.substr(0, colon))}] =
-        std::string{trim(std::string_view{line}.substr(colon + 1))};
-  }
-  return first;
-}
-
-ByteRange parse_byte_range(std::string_view spec, const char* what) {
-  // Accept "bytes=start-end" (request) or "bytes start-end/total" (response).
-  const auto eq = spec.find('=');
-  const auto sp = spec.find(' ');
-  std::string_view rest = spec;
-  if (eq != std::string_view::npos) {
-    rest = spec.substr(eq + 1);
-  } else if (sp != std::string_view::npos) {
-    rest = spec.substr(sp + 1);
-  }
-  const auto slash = rest.find('/');
-  if (slash != std::string_view::npos) rest = rest.substr(0, slash);
-  const auto dash = rest.find('-');
-  if (dash == std::string_view::npos) throw std::invalid_argument{std::string{"http: bad "} + what};
-  return ByteRange{to_u64(trim(rest.substr(0, dash)), what),
-                   to_u64(trim(rest.substr(dash + 1)), what)};
-}
 
 }  // namespace
 
@@ -93,25 +38,6 @@ std::string HttpRequest::serialize() const {
 
 std::uint64_t HttpRequest::wire_size() const { return serialize().size(); }
 
-HttpRequest HttpRequest::parse(const std::string& text) {
-  HttpRequest req;
-  const std::string first = parse_headers(text, req.headers);
-  std::istringstream line{first};
-  std::string version;
-  if (!(line >> req.method >> req.target >> version) || version.rfind("HTTP/", 0) != 0) {
-    throw std::invalid_argument{"http: malformed request line"};
-  }
-  if (auto it = req.headers.find("Host"); it != req.headers.end()) {
-    req.host = it->second;
-    req.headers.erase(it);
-  }
-  if (auto it = req.headers.find("Range"); it != req.headers.end()) {
-    req.range = parse_byte_range(it->second, "Range");
-    req.headers.erase(it);
-  }
-  return req;
-}
-
 std::string HttpResponse::serialize() const {
   std::ostringstream out;
   out << "HTTP/1.1 " << status << ' ' << reason << kCrlf;
@@ -126,29 +52,5 @@ std::string HttpResponse::serialize() const {
 }
 
 std::uint64_t HttpResponse::wire_size() const { return serialize().size(); }
-
-HttpResponse HttpResponse::parse(const std::string& text) {
-  HttpResponse res;
-  const std::string first = parse_headers(text, res.headers);
-  std::istringstream line{first};
-  std::string version;
-  int status{};
-  if (!(line >> version >> status) || version.rfind("HTTP/", 0) != 0) {
-    throw std::invalid_argument{"http: malformed status line"};
-  }
-  res.status = status;
-  std::string reason;
-  std::getline(line, reason);
-  res.reason = std::string{trim(reason)};
-  if (auto it = res.headers.find("Content-Length"); it != res.headers.end()) {
-    res.content_length = to_u64(it->second, "Content-Length");
-    res.headers.erase(it);
-  }
-  if (auto it = res.headers.find("Content-Range"); it != res.headers.end()) {
-    res.content_range = parse_byte_range(it->second, "Content-Range");
-    res.headers.erase(it);
-  }
-  return res;
-}
 
 }  // namespace vstream::http

@@ -1,9 +1,8 @@
 // Minimal HTTP/1.1 message model.
 //
 // Requests and response heads are serialised to real header text (so sizes
-// on the wire are right and parsing is honest), transmitted as counted bytes
-// over the simulated TCP, and surfaced at the peer as tags carrying the
-// parsed message. Range requests are first-class: the iPad YouTube client
+// on the wire are right), transmitted as counted bytes over the simulated
+// TCP, and surfaced at the peer as tags carrying the message itself. Range requests are first-class: the iPad YouTube client
 // and Netflix fetch video as successive ranged GETs (paper §5.1.3, §5.2).
 #pragma once
 
@@ -34,8 +33,6 @@ struct HttpRequest {
   [[nodiscard]] std::string serialize() const;
   /// Number of bytes `serialize()` would produce.
   [[nodiscard]] std::uint64_t wire_size() const;
-
-  [[nodiscard]] static HttpRequest parse(const std::string& text);
 };
 
 struct HttpResponse {
@@ -47,8 +44,6 @@ struct HttpResponse {
 
   [[nodiscard]] std::string serialize() const;
   [[nodiscard]] std::uint64_t wire_size() const;
-
-  [[nodiscard]] static HttpResponse parse(const std::string& text);
 };
 
 [[nodiscard]] std::string reason_for_status(int status);

@@ -5,11 +5,19 @@
 
 namespace vstream::net {
 
+namespace {
+
+/// Bursts arrive as a Poisson process with this rate.
+constexpr double kBurstsPerS{20.0};
+/// Packet size of the competing traffic.
+constexpr std::uint32_t kPacketBytes{1460};
+
+}  // namespace
+
 CrossTraffic::CrossTraffic(sim::Simulator& sim, Link& link, Config config, sim::Rng rng)
     : sim_{sim}, link_{link}, config_{config}, rng_{rng} {
-  if (config_.mean_rate_bps <= 0.0 || config_.bursts_per_s <= 0.0 ||
-      config_.packet_bytes == 0) {
-    throw std::invalid_argument{"CrossTraffic: rates and packet size must be positive"};
+  if (config_.mean_rate_bps <= 0.0) {
+    throw std::invalid_argument{"CrossTraffic: mean rate must be positive"};
   }
 }
 
@@ -26,7 +34,7 @@ void CrossTraffic::stop() {
 
 void CrossTraffic::schedule_next() {
   if (!running_) return;
-  const double gap_s = rng_.exponential(config_.bursts_per_s);
+  const double gap_s = rng_.exponential(kBurstsPerS);
   next_ = sim_.schedule_after(sim::Duration::seconds(gap_s), [this] {
     inject_burst();
     schedule_next();
@@ -35,20 +43,20 @@ void CrossTraffic::schedule_next() {
 
 void CrossTraffic::inject_burst() {
   // Burst size chosen so mean_rate = bursts_per_s * E[burst_bytes] * 8.
-  const double mean_burst_bytes = config_.mean_rate_bps / 8.0 / config_.bursts_per_s;
-  const double mean_packets = std::max(1.0, mean_burst_bytes / config_.packet_bytes);
+  const double mean_burst_bytes = config_.mean_rate_bps / 8.0 / kBurstsPerS;
+  const double mean_packets = std::max(1.0, mean_burst_bytes / kPacketBytes);
   // Geometric-ish burst length via an exponential draw.
   const auto packets = static_cast<std::uint64_t>(
       std::ceil(rng_.exponential(1.0 / mean_packets)));
   for (std::uint64_t i = 0; i < packets; ++i) {
     TcpSegment filler;
     filler.connection_id = config_.connection_id;
-    filler.payload_bytes = config_.packet_bytes;
+    filler.payload_bytes = kPacketBytes;
     filler.flags = TcpFlag::kAck;
     // Offered regardless of queue state; drops are the point.
     if (link_.send(filler)) {
       ++packets_;
-      bytes_ += config_.packet_bytes;
+      bytes_ += kPacketBytes;
     }
   }
 }

@@ -22,10 +22,6 @@ class CrossTraffic {
   struct Config {
     /// Long-run average offered load in bits/s.
     double mean_rate_bps{10e6};
-    /// Bursts arrive as a Poisson process with this rate.
-    double bursts_per_s{20.0};
-    /// Packet size of the competing traffic.
-    std::uint32_t packet_bytes{1460};
     /// Connection id used to tag the packets (so analyses can exclude them).
     std::uint64_t connection_id{0xC0FFEE};
   };

@@ -114,11 +114,7 @@ void ChromeTraceWriter::add(const TraceEvent& event) {
               e.t_s);
     }
     void operator()(const SimLoopSample& e) const {
-      counter(kTidSim, "sim_loop",
-              json::Object{}
-                  .integer("pending", e.events_pending)
-                  .number("sim_wall_ratio", e.sim_wall_ratio, kDigits)
-                  .close(),
+      counter(kTidSim, "sim_loop", json::Object{}.integer("pending", e.events_pending).close(),
               e.t_s);
     }
     void operator()(const PacingBlockEmitted& e) const {
@@ -133,10 +129,6 @@ void ChromeTraceWriter::add(const TraceEvent& event) {
     void operator()(const PlayerInterrupt& e) const {
       instant(kTidPlayer, "interrupt",
               json::Object{}.number("watched_s", e.watched_s, kDigits).close(), e.t_s);
-    }
-    void operator()(const ZeroWindowEpisode&) const {
-      // Rendered by the retro-emitted "zero_window" span instead; keeping
-      // both would draw the episode twice.
     }
     void operator()(const LinkFault& e) const {
       instant(kTidLink, "fault_" + e.kind + (e.begin ? "_begin" : "_end"),

@@ -6,9 +6,8 @@
 // begin/end pairs on per-subsystem tracks, cwnd and sim-loop samples become
 // counter tracks, and the point probes (stalls, retries, fault edges,
 // pacing blocks) become instants. Sim-time seconds map to trace
-// microseconds. `ZeroWindowEpisode` point events are skipped — the
-// TCP endpoint retro-emits the same episode as a span, which renders as a
-// proper slice instead.
+// microseconds. A zero-window episode is only known when it ends, so the
+// TCP endpoint retro-emits it as a "zero_window" span.
 //
 // `ChromeTraceSink` plugs the writer into a `TraceBus` and writes the JSON
 // file once, on close() or destruction. Wire it up with the `--trace-out`

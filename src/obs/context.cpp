@@ -1,36 +1,18 @@
 #include "obs/context.hpp"
 
-// vstream-lint-file: allow(wall-clock): the loop monitor's whole job is to
-// compare simulated time against host wall time (sim.sim_wall_ratio); no
-// simulation decision ever depends on these reads.
-
 namespace vstream::obs {
 
 SimLoopMonitor::SimLoopMonitor(sim::Simulator& sim, sim::Duration period)
     : sim_{sim}, timer_{sim, period, [this] { sample(); }} {}
-
-void SimLoopMonitor::start() {
-  last_wall_ = std::chrono::steady_clock::now();
-  last_sim_ = sim_.now();
-  timer_.start();
-}
 
 void SimLoopMonitor::sample() {
   ObsContext* obs = sim_.obs();
   if (obs == nullptr) return;
   ++samples_;
 
-  const auto wall_now = std::chrono::steady_clock::now();
-  const double wall_dt = std::chrono::duration<double>(wall_now - last_wall_).count();
-  const double sim_dt = (sim_.now() - last_sim_).to_seconds();
-  last_wall_ = wall_now;
-  last_sim_ = sim_.now();
-  const double ratio = wall_dt > 0.0 ? sim_dt / wall_dt : 0.0;
-
   auto& reg = obs->metrics();
   reg.gauge("sim.events_pending_high_water")
       .set_max(static_cast<double>(sim_.max_events_pending()));
-  reg.gauge("sim.sim_wall_ratio").set(ratio);
   reg.counter("sim.loop_samples").inc();
 
   if (obs->trace().active()) {
@@ -39,7 +21,6 @@ void SimLoopMonitor::sample() {
     s.events_processed = sim_.events_processed();
     s.events_pending = sim_.events_pending();
     s.max_events_pending = sim_.max_events_pending();
-    s.sim_wall_ratio = ratio;
     obs->trace().emit(s);
   }
 }

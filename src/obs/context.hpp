@@ -5,7 +5,6 @@
 // own isolated instance.
 #pragma once
 
-#include <chrono>
 #include <memory>
 
 #include "obs/metrics.hpp"
@@ -56,15 +55,15 @@ inline void emit_span(const sim::Simulator& sim, double t_begin_s, SpanCategory 
 }
 
 /// Samples simulator-loop health on a fixed sim-time period: events
-/// processed, queue depth (current and high water) and the sim-time /
-/// wall-time ratio since the previous sample. Each sample updates the
-/// registry gauges `sim.events_pending_high_water` and `sim.sim_wall_ratio`
-/// and, when a sink listens, emits a `SimLoopSample`.
+/// processed and queue depth (current and high water). Each sample updates
+/// the registry gauge `sim.events_pending_high_water` and, when a sink
+/// listens, emits a `SimLoopSample`. It reads no host clock, so a traced
+/// world writes the same trace on every run.
 class SimLoopMonitor {
  public:
   SimLoopMonitor(sim::Simulator& sim, sim::Duration period);
 
-  void start();
+  void start() { timer_.start(); }
   void stop() { timer_.stop(); }
 
   [[nodiscard]] std::uint64_t samples() const { return samples_; }
@@ -74,8 +73,6 @@ class SimLoopMonitor {
 
   sim::Simulator& sim_;
   sim::PeriodicTimer timer_;
-  std::chrono::steady_clock::time_point last_wall_;  // vstream-lint: allow(wall-clock): sim-vs-wall speed telemetry only
-  sim::SimTime last_sim_{};
   std::uint64_t samples_{0};
 };
 

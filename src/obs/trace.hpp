@@ -38,7 +38,6 @@ struct SimLoopSample {
   std::uint64_t events_processed{0};
   std::uint64_t events_pending{0};
   std::uint64_t max_events_pending{0};  ///< queue-depth high water so far
-  double sim_wall_ratio{0.0};           ///< sim seconds per wall second since last sample
 };
 
 /// A server pacing discipline pushed one block (or the initial burst).
@@ -59,15 +58,6 @@ struct PlayerStall {
 struct PlayerInterrupt {
   double t_s{0.0};
   double watched_s{0.0};
-};
-
-/// A receiver's advertised window sat at zero from `t_s - duration_s` to
-/// `t_s` (episode emitted when the window reopens).
-struct ZeroWindowEpisode {
-  double t_s{0.0};
-  std::uint64_t connection_id{0};
-  std::string endpoint;
-  double duration_s{0.0};
 };
 
 /// An impairment window opened (`begin`) or closed on a link (fault
@@ -105,8 +95,7 @@ struct SpanRecord {
 };
 
 using TraceEvent = std::variant<TcpCwndSample, SimLoopSample, PacingBlockEmitted, PlayerStall,
-                                PlayerInterrupt, ZeroWindowEpisode, LinkFault, FetchRetry,
-                                SpanRecord>;
+                                PlayerInterrupt, LinkFault, FetchRetry, SpanRecord>;
 
 class TraceSink {
  public:

@@ -4,6 +4,17 @@
 
 namespace vstream::streaming {
 
+namespace {
+
+/// Only shift up when at least this much content is buffered.
+constexpr double kUpshiftBufferS{20.0};
+/// Shift down as soon as the buffer falls below this.
+constexpr double kDownshiftBufferS{8.0};
+/// EWMA weight of the newest throughput sample.
+constexpr double kEwmaAlpha{0.3};
+
+}  // namespace
+
 AdaptiveRateController::AdaptiveRateController(Config config) : config_{std::move(config)} {
   if (config_.ladder_bps.empty()) {
     throw std::invalid_argument{"AdaptiveRateController: empty ladder"};
@@ -13,9 +24,6 @@ AdaptiveRateController::AdaptiveRateController(Config config) : config_{std::mov
   }
   if (config_.safety_factor <= 0.0 || config_.safety_factor > 1.0) {
     throw std::invalid_argument{"AdaptiveRateController: safety factor in (0,1]"};
-  }
-  if (config_.ewma_alpha <= 0.0 || config_.ewma_alpha > 1.0) {
-    throw std::invalid_argument{"AdaptiveRateController: ewma alpha in (0,1]"};
   }
 }
 
@@ -38,15 +46,15 @@ bool AdaptiveRateController::on_block(double bytes, double transfer_s, double bu
   const double sample = bytes * 8.0 / transfer_s;
   ewma_bps_ = ewma_bps_ <= 0.0
                   ? sample
-                  : (1.0 - config_.ewma_alpha) * ewma_bps_ + config_.ewma_alpha * sample;
+                  : (1.0 - kEwmaAlpha) * ewma_bps_ + kEwmaAlpha * sample;
 
   // An almost-dry buffer is an emergency: trust the newest sample rather
   // than waiting for the smoothed estimate to decay.
-  const bool panic = buffer_s < config_.downshift_buffer_s;
+  const bool panic = buffer_s < kDownshiftBufferS;
   const double estimate = panic ? std::min(ewma_bps_, sample) : ewma_bps_;
   const std::size_t target = best_index_for(estimate);
   std::size_t next = index_;
-  if (target > index_ && buffer_s >= config_.upshift_buffer_s) {
+  if (target > index_ && buffer_s >= kUpshiftBufferS) {
     next = index_ + 1;  // conservative: one rung at a time
   } else if (target < index_) {
     // Panic: jump straight to the sustainable rate; otherwise step down.

@@ -19,12 +19,6 @@ class AdaptiveRateController {
     std::vector<double> ladder_bps;  ///< ascending encoding rates
     /// Use at most this fraction of the measured throughput.
     double safety_factor{0.8};
-    /// Only shift up when at least this much content is buffered.
-    double upshift_buffer_s{20.0};
-    /// Shift down as soon as the buffer falls below this.
-    double downshift_buffer_s{8.0};
-    /// EWMA weight of the newest throughput sample.
-    double ewma_alpha{0.3};
   };
 
   explicit AdaptiveRateController(Config config);

@@ -2,6 +2,14 @@
 
 namespace vstream::streaming {
 
+namespace {
+
+constexpr std::uint8_t kHost{1};  ///< server tag for the aux connections
+constexpr double kAssetBytesMin{20 * 1024};
+constexpr double kAssetBytesMax{300 * 1024};
+
+}  // namespace
+
 AuxiliaryTraffic::AuxiliaryTraffic(sim::Simulator& sim, tcp::Fabric& fabric, Config config,
                                    sim::Rng rng)
     : sim_{sim}, fabric_{fabric}, config_{config}, rng_{rng} {}
@@ -10,10 +18,9 @@ void AuxiliaryTraffic::start() {
   const auto assets = static_cast<std::uint32_t>(rng_.uniform_int(
       config_.asset_count_min, config_.asset_count_max));
   for (std::uint32_t i = 0; i < assets; ++i) {
-    const auto bytes = static_cast<std::uint64_t>(rng_.uniform(
-        static_cast<double>(config_.asset_bytes_min),
-        static_cast<double>(config_.asset_bytes_max)));
-    open_asset(bytes, rng_.uniform(0.0, config_.start_spread_s));
+    const auto bytes =
+        static_cast<std::uint64_t>(rng_.uniform(kAssetBytesMin, kAssetBytesMax));
+    open_asset(bytes, rng_.uniform(0.0, kStartSpreadS));
   }
   if (config_.beacon_period_s > 0.0) open_beacon_channel();
 }
@@ -28,7 +35,7 @@ void AuxiliaryTraffic::open_asset(std::uint64_t bytes, double delay_s) {
   sim_.schedule_after(sim::Duration::seconds(delay_s), [this, bytes] {
     --pending_opens_;
     if (stopped_) return;
-    auto& conn = fabric_.create_connection({}, {}, config_.host);
+    auto& conn = fabric_.create_connection({}, {}, kHost);
     ++connections_;
     // Static asset server: serve `bytes` per request, whatever the target.
     servers_.push_back(std::make_unique<http::HttpServer>(
@@ -58,7 +65,7 @@ void AuxiliaryTraffic::open_asset(std::uint64_t bytes, double delay_s) {
 }
 
 void AuxiliaryTraffic::open_beacon_channel() {
-  auto& conn = fabric_.create_connection({}, {}, config_.host);
+  auto& conn = fabric_.create_connection({}, {}, kHost);
   ++connections_;
   beacon_conn_ = &conn;
   const std::uint64_t reply = config_.beacon_bytes;

@@ -24,13 +24,12 @@ namespace vstream::streaming {
 
 class AuxiliaryTraffic {
  public:
+  /// Assets start within [0, spread).
+  static constexpr double kStartSpreadS{2.0};
+
   struct Config {
-    std::uint8_t host{1};            ///< server tag for the aux connections
     std::uint32_t asset_count_min{2};
     std::uint32_t asset_count_max{4};
-    std::uint64_t asset_bytes_min{20 * 1024};
-    std::uint64_t asset_bytes_max{300 * 1024};
-    double start_spread_s{2.0};      ///< assets start within [0, spread)
     /// Analytics beacon: small request/response every period; 0 disables.
     double beacon_period_s{30.0};
     std::uint64_t beacon_bytes{2 * 1024};

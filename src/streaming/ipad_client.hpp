@@ -7,7 +7,6 @@
 // rate — a *combination* of strategies ("Multiple" in Table 1).
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 
 #include "streaming/fetch.hpp"
@@ -18,21 +17,6 @@ class IpadYouTubeClient {
  public:
   struct Config {
     std::uint64_t initial_buffer_bytes{10 * 1024 * 1024};
-    std::uint64_t buffering_chunk_bytes{8 * 1024 * 1024};
-    /// Steady-state block carries this much playback time; the byte size
-    /// therefore scales with the encoding rate (Fig 7b).
-    double block_playback_s{3.5};
-    std::uint64_t min_block_bytes{64 * 1024};
-    std::uint64_t max_block_bytes{8 * 1024 * 1024};
-    double accumulation_ratio{1.2};
-    /// Every this-many steady cycles the client re-buffers with one large
-    /// chunk instead of a paced block — the "periodic buffering followed by
-    /// short ON-OFF cycles" pattern of the paper's Video1 (Fig 7a).
-    std::uint32_t rebuffer_every_cycles{8};
-    std::uint64_t rebuffer_chunk_bytes{6 * 1024 * 1024};
-    /// Below this encoding rate the client behaves like the paper's Video2:
-    /// one persistent connection, plain short cycles, no re-buffering.
-    double single_connection_below_bps{0.5e6};
   };
 
   IpadYouTubeClient(sim::Simulator& sim, FetchManager& fetches, const video::VideoMeta& video,

@@ -7,35 +7,39 @@
 
 namespace vstream::streaming {
 
+namespace {
+
+/// Steady-state blocks arrive at this multiple of the selected encoding
+/// rate, on every platform (Section 5.2).
+constexpr double kAccumulationRatio{1.2};
+/// Fraction of the access bandwidth the rate selector may use.
+constexpr double kTargetRateFraction{0.75};
+
+}  // namespace
+
 NetflixClient::Profile NetflixClient::Profile::pc() {
   Profile p;
-  p.name = "PC";
   p.ladder_bps = video::netflix_rate_ladder();
   p.buffering_fragment_s = 40.0;  // ~50 MB across the six-rate ladder
   p.steady_block_bytes = 2 * 1024 * 1024;
-  p.accumulation_ratio = 1.2;
   p.fresh_connection_per_block = true;
   return p;
 }
 
 NetflixClient::Profile NetflixClient::Profile::ipad() {
   Profile p;
-  p.name = "iPad";
   p.ladder_bps = video::netflix_ipad_ladder();
   p.buffering_fragment_s = 40.0;  // ~10 MB across the reduced ladder
   p.steady_block_bytes = 2 * 1024 * 1024;
-  p.accumulation_ratio = 1.2;
   p.fresh_connection_per_block = true;
   return p;
 }
 
 NetflixClient::Profile NetflixClient::Profile::android() {
   Profile p;
-  p.name = "Android";
   p.ladder_bps = video::netflix_rate_ladder();
   p.buffering_fragment_s = 33.0;  // ~40 MB
   p.steady_block_bytes = 5 * 1024 * 1024;  // long ON-OFF cycles
-  p.accumulation_ratio = 1.2;
   p.fresh_connection_per_block = false;  // one reused connection
   return p;
 }
@@ -55,14 +59,14 @@ NetflixClient::NetflixClient(sim::Simulator& sim, FetchManager& fetches,
   // allowed fraction of the access bandwidth, falling back to the lowest.
   selected_rate_bps_ = profile_.ladder_bps.front();
   for (const double r : profile_.ladder_bps) {
-    if (r <= profile_.target_rate_fraction * access_bandwidth_bps) {
+    if (r <= kTargetRateFraction * access_bandwidth_bps) {
       selected_rate_bps_ = std::max(selected_rate_bps_, r);
     }
   }
   if (profile_.adaptive) {
     AdaptiveRateController::Config acfg;
     acfg.ladder_bps = profile_.ladder_bps;
-    acfg.safety_factor = profile_.target_rate_fraction;
+    acfg.safety_factor = kTargetRateFraction;
     controller_.emplace(acfg);
     controller_->seed(access_bandwidth_bps);
     selected_rate_bps_ = controller_->current_rate_bps();
@@ -71,7 +75,7 @@ NetflixClient::NetflixClient(sim::Simulator& sim, FetchManager& fetches,
 }
 
 void NetflixClient::update_cycle_period() {
-  const double steady_rate = profile_.accumulation_ratio * selected_rate_bps_;
+  const double steady_rate = kAccumulationRatio * selected_rate_bps_;
   const double cycle_s = static_cast<double>(profile_.steady_block_bytes) * 8.0 / steady_rate;
   cycle_timer_.set_period(sim::Duration::seconds(cycle_s));
 }

@@ -12,7 +12,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "streaming/adaptive.hpp"
@@ -23,14 +22,10 @@ namespace vstream::streaming {
 class NetflixClient {
  public:
   struct Profile {
-    std::string name;
     std::vector<double> ladder_bps;
     double buffering_fragment_s{40.0};   ///< seconds of content per ladder rate
     std::uint64_t steady_block_bytes{2 * 1024 * 1024};
-    double accumulation_ratio{1.2};
     bool fresh_connection_per_block{true};
-    /// Fraction of the access bandwidth the rate selector may use.
-    double target_rate_fraction{0.75};
     /// Extension: adapt the rate mid-stream from per-block throughput
     /// measurements (the paper models a fixed selection).
     bool adaptive{false};

@@ -8,8 +8,15 @@
 
 namespace vstream::streaming {
 
+namespace {
+
+/// Granularity of the playback clock.
+constexpr sim::Duration kTick{sim::Duration::millis(100)};
+
+}  // namespace
+
 Player::Player(sim::Simulator& sim, PlayerConfig config)
-    : sim_{sim}, config_{config}, clock_{sim, config.tick, [this] { tick(); }} {
+    : sim_{sim}, config_{config}, clock_{sim, kTick, [this] { tick(); }} {
   if (config_.encoding_bps <= 0.0) throw std::invalid_argument{"Player: bad encoding rate"};
   if (config_.duration_s <= 0.0) throw std::invalid_argument{"Player: bad duration"};
   if (config_.watch_fraction.has_value() &&
@@ -76,7 +83,7 @@ void Player::interrupt() {
 
 void Player::tick() {
   if (done_) return;
-  const double dt = config_.tick.to_seconds();
+  const double dt = kTick.to_seconds();
   if (!playing_) {
     // Rebuffering after a stall counts as stall time; the initial startup
     // wait does not.
@@ -112,7 +119,7 @@ void Player::tick() {
   // downloaded would make it (conceptually) negative.
   VSTREAM_INVARIANT(stats_.consumed_bytes <= stats_.downloaded_bytes,
                     "player consumed bytes it never downloaded — buffer went negative");
-  VSTREAM_INVARIANT(stats_.watched_s <= config_.duration_s + config_.tick.to_seconds(),
+  VSTREAM_INVARIANT(stats_.watched_s <= config_.duration_s + kTick.to_seconds(),
                     "player watched past the end of the video");
 
   if (config_.watch_fraction.has_value() &&

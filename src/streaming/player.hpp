@@ -30,8 +30,6 @@ struct PlayerConfig {
   /// Fraction of the video after which the viewer loses interest and
   /// interrupts (beta in the paper's model); absent = watch to the end.
   std::optional<double> watch_fraction;
-  /// Granularity of the playback clock.
-  sim::Duration tick{sim::Duration::millis(100)};
 };
 
 struct PlayerStats {

@@ -133,20 +133,9 @@ void Endpoint::note_advertised_window(std::uint64_t window_bytes) {
   if (window_bytes == 0 && !advertising_zero_window_) {
     advertising_zero_window_ = true;
     zero_window_since_ = sim_.now();
-    ++stats_.zero_window_episodes;
     if (ctr_zero_window_episodes_ != nullptr) ctr_zero_window_episodes_->inc();
   } else if (window_bytes > 0 && advertising_zero_window_) {
     advertising_zero_window_ = false;
-    const double duration_s = (sim_.now() - zero_window_since_).to_seconds();
-    stats_.zero_window_total_s += duration_s;
-    if (obs::ObsContext* obs = sim_.obs(); obs != nullptr && obs->trace().active()) {
-      obs::ZeroWindowEpisode e;
-      e.t_s = sim_.now().to_seconds();
-      e.connection_id = connection_id_;
-      e.endpoint = label_;
-      e.duration_s = duration_s;
-      obs->trace().emit(e);
-    }
     // The episode is only known at its end: retro-emit it as a span so the
     // timeline exporter renders a proper slice.
     obs::emit_span(sim_, zero_window_since_.to_seconds(), obs::SpanCategory::kTcp, "zero_window",
@@ -811,10 +800,6 @@ void Endpoint::handle_data(const TcpSegment& segment) {
   // drain is reflected in the advertised window the ACK carries.
   if (became_readable && on_readable_) on_readable_();
   schedule_ack(immediate_ack);
-  if (peer_fin_delivered_ && !peer_fin_notified_) {
-    peer_fin_notified_ = true;
-    if (on_peer_fin_) on_peer_fin_();
-  }
 }
 
 void Endpoint::insert_out_of_order(std::uint64_t seq, std::uint64_t len) {

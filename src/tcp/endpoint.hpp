@@ -100,8 +100,6 @@ class Endpoint {
   // ---- callbacks ----
   void set_on_established(std::function<void()> cb) { on_established_ = std::move(cb); }
   void set_on_readable(std::function<void()> cb) { on_readable_ = std::move(cb); }
-  /// Fired when the peer's FIN is received (stream fully delivered).
-  void set_on_peer_fin(std::function<void()> cb) { on_peer_fin_ = std::move(cb); }
 
   // ---- introspection ----
   [[nodiscard]] TcpState state() const { return state_; }
@@ -223,7 +221,6 @@ class Endpoint {
   std::uint64_t total_read_{0};
   std::optional<std::uint64_t> peer_fin_seq_;
   bool peer_fin_delivered_{false};
-  bool peer_fin_notified_{false};
   std::uint64_t peer_wnd_{0};
   bool peer_wnd_seen_{false};
 
@@ -254,7 +251,6 @@ class Endpoint {
 
   std::function<void()> on_established_;
   std::function<void()> on_readable_;
-  std::function<void()> on_peer_fin_;
 };
 
 }  // namespace vstream::tcp

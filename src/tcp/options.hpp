@@ -47,14 +47,6 @@ struct TcpStats {
   std::uint64_t dup_acks_received{0};
   double last_srtt_s{0.0};
 
-  /// Receive-side flow-control starvation: episodes where this endpoint's
-  /// advertised window collapsed to zero (one per contiguous run of
-  /// zero-window advertisements on the wire) and the total time spent
-  /// there. Matches what `analysis::count_zero_window_episodes` derives
-  /// from a loss-free capture, but without any trace re-parsing.
-  std::uint64_t zero_window_episodes{0};
-  double zero_window_total_s{0.0};
-
   [[nodiscard]] double retransmission_fraction() const {
     const auto total = bytes_sent + bytes_retransmitted;
     return total == 0 ? 0.0

@@ -102,7 +102,7 @@ TEST(AuxiliaryTest, GeneratorProducesBoundedTraffic) {
   early.start();
   early.stop();
   EXPECT_FALSE(early.idle());
-  sim.run_until(sim.now() + sim::Duration::seconds(cfg.start_spread_s));
+  sim.run_until(sim.now() + sim::Duration::seconds(streaming::AuxiliaryTraffic::kStartSpreadS));
   EXPECT_TRUE(early.idle());
   EXPECT_EQ(early.connections_opened(), 0U);
 }

@@ -13,7 +13,7 @@ namespace {
 
 using sim::SimTime;
 
-TEST(HttpMessageTest, RequestSerializeParseRoundTrip) {
+TEST(HttpMessageTest, RequestSerializesRangeAndHeaders) {
   HttpRequest req;
   req.method = "GET";
   req.target = "/videoplayback?id=abc";
@@ -25,15 +25,8 @@ TEST(HttpMessageTest, RequestSerializeParseRoundTrip) {
   EXPECT_NE(text.find("GET /videoplayback?id=abc HTTP/1.1\r\n"), std::string::npos);
   EXPECT_NE(text.find("Range: bytes=100-999\r\n"), std::string::npos);
   EXPECT_NE(text.find("Host: cdn.example.com\r\n"), std::string::npos);
+  EXPECT_NE(text.find("User-Agent: vstream/1.0\r\n"), std::string::npos);
   EXPECT_EQ(text.substr(text.size() - 4), "\r\n\r\n");
-
-  const HttpRequest parsed = HttpRequest::parse(text);
-  EXPECT_EQ(parsed.method, "GET");
-  EXPECT_EQ(parsed.target, "/videoplayback?id=abc");
-  EXPECT_EQ(parsed.host, "cdn.example.com");
-  ASSERT_TRUE(parsed.range.has_value());
-  EXPECT_EQ(*parsed.range, (ByteRange{100, 999}));
-  EXPECT_EQ(parsed.headers.at("User-Agent"), "vstream/1.0");
 }
 
 TEST(HttpMessageTest, WireSizeMatchesSerialization) {
@@ -45,7 +38,7 @@ TEST(HttpMessageTest, WireSizeMatchesSerialization) {
   EXPECT_EQ(res.wire_size(), res.serialize().size());
 }
 
-TEST(HttpMessageTest, ResponseSerializeParseRoundTrip) {
+TEST(HttpMessageTest, ResponseSerializesContentRangeAndHeaders) {
   HttpResponse res;
   res.status = 206;
   res.reason = reason_for_status(206);
@@ -56,27 +49,14 @@ TEST(HttpMessageTest, ResponseSerializeParseRoundTrip) {
   const std::string text = res.serialize();
   EXPECT_NE(text.find("HTTP/1.1 206 Partial Content\r\n"), std::string::npos);
   EXPECT_NE(text.find("Content-Length: 65536\r\n"), std::string::npos);
-  EXPECT_NE(text.find("Content-Range: bytes 0-65535/*"), std::string::npos);
-
-  const HttpResponse parsed = HttpResponse::parse(text);
-  EXPECT_EQ(parsed.status, 206);
-  EXPECT_EQ(parsed.content_length, 65536U);
-  ASSERT_TRUE(parsed.content_range.has_value());
-  EXPECT_EQ(parsed.content_range->length(), 65536U);
-  EXPECT_EQ(parsed.headers.at("Content-Type"), "video/webm");
+  EXPECT_NE(text.find("Content-Range: bytes 0-65535/*\r\n"), std::string::npos);
+  EXPECT_NE(text.find("Content-Type: video/webm\r\n"), std::string::npos);
+  EXPECT_EQ(text.substr(text.size() - 4), "\r\n\r\n");
 }
 
 TEST(HttpMessageTest, ByteRangeLength) {
   EXPECT_EQ((ByteRange{0, 0}).length(), 1U);
   EXPECT_EQ((ByteRange{100, 199}).length(), 100U);
-}
-
-TEST(HttpMessageTest, ParseRejectsGarbage) {
-  EXPECT_THROW((void)HttpRequest::parse(""), std::invalid_argument);
-  EXPECT_THROW((void)HttpRequest::parse("NOT A REQUEST\r\n\r\n"), std::invalid_argument);
-  EXPECT_THROW((void)HttpResponse::parse("HTTP/1.1\r\n\r\n"), std::invalid_argument);
-  EXPECT_THROW((void)HttpRequest::parse("GET / HTTP/1.1\r\nBadHeader\r\n\r\n"),
-               std::invalid_argument);
 }
 
 TEST(HttpMessageTest, ReasonStrings) {

@@ -121,7 +121,7 @@ TEST(ObsMetricsTest, SnapshotJsonIsExact) {
   reg.counter("tcp.segments_sent").inc(1234);
   reg.counter("net.drops_queue").inc(7);
   reg.gauge("net.queue_high_water_bytes").set(65536.0);
-  reg.gauge("sim.sim_wall_ratio").set(0.1);
+  reg.gauge("net.useful_share").set(0.1);
   auto& h = reg.histogram("server.block_bytes", {1024.0, 65536.0});
   h.observe(800.0);
   h.observe(65536.0);
@@ -132,7 +132,7 @@ TEST(ObsMetricsTest, SnapshotJsonIsExact) {
   EXPECT_EQ(reg.snapshot().to_json(),
             "{\"counters\":{\"net.drops_queue\":7,\"tcp.segments_sent\":1234},"
             "\"gauges\":{\"net.queue_high_water_bytes\":65536,"
-            "\"sim.sim_wall_ratio\":0.10000000000000001},"
+            "\"net.useful_share\":0.10000000000000001},"
             "\"histograms\":{\"server.block_bytes\":{\"bounds\":[1024,65536],"
             "\"counts\":[1,1,1],\"count\":3,\"sum\":1066336,\"p50\":33280,"
             "\"p90\":65536,\"p99\":65536}}}");
@@ -267,15 +267,12 @@ TEST(ObsIntegrationTest, TcpStatsZeroWindowEpisodesMatchTraceAnalysis) {
 
   const auto trace = w.recorder->take();
   const std::size_t from_trace = analysis::count_zero_window_episodes(trace);
-  const auto& stats = conn.client().stats();
 
   // The throttling client must actually have closed its window.
   ASSERT_GT(from_trace, 0u);
-  // Endpoint-side live stats, registry counter and offline trace analysis
-  // all agree on a loss-free path (every transmitted segment is captured).
-  EXPECT_EQ(stats.zero_window_episodes, from_trace);
+  // The endpoint's registry counter and offline trace analysis agree on a
+  // loss-free path (every transmitted segment is captured).
   EXPECT_EQ(w.obs.metrics().counter("tcp.zero_window_episodes").value(), from_trace);
-  EXPECT_GT(stats.zero_window_total_s, 0.0);
 }
 
 TEST(ObsIntegrationTest, NoSinkProbesStillMaintainCounters) {

@@ -19,14 +19,6 @@
 namespace vstream::runner {
 namespace {
 
-/// Canonicalize a metrics snapshot for cross-run comparison: drop the one
-/// gauge derived from host wall time (sim-seconds per wall-second), which
-/// measures machine speed, not simulation behaviour. Everything else is a
-/// deterministic function of the session's seed.
-std::string deterministic_json(obs::MetricsSnapshot snapshot) {
-  snapshot.gauges.erase("sim.sim_wall_ratio");
-  return snapshot.to_json();
-}
 
 /// A small but real sweep: distinct seeds and containers so the sessions
 /// differ from each other, captures kept short so the test stays fast.
@@ -332,7 +324,7 @@ TEST(ParallelSweepTest, SessionResultsIdenticalAcrossWorkerCounts) {
       EXPECT_EQ(parallel[i].sim_max_events_pending, serial[i].sim_max_events_pending);
       EXPECT_EQ(parallel[i].trace.packets.size(), serial[i].trace.packets.size());
       EXPECT_EQ(parallel[i].encoding_bps_estimated, serial[i].encoding_bps_estimated);
-      EXPECT_EQ(deterministic_json(parallel[i].metrics), deterministic_json(serial[i].metrics));
+      EXPECT_EQ(parallel[i].metrics.to_json(), serial[i].metrics.to_json());
     }
   }
 }
@@ -342,7 +334,7 @@ TEST(ParallelSweepTest, MetricsMergeEqualsSerial) {
   const auto merge_all = [](const std::vector<streaming::SessionResult>& results) {
     obs::MetricsSnapshot merged;
     for (const auto& r : results) merged.merge_from(r.metrics);
-    return deterministic_json(std::move(merged));
+    return merged.to_json();
   };
   // The merge itself is serial on the caller's thread; with per-session
   // snapshots identical across worker counts, the merged rollup is too.

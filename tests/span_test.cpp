@@ -269,7 +269,7 @@ TEST(ChromeTraceTest, SpanRendersAsGoldenAsyncPair) {
   EXPECT_EQ(writer.to_json(), expected);
 }
 
-TEST(ChromeTraceTest, PointProbesRenderAndZeroWindowIsSkipped) {
+TEST(ChromeTraceTest, PointProbesRender) {
   ChromeTraceWriter writer;
   TcpCwndSample cwnd;
   cwnd.t_s = 1.0;
@@ -282,11 +282,6 @@ TEST(ChromeTraceTest, PointProbesRenderAndZeroWindowIsSkipped) {
   abandon.attempt = 5;
   abandon.gave_up = true;
   writer.add(TraceEvent{abandon});
-  EXPECT_EQ(writer.rows(), 3u);
-
-  // The zero-window point probe is rendered by its retro-emitted span
-  // instead; the writer must drop it rather than draw the episode twice.
-  writer.add(TraceEvent{ZeroWindowEpisode{4.0, 3, "client#3", 0.5}});
   EXPECT_EQ(writer.rows(), 3u);
 
   const std::string json = writer.to_json();
@@ -398,6 +393,28 @@ TEST(SpanDeterminismTest, ArmedRunFingerprintsIdenticallyToUnobserved) {
   EXPECT_EQ(unobserved, armed);
   EXPECT_GT(armed.sim_events, 0u);
   EXPECT_GT(armed.bytes_downloaded, 0u);
+}
+
+TEST(SpanDeterminismTest, TracedRunsWriteByteIdenticalChromeJson) {
+  // No world reads the host clock, so the whole Chrome trace (spans, cwnd
+  // and sim-loop counters, instants) is a function of the config alone.
+  const auto config = streaming::canonical_scenarios(30.0).front().config;
+  const auto traced_json = [&config](const std::string& name) {
+    const std::string path = ::testing::TempDir() + name;
+    {
+      ChromeTraceSink sink{path};
+      (void)streaming::SessionBuilder{config}.trace_sink(&sink).run();
+      EXPECT_TRUE(sink.close());
+    }
+    std::ifstream in{path};
+    std::string content{std::istreambuf_iterator<char>{in}, std::istreambuf_iterator<char>{}};
+    std::remove(path.c_str());
+    return content;
+  };
+  const std::string first = traced_json("chrome_trace_twin_a.json");
+  const std::string second = traced_json("chrome_trace_twin_b.json");
+  EXPECT_NE(first.find("\"sim_loop\""), std::string::npos) << "no sim-loop sample traced";
+  EXPECT_EQ(first, second);
 }
 
 }  // namespace

@@ -133,16 +133,14 @@ TEST(TcpStressTest, TinyReceiveBufferStillCompletes) {
 TEST(TcpStressTest, FinDeliveredUnderLoss) {
   Harness h{profile_with(0.02, 3.0), 11};
   auto& conn = h.fabric.create_connection({}, {});
-  bool eof_seen = false;
   conn.client().set_on_established([&] {
     conn.server().send(200'000);
     conn.server().close();
   });
   conn.client().set_on_readable([&] { (void)conn.client().read(UINT64_MAX); });
-  conn.client().set_on_peer_fin([&] { eof_seen = true; });
   conn.open();
   h.sim.run_until(SimTime::from_seconds(300.0));
-  EXPECT_TRUE(eof_seen);
+  EXPECT_TRUE(conn.client().at_eof());
   EXPECT_EQ(conn.client().total_read(), 200'000U);
   EXPECT_EQ(conn.server().state(), TcpState::kFinished);
 }

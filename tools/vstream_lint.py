@@ -49,10 +49,8 @@ Rules (all scoped to C++ sources):
   run-session  no direct streaming::run_session calls in examples/ — example
                scenarios go through the builder APIs (TopologyBuilder for
                multi-session worlds, SessionBuilder for one private world),
-               which validate before running. The documented legacy
-               single-session entry points (DESIGN.md §15) are exempt:
-               examples/quickstart.cpp and examples/strategy_explorer.cpp.
-               Scope: examples/ only.
+               which validate before running. Scope: examples/ only, with
+               no exemptions.
   runner-layering
                no #include "streaming/..." in the sweep pool or profiler:
                worlds enter the runner through session_sweep/topology_sweep.
@@ -174,8 +172,7 @@ RULES = {
     ),
     "run-session": (
         re.compile(r"\brun_session\s*\("),
-        "direct run_session in examples/; use TopologyBuilder / SessionBuilder — the documented "
-        "legacy single-session entry points are quickstart.cpp and strategy_explorer.cpp",
+        "direct run_session in examples/; use TopologyBuilder / SessionBuilder",
         ("examples",),
     ),
 }
@@ -204,14 +201,6 @@ RULE_EXEMPT_PREFIXES = {
     "json-codec": (
         ("src", "obs", "json.hpp"),
         ("src", "obs", "json.cpp"),
-    ),
-    # The two documented legacy single-session entry points (DESIGN.md §15):
-    # quickstart is the canonical smallest private-world example, and
-    # strategy_explorer's single-run mode feeds one traced world to the
-    # analysis stack. Everything else in examples/ goes through builders.
-    "run-session": (
-        ("examples", "quickstart.cpp"),
-        ("examples", "strategy_explorer.cpp"),
     ),
 }
 
