@@ -2,8 +2,9 @@
 //
 // Requests and response heads are serialised to real header text (so sizes
 // on the wire are right), transmitted as counted bytes over the simulated
-// TCP, and surfaced at the peer as tags carrying the message itself. Range requests are first-class: the iPad YouTube client
-// and Netflix fetch video as successive ranged GETs (paper §5.1.3, §5.2).
+// TCP, and surfaced at the peer as tags carrying the message itself. Range
+// requests are first-class: the iPad YouTube client and Netflix fetch video
+// as successive ranged GETs (paper §5.1.3, §5.2).
 #pragma once
 
 #include <cstdint>

@@ -42,7 +42,7 @@ void CrossTraffic::schedule_next() {
 }
 
 void CrossTraffic::inject_burst() {
-  // Burst size chosen so mean_rate = bursts_per_s * E[burst_bytes] * 8.
+  // Burst size chosen so mean_rate = kBurstsPerS * E[burst_bytes] * 8.
   const double mean_burst_bytes = config_.mean_rate_bps / 8.0 / kBurstsPerS;
   const double mean_packets = std::max(1.0, mean_burst_bytes / kPacketBytes);
   // Geometric-ish burst length via an exponential draw.

@@ -12,8 +12,8 @@
 // This file (and its .cpp) is the only simulation-adjacent code allowed to
 // read the wall clock: everything inside a session world runs on sim-time,
 // and tools/vstream_lint.py pins std::chrono usage to exactly this pair of
-// files. Profiling never touches a
-// Simulator, an RNG, or a digest — arming it cannot perturb a run.
+// files. Profiling never touches a Simulator, an RNG, or a digest — arming
+// it cannot perturb a run.
 #pragma once
 
 #include <array>

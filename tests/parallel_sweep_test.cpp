@@ -19,7 +19,6 @@
 namespace vstream::runner {
 namespace {
 
-
 /// A small but real sweep: distinct seeds and containers so the sessions
 /// differ from each other, captures kept short so the test stays fast.
 std::vector<streaming::SessionConfig> sweep_configs() {
