@@ -9,7 +9,11 @@
 //      loop with a determinism digest attached (telemetry only, no floor);
 //   2. schedule+cancel churn (timer-heavy TCP workloads re-arm constantly);
 //   3. TcpSegment fan-out: copying SACK-bearing segments through a tap
-//      chain, now a flat memcpy instead of a heap round trip per hop.
+//      chain, now a flat memcpy instead of a heap round trip per hop;
+//   4. random streams: fork plus one draw (what every session, leg and
+//      auxiliary host does once) and the steady-state per-segment loss
+//      draw, each against a bench-local copy of the pre-change
+//      `sim::Rng` on an inline, eagerly seeded std::mt19937_64.
 //
 // Sweep scaling across workers is bench_sweep's job (bench/sweep_floor.json).
 //
@@ -20,9 +24,12 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <functional>
 #include <memory>
 #include <queue>
+#include <random>
+#include <string_view>
 #include <vector>
 
 #include "check/digest.hpp"
@@ -266,6 +273,78 @@ double measure_segment_fanout(std::uint64_t copies) {
   return static_cast<double>(done) / s;
 }
 
+/// The pre-change `sim::Rng`, kept as the measurement baseline: a 2.5 kB
+/// std::mt19937_64 inline in every stream, seeded in full on construction
+/// and twisted in full on the first draw.
+class LegacyRng {
+ public:
+  explicit LegacyRng(std::uint64_t seed) : engine_{seed} {}
+
+  LegacyRng fork(std::string_view tag) {
+    std::uint64_t h = 1469598103934665603ULL;  // FNV-1a, as sim::Rng hashes tags
+    for (const char c : tag) {
+      h ^= static_cast<std::uint64_t>(static_cast<unsigned char>(c));
+      h *= 1099511628211ULL;
+    }
+    return LegacyRng{engine_() ^ h};
+  }
+  double uniform(double lo, double hi) {
+    std::uniform_real_distribution<double> d{lo, hi};
+    return d(engine_);
+  }
+  bool bernoulli(double p) {
+    std::bernoulli_distribution d{std::clamp(p, 0.0, 1.0)};
+    return d(engine_);
+  }
+
+ private:
+  std::mt19937_64 engine_;
+};
+
+/// A measured rate and a checksum of what the loop drew, so the two stream
+/// types can be held to the same output.
+struct RngRate {
+  double per_sec{0.0};
+  double checksum{0.0};
+};
+
+/// Fork a child and draw once from it, `forks` times: the per-session
+/// pattern (a session's knob, auxiliary and rate-estimate streams, a
+/// leg's loss streams).
+template <typename Stream>
+RngRate measure_rng_fork_draw(std::uint64_t forks) {
+  RngRate out;
+  out.per_sec = best_of(3, [forks, &out] {
+    Stream parent{2011};
+    double sum = 0.0;
+    const auto t0 = std::chrono::steady_clock::now();
+    for (std::uint64_t i = 0; i < forks; ++i) {
+      Stream child = parent.fork("session");
+      sum += child.uniform(0.0, 1.0);
+    }
+    const double s = wall_seconds_since(t0);
+    out.checksum = sum;
+    return static_cast<double>(forks) / s;
+  });
+  return out;
+}
+
+/// Steady-state Bernoulli draws from one stream: the per-segment loss draw.
+template <typename Stream>
+RngRate measure_rng_draws(std::uint64_t draws) {
+  RngRate out;
+  out.per_sec = best_of(3, [draws, &out] {
+    Stream stream{2011};
+    std::uint64_t hits = 0;
+    const auto t0 = std::chrono::steady_clock::now();
+    for (std::uint64_t i = 0; i < draws; ++i) hits += stream.bernoulli(0.01) ? 1 : 0;
+    const double s = wall_seconds_since(t0);
+    out.checksum = static_cast<double>(hits);
+    return static_cast<double>(draws) / s;
+  });
+  return out;
+}
+
 std::vector<streaming::SessionConfig> sweep_configs(std::size_t count, double capture_s) {
   sim::Rng rng{404};
   const auto ds = video::make_dataset(video::DatasetId::kYouFlash, rng, count);
@@ -332,6 +411,27 @@ void print_reproduction() {
   std::printf("SACK-bearing segment fan-out: %.0f copies/s (%zu-byte flat segment)\n", fanout,
               sizeof(net::TcpSegment));
   telemetry.note_metric("segment_copies_per_sec", fanout);
+
+  constexpr std::uint64_t kForks = 200'000;
+  const RngRate fork_draw = measure_rng_fork_draw<sim::Rng>(kForks);
+  const RngRate legacy_fork_draw = measure_rng_fork_draw<LegacyRng>(kForks);
+  constexpr std::uint64_t kDraws = 20'000'000;
+  const RngRate draws = measure_rng_draws<sim::Rng>(kDraws);
+  const RngRate legacy_draws = measure_rng_draws<LegacyRng>(kDraws);
+  if (fork_draw.checksum != legacy_fork_draw.checksum || draws.checksum != legacy_draws.checksum) {
+    std::fprintf(stderr, "bench_engine: sim::Rng output differs from std::mt19937_64\n");
+    std::exit(1);
+  }
+  std::printf("\nrandom streams (output identical to the std::mt19937_64 baseline)\n");
+  std::printf("  fork + 1 draw : %12.0f /s (std::mt19937_64: %.0f /s, %.2fx)\n",
+              fork_draw.per_sec, legacy_fork_draw.per_sec,
+              fork_draw.per_sec / legacy_fork_draw.per_sec);
+  std::printf("  bernoulli     : %12.0f /s (std::mt19937_64: %.0f /s, %.2fx)\n", draws.per_sec,
+              legacy_draws.per_sec, draws.per_sec / legacy_draws.per_sec);
+  telemetry.note_metric("rng_fork_draws_per_sec", fork_draw.per_sec);
+  telemetry.note_metric("rng_fork_speedup_vs_std", fork_draw.per_sec / legacy_fork_draw.per_sec);
+  telemetry.note_metric("rng_draws_per_sec", draws.per_sec);
+  telemetry.note_metric("rng_draw_speed_vs_std", draws.per_sec / legacy_draws.per_sec);
 
   // Fold a real analysed sweep into the telemetry aggregate so the JSON
   // carries sessions / sim_events / merged metrics like every other bench.

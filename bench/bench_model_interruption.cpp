@@ -6,6 +6,7 @@
 // pattern the paper cites (60% of videos watched < 20% of their duration).
 #include <benchmark/benchmark.h>
 
+#include <cmath>
 #include <cstdio>
 
 #include "model/interruption.hpp"

@@ -1,6 +1,7 @@
 #include "model/interruption.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 
 namespace vstream::model {

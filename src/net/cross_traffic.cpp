@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 namespace vstream::net {
 
@@ -15,7 +16,7 @@ constexpr std::uint32_t kPacketBytes{1460};
 }  // namespace
 
 CrossTraffic::CrossTraffic(sim::Simulator& sim, Link& link, Config config, sim::Rng rng)
-    : sim_{sim}, link_{link}, config_{config}, rng_{rng} {
+    : sim_{sim}, link_{link}, config_{config}, rng_{std::move(rng)} {
   if (config_.mean_rate_bps <= 0.0) {
     throw std::invalid_argument{"CrossTraffic: mean rate must be positive"};
   }

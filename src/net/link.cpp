@@ -9,7 +9,7 @@
 namespace vstream::net {
 
 Link::Link(sim::Simulator& sim, Config config, std::unique_ptr<LossModel> loss, sim::Rng rng)
-    : sim_{sim}, config_{config}, loss_{std::move(loss)}, rng_{rng} {
+    : sim_{sim}, config_{config}, loss_{std::move(loss)}, rng_{std::move(rng)} {
   if (config_.rate_bps <= 0.0) throw std::invalid_argument{"Link: rate must be positive"};
   if (!loss_) loss_ = std::make_unique<NoLoss>();
   if (obs::ObsContext* obs = sim_.obs()) {

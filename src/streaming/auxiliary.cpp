@@ -1,5 +1,7 @@
 #include "streaming/auxiliary.hpp"
 
+#include <utility>
+
 namespace vstream::streaming {
 
 namespace {
@@ -12,7 +14,7 @@ constexpr double kAssetBytesMax{300 * 1024};
 
 AuxiliaryTraffic::AuxiliaryTraffic(sim::Simulator& sim, tcp::Fabric& fabric, Config config,
                                    sim::Rng rng)
-    : sim_{sim}, fabric_{fabric}, config_{config}, rng_{rng} {}
+    : sim_{sim}, fabric_{fabric}, config_{config}, rng_{std::move(rng)} {}
 
 void AuxiliaryTraffic::start() {
   const auto assets = static_cast<std::uint32_t>(rng_.uniform_int(

@@ -118,9 +118,10 @@ SessionResult run_session(const SessionConfig& cfg) {
   world.start_monitor();
 
   // The instance owns the whole Table-1 application layer: server pacing,
-  // client read policy, player, auxiliary traffic. It takes the session
-  // stream by value after the world-level bandwidth fork, and forks
-  // "session-knobs"/"auxiliary"/"rate-estimate" in the historical order.
+  // client read policy, player, auxiliary traffic. After the world-level
+  // bandwidth fork it forks "session-knobs"/"auxiliary"/"rate-estimate"
+  // from the world stream, in the historical order; nothing draws from
+  // that stream afterwards.
   SessionInstance instance{sim, fabric, cfg, world.rng()};
 
   sim.run_until(sim::SimTime::from_seconds(cfg.capture_duration_s));

@@ -28,10 +28,17 @@ tcp::TcpOptions client_options_with_buffer(std::uint64_t recv_bytes) {
 }  // namespace
 
 SessionInstance::SessionInstance(sim::Simulator& sim, tcp::Fabric& fabric, SessionConfig config,
-                                 sim::Rng rng)
-    : sim_{sim}, fabric_{fabric}, cfg_{std::move(config)}, rng_{std::move(rng)} {
+                                 sim::Rng& rng)
+    : sim_{sim}, fabric_{fabric}, cfg_{std::move(config)} {
   started_at_s_ = sim_.now().to_seconds();
-  wire_combination();
+  sim::Rng knob_rng = rng.fork("session-knobs");
+  if (cfg_.auxiliary_traffic) {
+    auxiliary_ = std::make_unique<AuxiliaryTraffic>(sim_, fabric_, AuxiliaryTraffic::Config{},
+                                                    rng.fork("auxiliary"));
+    auxiliary_->start();
+  }
+  rate_estimate_noise_ = rng.fork("rate-estimate").lognormal(0.0, 0.15);
+  wire_combination(knob_rng);
 }
 
 SessionInstance::~SessionInstance() = default;
@@ -60,15 +67,7 @@ void SessionInstance::open_single_connection(std::uint64_t client_recv_bytes,
   });
 }
 
-void SessionInstance::wire_combination() {
-  sim::Rng knob_rng = rng_.fork("session-knobs");
-
-  if (cfg_.auxiliary_traffic) {
-    auxiliary_ = std::make_unique<AuxiliaryTraffic>(sim_, fabric_, AuxiliaryTraffic::Config{},
-                                                    rng_.fork("auxiliary"));
-    auxiliary_->start();
-  }
-
+void SessionInstance::wire_combination(sim::Rng& knob_rng) {
   player_rate_bps_ = cfg_.video.encoding_bps;
   const auto mb = [](double x) { return static_cast<std::uint64_t>(x * 1024 * 1024); };
 
@@ -234,12 +233,10 @@ SessionOutcome SessionInstance::finalize() {
   outcome.last_byte_s = last_byte_s_;
 
   const auto header = video::make_header(cfg_.video);
-  sim::Rng noise_rng = rng_.fork("rate-estimate");
-  const double noise = noise_rng.lognormal(0.0, 0.15);
   outcome.encoding_bps_estimated =
       cfg_.service == Service::kNetflix
           ? player_rate_bps_
-          : video::resolve_encoding_rate(header, cfg_.video.size_bytes(), noise);
+          : video::resolve_encoding_rate(header, cfg_.video.size_bytes(), rate_estimate_noise_);
   return outcome;
 }
 

@@ -11,11 +11,12 @@
 // (streaming/topology.hpp) places many instances into one world, each on
 // its own access leg behind a shared bottleneck.
 //
-// Determinism contract: the instance forks "session-knobs", "auxiliary"
-// (only with auxiliary traffic enabled) and — in `finalize()` —
-// "rate-estimate" from the session stream it is given, in exactly the
-// order `run_session` historically drew them, so the single-session
-// refactor is draw-for-draw identical to the pre-instance code.
+// Determinism contract: the constructor forks "session-knobs",
+// "auxiliary" (only with auxiliary traffic enabled) and "rate-estimate"
+// from the session stream it is given, in that order, and the instance
+// keeps no stream. The rate-estimate noise is drawn then and held as a
+// number for `finalize()`; nothing else draws from that fork, so its value
+// is the one a draw at the end of the run would give.
 #pragma once
 
 #include <cstdint>
@@ -47,9 +48,9 @@ class AuxiliaryTraffic;
 class SessionInstance {
  public:
   /// Wire the session into `fabric`'s path. `rng` is the session's root
-  /// stream, taken by value after any world-level draws (the bandwidth
-  /// jitter fork); nothing else may draw from the original afterwards.
-  SessionInstance(sim::Simulator& sim, tcp::Fabric& fabric, SessionConfig config, sim::Rng rng);
+  /// stream, after any world-level draws (the bandwidth jitter fork); the
+  /// constructor makes its three forks from it and keeps no reference.
+  SessionInstance(sim::Simulator& sim, tcp::Fabric& fabric, SessionConfig config, sim::Rng& rng);
   ~SessionInstance();
 
   SessionInstance(const SessionInstance&) = delete;
@@ -88,19 +89,18 @@ class SessionInstance {
   [[nodiscard]] Player& player() { return *player_; }
   [[nodiscard]] const Player& player() const { return *player_; }
 
-  /// Gather the outcome. Forks "rate-estimate" as the session stream's
-  /// last draw; call exactly once, after the run.
+  /// Gather the outcome; call exactly once, after the run.
   [[nodiscard]] SessionOutcome finalize();
 
  private:
-  void wire_combination();
+  void wire_combination(sim::Rng& knob_rng);
   void open_single_connection(std::uint64_t client_recv_bytes, const ServerPacing& pacing);
   [[nodiscard]] ByteSink make_sink();
 
   sim::Simulator& sim_;
   tcp::Fabric& fabric_;
   SessionConfig cfg_;
-  sim::Rng rng_;
+  double rate_estimate_noise_{1.0};  ///< lognormal factor for the Content-Length estimate
 
   // Deferred player wiring: clients need a sink before the player exists
   // in some flows (Netflix selects its rate first).

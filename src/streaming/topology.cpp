@@ -198,7 +198,7 @@ struct Runner {
     session->fabric = std::make_unique<tcp::Fabric>(
         sim, *session->leg, net::SharedBottleneck::first_connection_id(session->client));
     session->instance =
-        std::make_unique<SessionInstance>(sim, *session->fabric, std::move(cfg), std::move(rng));
+        std::make_unique<SessionInstance>(sim, *session->fabric, std::move(cfg), rng);
     session->instance->set_on_quiesce([this, k] { retire_session(k); });
     // R(t) samples the TCP-deduped application delivery stream: the paper's
     // aggregate is useful bits, and counting at the bottleneck would tally

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "net/dynamics.hpp"
@@ -44,7 +45,7 @@ TEST(ImpairmentScheduleTest, EmptyScheduleIsValidAndHarmless) {
   Simulator sim;
   Rng rng{1};
   Link::Config cfg{.rate_bps = 8e6, .prop_delay = Duration::zero(), .queue_limit_bytes = 100000};
-  Link link{sim, cfg, nullptr, rng};
+  Link link{sim, cfg, nullptr, std::move(rng)};
   int delivered = 0;
   link.set_receiver([&](const TcpSegment&) { ++delivered; });
   link.set_impairments(schedule);
@@ -63,7 +64,7 @@ TEST(ImpairmentScheduleTest, ZeroDurationBlackoutIsLegalNoOp) {
   Simulator sim;
   Rng rng{1};
   Link::Config cfg{.rate_bps = 8e6, .prop_delay = Duration::zero(), .queue_limit_bytes = 100000};
-  Link link{sim, cfg, nullptr, rng};
+  Link link{sim, cfg, nullptr, std::move(rng)};
   int delivered = 0;
   link.set_receiver([&](const TcpSegment&) { ++delivered; });
   link.set_impairments(schedule);
@@ -84,7 +85,7 @@ TEST(ImpairmentScheduleTest, SameKindOverlapRejected) {
   // Link::set_impairments validates too, so a bad schedule can't arm.
   Simulator sim;
   Rng rng{1};
-  Link link{sim, Link::Config{}, nullptr, rng};
+  Link link{sim, Link::Config{}, nullptr, std::move(rng)};
   EXPECT_THROW(link.set_impairments(schedule), std::invalid_argument);
 }
 
@@ -135,7 +136,7 @@ TEST(LinkDynamicsTest, BlackoutDropsEverythingThenRecovers) {
   Simulator sim;
   Rng rng{1};
   Link::Config cfg{.rate_bps = 8e6, .prop_delay = Duration::zero(), .queue_limit_bytes = 100000};
-  Link link{sim, cfg, nullptr, rng};
+  Link link{sim, cfg, nullptr, std::move(rng)};
   int delivered = 0;
   link.set_receiver([&](const TcpSegment&) { ++delivered; });
   std::vector<LinkEvent> events;
@@ -165,7 +166,7 @@ TEST(LinkDynamicsTest, ScheduleEndingMidBlackoutLeavesLinkDown) {
   Simulator sim;
   Rng rng{1};
   Link::Config cfg{.rate_bps = 8e6, .prop_delay = Duration::zero(), .queue_limit_bytes = 100000};
-  Link link{sim, cfg, nullptr, rng};
+  Link link{sim, cfg, nullptr, std::move(rng)};
   int delivered = 0;
   link.set_receiver([&](const TcpSegment&) { ++delivered; });
 
@@ -185,7 +186,7 @@ TEST(LinkDynamicsTest, RateScaleHalvesEffectiveRateInsideWindowOnly) {
   Simulator sim;
   Rng rng{1};
   Link::Config cfg{.rate_bps = 8e6, .prop_delay = Duration::zero(), .queue_limit_bytes = 100000};
-  Link link{sim, cfg, nullptr, rng};
+  Link link{sim, cfg, nullptr, std::move(rng)};
   std::vector<double> arrivals;
   link.set_receiver([&](const TcpSegment&) { arrivals.push_back(sim.now().to_seconds()); });
 
@@ -219,7 +220,7 @@ TEST(LinkDynamicsTest, DelaySpikeAddsPropagationInsideWindow) {
   Rng rng{1};
   Link::Config cfg{.rate_bps = 8e6, .prop_delay = Duration::millis(10),
                    .queue_limit_bytes = 100000};
-  Link link{sim, cfg, nullptr, rng};
+  Link link{sim, cfg, nullptr, std::move(rng)};
   std::vector<double> arrivals;
   link.set_receiver([&](const TcpSegment&) { arrivals.push_back(sim.now().to_seconds()); });
 
@@ -243,7 +244,7 @@ TEST(LinkDynamicsTest, BurstLossOverlayDropsInsideWindowOnly) {
   Rng rng{7};
   Link::Config cfg{.rate_bps = 1e9, .prop_delay = Duration::zero(),
                    .queue_limit_bytes = 100000000};
-  Link link{sim, cfg, nullptr, rng};
+  Link link{sim, cfg, nullptr, std::move(rng)};
   int inside = 0;
   int outside = 0;
   link.set_receiver([&](const TcpSegment&) {
@@ -286,7 +287,7 @@ TEST(LinkDynamicsTest, GilbertElliottBaseStaysLiveUnderOverlayAndRunsAreTwins) {
     p.p_bad = 1.0;
     p.p_good_to_bad = 0.05;
     p.p_bad_to_good = 0.3;
-    Link link{sim, cfg, std::make_unique<GilbertElliottLoss>(p), rng};
+    Link link{sim, cfg, std::make_unique<GilbertElliottLoss>(p), std::move(rng)};
     std::vector<std::uint64_t> deliveries;
     int delivered_outside = 0;
     link.set_receiver([&](const TcpSegment& s) {

@@ -168,11 +168,10 @@ TEST(CrossTrafficTest, CausesQueueLossForCompetingFlow) {
 
 TEST(CrossTrafficTest, ValidatesConfig) {
   sim::Simulator sim;
-  sim::Rng rng{1};
-  net::Link link{sim, net::Link::Config{}, nullptr, rng};
+  net::Link link{sim, net::Link::Config{}, nullptr, sim::Rng{1}};
   net::CrossTraffic::Config bad;
   bad.mean_rate_bps = 0.0;
-  EXPECT_THROW((net::CrossTraffic{sim, link, bad, rng}), std::invalid_argument);
+  EXPECT_THROW((net::CrossTraffic{sim, link, bad, sim::Rng{2}}), std::invalid_argument);
 }
 
 }  // namespace

@@ -255,8 +255,7 @@ TEST(AdaptiveNetflixTest, FixedModeNeverSwitches) {
 
 TEST(LinkSetRateTest, Validates) {
   sim::Simulator sim;
-  sim::Rng rng{1};
-  net::Link link{sim, net::Link::Config{}, nullptr, rng};
+  net::Link link{sim, net::Link::Config{}, nullptr, sim::Rng{1}};
   EXPECT_THROW(link.set_rate(0.0), std::invalid_argument);
   link.set_rate(5e6);
   EXPECT_DOUBLE_EQ(link.config().rate_bps, 5e6);

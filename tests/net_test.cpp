@@ -1,6 +1,7 @@
 // Unit tests for links, loss models, paths and network profiles.
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "net/link.hpp"
@@ -115,7 +116,7 @@ TEST(LinkTest, DeliversWithSerializationPlusPropagation) {
   Rng rng{1};
   Link::Config cfg{.rate_bps = 8e6, .prop_delay = Duration::millis(10),
                    .queue_limit_bytes = 100000};
-  Link link{sim, cfg, nullptr, rng};
+  Link link{sim, cfg, nullptr, std::move(rng)};
   std::vector<double> arrivals;
   link.set_receiver([&](const TcpSegment&) { arrivals.push_back(sim.now().to_seconds()); });
   // 960-byte payload -> 1000 wire bytes -> 1 ms at 8 Mbps, plus 10 ms prop.
@@ -129,7 +130,7 @@ TEST(LinkTest, SerializesBackToBack) {
   Simulator sim;
   Rng rng{1};
   Link::Config cfg{.rate_bps = 8e6, .prop_delay = Duration::zero(), .queue_limit_bytes = 100000};
-  Link link{sim, cfg, nullptr, rng};
+  Link link{sim, cfg, nullptr, std::move(rng)};
   std::vector<double> arrivals;
   link.set_receiver([&](const TcpSegment&) { arrivals.push_back(sim.now().to_seconds()); });
   for (int i = 0; i < 3; ++i) link.send(make_data_segment(960));
@@ -144,7 +145,7 @@ TEST(LinkTest, DropTailWhenQueueFull) {
   Simulator sim;
   Rng rng{1};
   Link::Config cfg{.rate_bps = 8e6, .prop_delay = Duration::zero(), .queue_limit_bytes = 2100};
-  Link link{sim, cfg, nullptr, rng};
+  Link link{sim, cfg, nullptr, std::move(rng)};
   int delivered = 0;
   link.set_receiver([&](const TcpSegment&) { ++delivered; });
   // Each segment is 1040 wire bytes; the third exceeds the 2100-byte queue.
@@ -165,7 +166,7 @@ TEST(LinkTest, LossModelDropsOnWire) {
   Rng rng{5};
   Link::Config cfg{.rate_bps = 1e9, .prop_delay = Duration::zero(),
                    .queue_limit_bytes = 100000000};
-  Link link{sim, cfg, std::make_unique<BernoulliLoss>(1.0), rng};
+  Link link{sim, cfg, std::make_unique<BernoulliLoss>(1.0), std::move(rng)};
   int delivered = 0;
   link.set_receiver([&](const TcpSegment&) { ++delivered; });
   link.send(make_data_segment(100));
@@ -179,7 +180,7 @@ TEST(LinkTest, TapSeesLifecycle) {
   Rng rng{1};
   Link::Config cfg{.rate_bps = 1e9, .prop_delay = Duration::millis(1),
                    .queue_limit_bytes = 1000000};
-  Link link{sim, cfg, nullptr, rng};
+  Link link{sim, cfg, nullptr, std::move(rng)};
   link.set_receiver([](const TcpSegment&) {});
   std::vector<LinkEvent> events;
   link.set_tap([&](SimTime, const TcpSegment&, Direction, LinkEvent e) { events.push_back(e); });
@@ -197,7 +198,7 @@ TEST(LinkTest, InFlightCountsQueuedAndPropagatingSegments) {
   Simulator sim;
   Rng rng{3};
   Link::Config cfg{.rate_bps = 8e6, .prop_delay = Duration::millis(5), .queue_limit_bytes = 2100};
-  Link link{sim, cfg, std::make_unique<BernoulliLoss>(0.5), rng};
+  Link link{sim, cfg, std::make_unique<BernoulliLoss>(0.5), std::move(rng)};
   link.set_receiver([](const TcpSegment&) {});
   EXPECT_EQ(link.in_flight(), 0U);
   EXPECT_TRUE(link.send(make_data_segment(1000)));
@@ -222,7 +223,7 @@ TEST(LinkTest, InFlightCountsQueuedAndPropagatingSegments) {
 TEST(LinkTest, SendWithoutReceiverThrows) {
   Simulator sim;
   Rng rng{1};
-  Link link{sim, Link::Config{}, nullptr, rng};
+  Link link{sim, Link::Config{}, nullptr, std::move(rng)};
   EXPECT_THROW(link.send(make_data_segment(1)), std::logic_error);
 }
 
@@ -231,7 +232,7 @@ TEST(LinkTest, InvalidRateThrows) {
   Rng rng{1};
   Link::Config cfg{};
   cfg.rate_bps = 0.0;
-  EXPECT_THROW((Link{sim, cfg, nullptr, rng}), std::invalid_argument);
+  EXPECT_THROW((Link{sim, cfg, nullptr, std::move(rng)}), std::invalid_argument);
 }
 
 TEST(ProfileTest, AllVantagesHaveSaneParameters) {

@@ -1,6 +1,13 @@
 // Unit tests for the discrete-event engine, time types and RNG streams.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+#include <limits>
+#include <random>
+#include <stdexcept>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "check/contracts.hpp"
@@ -250,9 +257,95 @@ TEST(RngTest, ExponentialMeanApproximatesInverseRate) {
 }
 
 TEST(RngTest, InvalidArgumentsThrow) {
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kMax = std::numeric_limits<double>::max();
   Rng rng{1};
   EXPECT_THROW((void)rng.uniform(3.0, 2.0), std::invalid_argument);
+  EXPECT_THROW((void)rng.uniform(kNan, 1.0), std::invalid_argument);
+  EXPECT_THROW((void)rng.uniform(0.0, kNan), std::invalid_argument);
+  EXPECT_THROW((void)rng.uniform(0.0, kInf), std::invalid_argument);
+  EXPECT_THROW((void)rng.uniform(-kInf, 0.0), std::invalid_argument);
+  EXPECT_THROW((void)rng.uniform(-kMax, kMax), std::invalid_argument);  // the span overflows
+  EXPECT_THROW((void)rng.uniform_int(3, 2), std::invalid_argument);
+  EXPECT_THROW((void)rng.bernoulli(kNan), std::invalid_argument);
   EXPECT_THROW((void)rng.exponential(0.0), std::invalid_argument);
+  EXPECT_THROW((void)rng.exponential(kNan), std::invalid_argument);
+  for (const double bad : {0.0, -1.0, kNan}) {
+    EXPECT_THROW((void)rng.normal(0.0, bad), std::invalid_argument);
+    EXPECT_THROW((void)rng.lognormal(0.0, bad), std::invalid_argument);
+  }
+  // A rejected call draws nothing.
+  Rng fresh{1};
+  EXPECT_EQ(rng.uniform(0.0, 1.0), fresh.uniform(0.0, 1.0));
+}
+
+// An undrawn stream is its seed and a null state pointer, and a stream is
+// moved, never copied: a copy would replay its parent's draws.
+static_assert(sizeof(Rng) <= 16);
+static_assert(!std::is_copy_constructible_v<Rng> && !std::is_copy_assignable_v<Rng>);
+static_assert(std::is_nothrow_move_constructible_v<Rng> && std::is_nothrow_move_assignable_v<Rng>);
+
+/// The engine word behind one draw: fork() seeds its child with the next
+/// word xor the tag's FNV-1a hash, which for the empty tag is the offset
+/// basis.
+std::uint64_t raw_word(Rng& rng) { return rng.fork("").seed() ^ 1469598103934665603ULL; }
+
+TEST(RngTest, EngineMatchesStdMt19937_64) {
+  std::vector<std::uint64_t> seeds{0, 1, 5489, ~std::uint64_t{0}};
+  for (std::uint64_t k = 1; seeds.size() < 1000; ++k) seeds.push_back(k * 0x9E3779B97F4A7C15ULL);
+  // Move points around the edges of the lazily seeded first block (word i
+  // reads seeded word i + 156; the block is 312 words) and the next two.
+  constexpr std::array<std::size_t, 13> kMoveAfter{0,   1,   155, 156, 157, 311, 312,
+                                                   313, 623, 624, 625, 936, 1999};
+  constexpr std::size_t kDraws = 2000;
+  for (std::size_t n = 0; n < seeds.size(); ++n) {
+    std::mt19937_64 reference{seeds[n]};
+    Rng stream{seeds[n]};
+    const std::size_t move_after = kMoveAfter[n % kMoveAfter.size()];
+    for (std::size_t i = 0; i < move_after; ++i) {
+      ASSERT_EQ(raw_word(stream), reference()) << "seed " << seeds[n] << ", draw " << i;
+    }
+    Rng moved{0};
+    if (n % 2 == 0) {
+      moved = std::move(stream);
+    } else {
+      Rng constructed{std::move(stream)};
+      moved = std::move(constructed);
+    }
+    for (std::size_t i = move_after; i < kDraws; ++i) {
+      ASSERT_EQ(raw_word(moved), reference())
+          << "seed " << seeds[n] << ", draw " << i << " after a move at " << move_after;
+    }
+  }
+
+  // C++ [rand.predef]: the 10000th output of a default-seeded mt19937_64.
+  Rng standard{5489};
+  for (int i = 1; i < 10000; ++i) (void)raw_word(standard);
+  EXPECT_EQ(raw_word(standard), 9981545732273789042ULL);
+}
+
+TEST(RngTest, DistributionsMatchStdOverStdMt19937_64) {
+  for (const std::uint64_t seed : {std::uint64_t{0}, std::uint64_t{5489}, std::uint64_t{2011}}) {
+    std::mt19937_64 reference{seed};
+    Rng rng{seed};
+    // Mixed draws, some taking two words, carry the sequence across block
+    // edges at varying offsets.
+    for (int i = 0; i < 400; ++i) {
+      std::uniform_real_distribution<double> uniform{2.0, 3.0};
+      std::uniform_int_distribution<std::int64_t> uniform_int{-5, 40};
+      std::bernoulli_distribution bernoulli{0.3};
+      std::exponential_distribution<double> exponential{2.0};
+      std::normal_distribution<double> normal{1.0, 0.5};
+      std::lognormal_distribution<double> lognormal{0.0, 0.15};
+      ASSERT_EQ(rng.uniform(2.0, 3.0), uniform(reference));
+      ASSERT_EQ(rng.uniform_int(-5, 40), uniform_int(reference));
+      ASSERT_EQ(rng.bernoulli(0.3), bernoulli(reference));
+      ASSERT_EQ(rng.exponential(2.0), exponential(reference));
+      ASSERT_EQ(rng.normal(1.0, 0.5), normal(reference));
+      ASSERT_EQ(rng.lognormal(0.0, 0.15), lognormal(reference));
+    }
+  }
 }
 
 }  // namespace
