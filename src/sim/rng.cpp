@@ -78,7 +78,7 @@ inline std::uint64_t Rng::next() {
 
 std::uint64_t Rng::next_slow() {
   if (state_ == nullptr) {
-    state_ = std::make_unique_for_overwrite<State>();  // words are written before they are read
+    state_ = std::make_unique<State>();  // zeroed, so no read can see an indeterminate word
     state_->mt[0] = seed_;
     state_->seeded = 1;
   }
